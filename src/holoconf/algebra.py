@@ -156,28 +156,41 @@ def lincomb(terms, realization, label: str = "") -> VectorField:
 
 
 def point_args(realization, p):
+    """Coefficient arguments of a point: (u,) on the upsilon line, (y0, y1)
+    in a chart.  An array point (see stack_points) gives array arguments."""
     if realization_key(realization) == UPSILON_LINE:
         return (p,)
     return (p.y0, p.y1)
 
 
+def stack_points(realization, pts):
+    """One array point holding a sequence of sample points."""
+    if realization_key(realization) == UPSILON_LINE:
+        return np.array(pts, dtype=complex)
+    return ChartPoint.stack(pts)
+
+
 def field_values(x: VectorField, pts) -> np.ndarray:
-    """Coefficient values at the sample points, shape (npts, arity)."""
-    rows = []
-    for p in pts:
-        args = point_args(x.realization, p)
-        rows.append([complex(dual.value(c(*args))) for c in x.coeffs])
-    return np.array(rows)
+    """Coefficient values at the sample points, shape (npts, arity).
+
+    Each coefficient is evaluated once, on the stacked coordinates of all
+    points; constant coefficients are broadcast."""
+    args = point_args(x.realization, stack_points(x.realization, pts))
+    out = np.empty((len(pts), x.arity), dtype=complex)
+    for k, c in enumerate(x.coeffs):
+        out[:, k] = dual.value(c(*args))
+    return out
 
 
 def apply_to_function(x: VectorField, f: Callable, p) -> complex:
-    """Evaluate (x f) at p by differentiating f along each coordinate."""
+    """Evaluate (x f) at p by differentiating f along each coordinate.
+
+    p may be an array point (see stack_points); the result then has its
+    sample shape."""
     args = point_args(x.realization, p)
-    acc = 0.0
+    acc = 0j
     for k in range(x.arity):
-        acc = acc + complex(dual.value(x.coeffs[k](*args))) * complex(
-            _partial(f, k, args)
-        )
+        acc = acc + dual.value(x.coeffs[k](*args)) * _partial(f, k, args)
     return acc
 
 
@@ -324,8 +337,8 @@ def generator(g: GeneratorId, realization) -> VectorField:
 def generator_by_transport(g: GeneratorId, chart: ChartId) -> VectorField:
     """Flat generator pushed to a chart through the mixed Jacobian.
 
-    Independent of the closed-form tables above (pointwise evaluation only);
-    used to cross-check them.
+    Independent of the closed-form tables above (evaluation at plain or array
+    points only, not at jets); used to cross-check them.
     """
     from .charts import embed, jacobian_mixed
 
@@ -453,7 +466,9 @@ def structure_table(realization, points=None, match_tol: float = 1e-6) -> SignLe
 # --- eigenactions on the solution family -------------------------------------
 
 def act(g: GeneratorId, alpha: complex, p: ChartPoint) -> complex:
-    """Apply generator g (in p's chart realization) to the alpha-solution."""
+    """Apply generator g (in p's chart realization) to the alpha-solution.
+
+    alpha and the coordinates of p may be arrays of one sample shape."""
     validate(p)
     x = generator(g, p.chart)
     return apply_to_function(x, SolutionFamily(alpha, p.chart), p)
@@ -611,14 +626,14 @@ def minkowski_check(
 
 def cn(u: complex) -> complex:
     """(u + 1/u)/2; the disk-flow (Joukowski) map, cos on the unit circle."""
-    if u == 0:
+    if np.any(u == 0):
         raise ZeroDivisionError("cn undefined at 0")
     return (u + 1.0 / u) / 2.0
 
 
 def sn(u: complex) -> complex:
     """(u - 1/u)/(2i); sin on the unit circle."""
-    if u == 0:
+    if np.any(u == 0):
         raise ZeroDivisionError("sn undefined at 0")
     return (u - 1.0 / u) / 2j
 
@@ -626,16 +641,18 @@ def sn(u: complex) -> complex:
 def angular_tensor(u: complex) -> np.ndarray:
     """Multipliers m_ab with s_ab = m_ab(u) * (u d/du) on the upsilon line.
 
-    Antisymmetric 4x4 complex matrix built from cn and sn."""
-    if u == 0:
+    Antisymmetric 4x4 complex matrix built from cn and sn; for an array u
+    the sample axis comes last, shape (4, 4, n)."""
+    if np.any(u == 0):
         raise ZeroDivisionError("tensor undefined at 0")
     c, s = cn(u), sn(u)
+    z = 0 * c  # broadcasts the constant entries to u's shape
     return np.array(
         [
-            [0, 1j, 1j * s, -c],
-            [-1j, 0, -1j * c, -s],
-            [-1j * s, 1j * c, 0, 1],
-            [c, s, -1, 0],
+            [z, z + 1j, 1j * s, -c],
+            [z - 1j, z, -1j * c, -s],
+            [-1j * s, 1j * c, z, z + 1],
+            [c, s, z - 1, z],
         ],
         dtype=complex,
     )

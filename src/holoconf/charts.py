@@ -16,6 +16,11 @@ with theta in (0, pi/2) -- its metric degenerates at theta = pi/2, so points
 within GUARD of a domain boundary are rejected rather than producing huge
 values.  Basis vectors are computed by dual-number differentiation of the
 embedding; closed forms are kept alongside as an independent cross-check.
+
+A ChartPoint may carry 1-D arrays of coordinates, one entry per sample
+point; every function below then evaluates all samples at once.  The sample
+axis comes last: a vector has shape (2, n) and a matrix (2, 2, n), where a
+single point gives (2,) and (2, 2).
 """
 
 from __future__ import annotations
@@ -56,26 +61,65 @@ class ChartPoint:
     y0: float
     y1: float
 
+    @staticmethod
+    def stack(pts) -> "ChartPoint":
+        """One point whose coordinates are arrays over the given points."""
+        if not pts:
+            raise ValueError("no points to stack")
+        kinds = {p.chart for p in pts}
+        if len(kinds) != 1:
+            raise ValueError(f"points to stack must share one chart, got {kinds}")
+        return ChartPoint(
+            kinds.pop(), np.array([p.y0 for p in pts]), np.array([p.y1 for p in pts])
+        )
+
+
+def _require(ok, value, message: str) -> None:
+    """Raise DomainError(message.format(v)) for the first value v where ok
+    fails; ok and value are scalars or arrays of one sample shape."""
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        value = np.broadcast_to(value, ok.shape)[~ok][0]
+    elif ok:
+        return
+    raise DomainError(message.format(float(value)))
+
 
 def validate(p: ChartPoint) -> None:
-    """Raise DomainError unless p lies safely inside its chart's domain."""
+    """Raise DomainError unless every sample of p lies safely inside its
+    chart's domain."""
     if p.chart is ChartId.CARTESIAN:
         return
-    if not (0.0 <= p.y1 < TWO_PI):
-        raise DomainError(f"angle {p.y1} outside [0, 2*pi)")
+    _require((0.0 <= p.y1) & (p.y1 < TWO_PI), p.y1, "angle {} outside [0, 2*pi)")
     if p.chart is ChartId.POLAR:
-        if p.y0 < GUARD:
-            raise DomainError(f"radius {p.y0} below guard {GUARD}")
+        _require(p.y0 >= GUARD, p.y0, f"radius {{}} below guard {GUARD}")
     elif p.chart is ChartId.HOLOGRAPHIC:
-        if not (GUARD <= p.y0 <= math.pi / 2 - GUARD):
-            raise DomainError(
-                f"theta {p.y0} outside ({GUARD}, pi/2 - {GUARD})"
-            )
+        _require(
+            (GUARD <= p.y0) & (p.y0 <= math.pi / 2 - GUARD),
+            p.y0,
+            f"theta {{}} outside ({GUARD}, pi/2 - {GUARD})",
+        )
     # conformal: y0 unrestricted
 
 
+def _tensor(rows, p: ChartPoint) -> np.ndarray:
+    """Nested rows as one array, scalar entries broadcast to p's samples
+    (sample axis last)."""
+    shape = np.broadcast_shapes(np.shape(p.y0), np.shape(p.y1))
+    if not shape:
+        return np.array(rows)
+
+    def fill(r):
+        if isinstance(r, list):
+            return np.stack([fill(e) for e in r])
+        return np.broadcast_to(r, shape)
+
+    return fill(rows)
+
+
 def _embed(chart: ChartId, y0, y1):
-    """Embedding coordinate functions; works on floats and jets alike."""
+    """Embedding coordinate functions; works on floats, arrays and jets alike."""
     if chart is ChartId.CARTESIAN:
         return y0, y1
     if chart is ChartId.POLAR:
@@ -99,26 +143,24 @@ embed_coords = _embed
 
 
 def normalize_angle(phi: float) -> float:
-    phi = math.fmod(phi, TWO_PI)
-    return phi + TWO_PI if phi < 0.0 else phi
+    phi = np.fmod(phi, TWO_PI)
+    return phi + TWO_PI * (phi < 0.0)
 
 
 def invert(chart: ChartId, x0: float, x1: float) -> ChartPoint:
     """Analytic inverse of the embedding (atan2 / arcsin / log, no iteration)."""
     if chart is ChartId.CARTESIAN:
         return ChartPoint(chart, x0, x1)
-    r = math.hypot(x0, x1)
-    if r < GUARD:
-        raise DomainError("origin is not covered by any angular chart")
-    phi = normalize_angle(math.atan2(x1, x0))
+    r = np.hypot(x0, x1)
+    _require(r >= GUARD, r, "origin is not covered by any angular chart")
+    phi = normalize_angle(dual.atan2(x1, x0))
     if chart is ChartId.POLAR:
         return ChartPoint(chart, r, phi)
     if chart is ChartId.HOLOGRAPHIC:
-        if r > 1.0 - GUARD:
-            raise DomainError(f"|x| = {r} outside the open unit disk")
-        return ChartPoint(chart, math.asin(r), phi)
+        _require(r <= 1.0 - GUARD, r, "|x| = {} outside the open unit disk")
+        return ChartPoint(chart, np.arcsin(r), phi)
     if chart is ChartId.CONFORMAL:
-        return ChartPoint(chart, math.log(r), phi)
+        return ChartPoint(chart, np.log(r), phi)
     raise ValueError(chart)
 
 
@@ -130,7 +172,7 @@ def basis(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
         args = [p.y0, p.y1]
         args[var] = dual.seed(args[var])
         x0, x1 = _embed(p.chart, *args)
-        cols.append(np.array([dual.d1(x0), dual.d1(x1)]))
+        cols.append(_tensor([dual.d1(x0), dual.d1(x1)], p))
     return cols[0], cols[1]
 
 
@@ -138,28 +180,28 @@ def basis_closed_form(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
     """Hand-derived basis vectors, kept separate as a cross-check."""
     validate(p)
     if p.chart is ChartId.CARTESIAN:
-        return np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    c, s = math.cos(p.y1), math.sin(p.y1)
+        return _tensor([1.0, 0.0], p), _tensor([0.0, 1.0], p)
+    c, s = dual.cos(p.y1), dual.sin(p.y1)
     if p.chart is ChartId.POLAR:
         r = p.y0
-        return np.array([c, s]), np.array([-r * s, r * c])
+        return _tensor([c, s], p), _tensor([-r * s, r * c], p)
     if p.chart is ChartId.HOLOGRAPHIC:
-        ct, st = math.cos(p.y0), math.sin(p.y0)
-        return np.array([ct * c, ct * s]), np.array([-st * s, st * c])
-    e = math.exp(p.y0)
-    return np.array([e * c, e * s]), np.array([-e * s, e * c])
+        ct, st = dual.cos(p.y0), dual.sin(p.y0)
+        return _tensor([ct * c, ct * s], p), _tensor([-st * s, st * c], p)
+    e = dual.exp(p.y0)
+    return _tensor([e * c, e * s], p), _tensor([-e * s, e * c], p)
 
 
 def metric(p: ChartPoint) -> np.ndarray:
     """Gram matrix of the basis vectors (upper curved-index metric)."""
-    b0, b1 = basis(p)
-    return np.array([[b0 @ b0, b0 @ b1], [b1 @ b0, b1 @ b1]])
+    a = jacobian_lower(p)
+    return np.einsum("ki...,kj...->ij...", a, a)
 
 
 def jacobian_lower(p: ChartPoint) -> np.ndarray:
     """Transformation matrix A[mu][alpha] = d x_mu / d y_alpha."""
     b0, b1 = basis(p)
-    return np.column_stack([b0, b1])
+    return np.stack([b0, b1], axis=1)
 
 
 def jacobian_mixed(p: ChartPoint) -> np.ndarray:
@@ -170,25 +212,25 @@ def jacobian_mixed(p: ChartPoint) -> np.ndarray:
     """
     g = metric(p)
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if abs(det) < 1e-30:
+    if np.any(np.abs(det) < 1e-30):
         raise DomainError("metric is singular at this point")
     g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
-    return jacobian_lower(p) @ g_inv
+    return np.einsum("ik...,kj...->ij...", jacobian_lower(p), g_inv)
 
 
 def jacobian_mixed_closed_form(p: ChartPoint) -> np.ndarray:
     validate(p)
     if p.chart is ChartId.CARTESIAN:
-        return np.eye(2)
-    c, s = math.cos(p.y1), math.sin(p.y1)
+        return _tensor([[1.0, 0.0], [0.0, 1.0]], p)
+    c, s = dual.cos(p.y1), dual.sin(p.y1)
     if p.chart is ChartId.POLAR:
         r = p.y0
-        return np.array([[c, -s / r], [s, c / r]])
+        return _tensor([[c, -s / r], [s, c / r]], p)
     if p.chart is ChartId.HOLOGRAPHIC:
-        ct, st = math.cos(p.y0), math.sin(p.y0)
-        return np.array([[c / ct, -s / st], [s / ct, c / st]])
-    e = math.exp(-p.y0)
-    return np.array([[e * c, -e * s], [e * s, e * c]])
+        ct, st = dual.cos(p.y0), dual.sin(p.y0)
+        return _tensor([[c / ct, -s / st], [s / ct, c / st]], p)
+    e = dual.exp(-p.y0)
+    return _tensor([[e * c, -e * s], [e * s, e * c]], p)
 
 
 @dataclass(frozen=True)

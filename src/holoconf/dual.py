@@ -3,7 +3,9 @@
 A Jet carries (value, first derivative, second derivative) with respect to a
 single scalar parameter.  Components may be float, complex, or nested Jets,
 so jets of jets work; that is what makes brackets of brackets (Jacobi tests)
-differentiable without symbolic algebra.
+differentiable without symbolic algebra.  Components may also be numpy
+arrays: one jet then carries the derivatives at a whole column of sample
+points, and every elementary function below evaluates them in one call.
 """
 
 from __future__ import annotations
@@ -11,11 +13,17 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 
 class Jet:
     """f, f', f'' propagated through arithmetic via the chain rule."""
 
     __slots__ = ("f", "d1", "d2")
+
+    # make `ndarray * Jet` defer to Jet.__rmul__ instead of building an
+    # object array of per-element jets
+    __array_ufunc__ = None
 
     def __init__(self, f, d1=0.0, d2=0.0):
         self.f = f
@@ -99,22 +107,31 @@ def _chain(x, f0, f1, f2):
     return Jet(f0, f1 * x.d1, f1 * x.d2 + f2 * x.d1 * x.d1)
 
 
-def _is_cplx(x):
-    return isinstance(x, complex)
+def _lib(x):
+    """Backend for a plain (non-jet) value: math, cmath or numpy."""
+    t = type(x)
+    if t is float:
+        return math
+    if t is complex:
+        return cmath
+    # arrays, subclasses and numpy scalars (np.float64 is a float, np.complex128 a complex)
+    if isinstance(x, np.ndarray):
+        return np
+    return cmath if isinstance(x, complex) else math
 
 
 def sin(x):
     if isinstance(x, Jet):
         s, c = sin(x.f), cos(x.f)
         return _chain(x, s, c, -s)
-    return cmath.sin(x) if _is_cplx(x) else math.sin(x)
+    return _lib(x).sin(x)
 
 
 def cos(x):
     if isinstance(x, Jet):
         s, c = sin(x.f), cos(x.f)
         return _chain(x, c, -s, -c)
-    return cmath.cos(x) if _is_cplx(x) else math.cos(x)
+    return _lib(x).cos(x)
 
 
 def tan(x):
@@ -125,7 +142,7 @@ def exp(x):
     if isinstance(x, Jet):
         e = exp(x.f)
         return _chain(x, e, e, e)
-    return cmath.exp(x) if _is_cplx(x) else math.exp(x)
+    return _lib(x).exp(x)
 
 
 def log(x):
@@ -133,7 +150,7 @@ def log(x):
         u = x.f
         inv = 1.0 / u
         return _chain(x, log(u), inv, -inv * inv)
-    return cmath.log(x) if _is_cplx(x) else math.log(x)
+    return _lib(x).log(x)
 
 
 def sqrt(x):
@@ -141,7 +158,7 @@ def sqrt(x):
         r = sqrt(x.f)
         inv = 0.5 / r
         return _chain(x, r, inv, -0.5 * inv / x.f)
-    return cmath.sqrt(x) if _is_cplx(x) else math.sqrt(x)
+    return _lib(x).sqrt(x)
 
 
 def sinh(x):
@@ -161,6 +178,8 @@ def hypot(x, y):
 def atan2(y, x):
     """Jet-aware atan2; differentiates the smooth local branch."""
     if not isinstance(x, Jet) and not isinstance(y, Jet):
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            return np.arctan2(y, x)
         return math.atan2(y, x)
     xj = x if isinstance(x, Jet) else Jet(x)
     yj = y if isinstance(y, Jet) else Jet(y)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.special import lpmv
+import numpy as np
 
 from . import dual
 from .charts import TWO_PI, ChartId, ChartPoint, validate
@@ -46,8 +46,7 @@ def _log_radius_angle(chart: ChartId, y0, y1):
     if chart is ChartId.CARTESIAN:
         r = dual.hypot(y0, y1)
         phi = dual.atan2(y1, y0)
-        if dual.value(phi) < 0.0:
-            phi = phi + TWO_PI
+        phi = phi + TWO_PI * (dual.value(phi) < 0.0)
         return dual.log(r), phi
     if chart is ChartId.POLAR:
         return dual.log(y0), y1
@@ -80,13 +79,16 @@ class SolutionFamily:
 
 
 def solve(alpha: complex, chart: ChartId, p: ChartPoint) -> complex:
-    """Value of the scale-dimension-alpha solution at p."""
+    """Value of the scale-dimension-alpha solution at p.
+
+    alpha and the coordinates of p may be arrays of one sample shape."""
     validate(p)
     return SolutionFamily(alpha, chart)(p.y0, p.y1)
 
 
 def laplacian(chart: ChartId, f: Callable, p: ChartPoint) -> complex:
-    """Apply the chart's rescaled Laplace operator to f at p."""
+    """Apply the chart's rescaled Laplace operator to f at p (a plain or an
+    array point)."""
     validate(p)
     j0 = f(dual.seed(p.y0), p.y1)
     j1 = f(p.y0, dual.seed(p.y1))
@@ -98,7 +100,7 @@ def laplacian(chart: ChartId, f: Callable, p: ChartPoint) -> complex:
         r = p.y0
         return r * f0 + r * r * f00 + f11
     if chart is ChartId.HOLOGRAPHIC:
-        t = math.tan(p.y0)
+        t = np.tan(p.y0)
         sec2 = 1.0 + t * t
         return t * sec2 * f0 + t * t * f00 + f11
     raise ValueError(chart)
@@ -116,8 +118,8 @@ def rescale_factor(chart: ChartId, p: ChartPoint) -> float:
     if chart is ChartId.POLAR:
         return p.y0 * p.y0
     if chart is ChartId.HOLOGRAPHIC:
-        return math.sin(p.y0) ** 2
-    return math.exp(2.0 * p.y0)
+        return dual.sin(p.y0) ** 2
+    return dual.exp(2.0 * p.y0)
 
 
 def conjugate_derivative(f: Callable, x0: float, x1: float) -> complex:
@@ -129,6 +131,9 @@ def conjugate_derivative(f: Callable, x0: float, x1: float) -> complex:
 
 def ylm(l: int, m: int, theta: float, phi: float) -> complex:
     """Spherical harmonic, unit L2 norm, Condon-Shortley phase."""
+    # imported here so that importing holoconf does not load scipy
+    from scipy.special import lpmv
+
     if abs(m) > l:
         raise ValueError(f"|m| = {abs(m)} exceeds l = {l}")
     if m < 0:

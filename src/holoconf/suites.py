@@ -45,10 +45,36 @@ def _rng(cfg: SuiteConfig, label: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{label}")
 
 
+def _worst(*defects) -> float:
+    """Largest of the defects (scalars or arrays); NaN as soon as one is NaN.
+
+    The builtin max keeps or drops NaN depending on argument order
+    (max(0.0, nan) is 0.0), which would let a NaN defect pass.
+    """
+    worst = -math.inf
+    for d in defects:
+        if isinstance(d, np.ndarray):
+            d = np.max(d)  # propagates NaN
+        if d != d:
+            return math.nan
+        if d > worst:
+            worst = d
+    return float(worst)
+
+
+RATIO_UNDEFINED = "zero defect at eps/2: Richardson ratio undefined"
+
+
+def _ratio_defect(coarse: float, fine: float) -> float:
+    """Distance of the Richardson ratio coarse/fine from 4 (second order);
+    inf when the finer defect vanishes and the ratio is undefined."""
+    return abs(coarse / fine - 4.0) if fine else math.inf
+
+
 def _result(suite, name, identity, defect, threshold, ledger=None, message=None):
     finite = math.isfinite(defect)
     if not finite and message is None:
-        message = "structural mismatch"
+        message = "non-finite defect" if math.isnan(defect) else "structural mismatch"
     return CheckResult(
         suite=suite,
         name=name,
@@ -70,10 +96,13 @@ def bicomplex_checks(cfg: SuiteConfig):
     vals = sampling.bicomplex_values(3 * cfg.samples, rng)
     worst = 0.0
     for a, b, c in zip(vals[0::3], vals[1::3], vals[2::3]):
-        worst = max(worst, ((a * b) * c - a * (b * c)).max_abs())
-        worst = max(worst, (a * b - b * a).max_abs())
-        worst = max(worst, (a * (b + c) - (a * b + a * c)).max_abs())
-        worst = max(worst, (bc.ONE * a - a).max_abs())
+        worst = _worst(
+            worst,
+            ((a * b) * c - a * (b * c)).max_abs(),
+            (a * b - b * a).max_abs(),
+            (a * (b + c) - (a * b + a * c)).max_abs(),
+            (bc.ONE * a - a).max_abs(),
+        )
     out.append(
         _result(
             "bicomplex",
@@ -85,7 +114,7 @@ def bicomplex_checks(cfg: SuiteConfig):
     )
 
     o, obar = bc.null_plane_units()
-    worst = max(
+    worst = _worst(
         (o * o - bc.UNIT_I * o).max_abs(),
         (o * o - bc.UNIT_J * o).max_abs(),
         (obar * obar - (-1 * bc.UNIT_I) * obar).max_abs(),
@@ -109,7 +138,7 @@ def bicomplex_checks(cfg: SuiteConfig):
 
     rng = _rng(cfg, "bc.invol")
     vals = sampling.bicomplex_values(2 * cfg.samples, rng)
-    worst = max(
+    worst = _worst(
         (bc.UNIT_I.conjugate() + bc.UNIT_I).max_abs(),
         (bc.UNIT_J.conjugate() - bc.UNIT_J).max_abs(),
         (bc.UNIT_IJ.conjugate() + bc.UNIT_IJ).max_abs(),
@@ -118,10 +147,13 @@ def bicomplex_checks(cfg: SuiteConfig):
         (bc.UNIT_IJ.reverse() - bc.UNIT_IJ).max_abs(),
     )
     for a, b in zip(vals[0::2], vals[1::2]):
-        worst = max(worst, (a.conjugate().conjugate() - a).max_abs())
-        worst = max(worst, (a.reverse().reverse() - a).max_abs())
-        worst = max(worst, ((a * b).conjugate() - a.conjugate() * b.conjugate()).max_abs())
-        worst = max(worst, ((a * b).reverse() - a.reverse() * b.reverse()).max_abs())
+        worst = _worst(
+            worst,
+            (a.conjugate().conjugate() - a).max_abs(),
+            (a.reverse().reverse() - a).max_abs(),
+            ((a * b).conjugate() - a.conjugate() * b.conjugate()).max_abs(),
+            ((a * b).reverse() - a.reverse() * b.reverse()).max_abs(),
+        )
     out.append(
         _result(
             "bicomplex",
@@ -146,7 +178,7 @@ def bicomplex_checks(cfg: SuiteConfig):
             break
         nsq = s.squared_length()
         scale = 1.0 + nsq * nsq
-        worst = max(
+        worst = _worst(
             worst,
             abs(t.xi1**2 + t.xi2**2 + t.xi3**2 - t.len_sq**2) / scale,
             abs(t.len_sq - nsq) / (1.0 + nsq),
@@ -169,7 +201,7 @@ def bicomplex_checks(cfg: SuiteConfig):
     for a, b in zip(vals[0::2], vals[1::2]):
         lhs = a.exp() * b.exp()
         rhs = (a + b).exp()
-        worst = max(worst, (lhs - rhs).max_abs() / (1.0 + rhs.max_abs()))
+        worst = _worst(worst, (lhs - rhs).max_abs() / (1.0 + rhs.max_abs()))
     out.append(
         _result(
             "bicomplex",
@@ -185,13 +217,16 @@ def bicomplex_checks(cfg: SuiteConfig):
 # --- charts ------------------------------------------------------------------
 
 def _metric_closed_form(p: ChartPoint) -> np.ndarray:
+    zero = 0.0 * p.y0  # 0.0, or zeros of p's sample shape
     if p.chart is ChartId.CARTESIAN:
-        return np.eye(2)
-    if p.chart is ChartId.POLAR:
-        return np.diag([1.0, p.y0 * p.y0])
-    if p.chart is ChartId.HOLOGRAPHIC:
-        return np.diag([math.cos(p.y0) ** 2, math.sin(p.y0) ** 2])
-    return np.diag([math.exp(2 * p.y0)] * 2)
+        d0 = d1 = 1.0 + zero
+    elif p.chart is ChartId.POLAR:
+        d0, d1 = 1.0 + zero, p.y0 * p.y0
+    elif p.chart is ChartId.HOLOGRAPHIC:
+        d0, d1 = dual.cos(p.y0) ** 2, dual.sin(p.y0) ** 2
+    else:
+        d0 = d1 = dual.exp(2 * p.y0)
+    return np.array([[d0, zero], [zero, d1]])
 
 
 def charts_checks(cfg: SuiteConfig):
@@ -200,77 +235,62 @@ def charts_checks(cfg: SuiteConfig):
     n = max(cfg.samples, 100)
 
     for chart in ALL_CHARTS:
-        pts = sampling.chart_points(chart, n, _rng(cfg, f"ch.{chart.value}"))
+        p = ChartPoint.stack(sampling.chart_points(chart, n, _rng(cfg, f"ch.{chart.value}")))
 
-        worst = 0.0
-        for p in pts:
-            b0, b1 = charts.basis(p)
-            c0, c1 = charts.basis_closed_form(p)
-            worst = max(worst, float(np.max(np.abs(b0 - c0))), float(np.max(np.abs(b1 - c1))))
+        b0, b1 = charts.basis(p)
+        c0, c1 = charts.basis_closed_form(p)
         out.append(
             _result(
                 "charts",
                 f"basis_dual_vs_closed[{chart.value}]",
                 "dual-number basis vectors equal the closed forms",
-                worst,
+                _worst(np.abs(b0 - c0), np.abs(b1 - c1)),
                 tol_exact,
             )
         )
 
-        worst = 0.0
-        for p in pts:
-            g = charts.metric(p)
-            worst = max(worst, float(np.max(np.abs(g - _metric_closed_form(p)))))
+        g = charts.metric(p)
         out.append(
             _result(
                 "charts",
                 f"metric_closed_form[{chart.value}]",
                 "Gram matrix of the basis equals the diagonal closed form",
-                worst,
+                _worst(np.abs(g - _metric_closed_form(p))),
                 cfg.tol,
             )
         )
 
-        worst = 0.0
-        for p in pts:
-            prod = charts.jacobian_lower(p) @ charts.jacobian_mixed(p).T
-            worst = max(worst, float(np.max(np.abs(prod - np.eye(2)))))
+        # lower @ mixed.T at every sample
+        prod = np.einsum("ik...,jk...->ij...", charts.jacobian_lower(p), charts.jacobian_mixed(p))
         out.append(
             _result(
                 "charts",
                 f"jacobian_inverse[{chart.value}]",
                 "lower and mixed transformation matrices are mutually inverse",
-                worst,
+                _worst(np.abs(prod - np.eye(2)[:, :, None])),
                 cfg.tol,
             )
         )
 
-        worst = 0.0
-        for p in pts:
-            diff = charts.jacobian_mixed(p) - charts.jacobian_mixed_closed_form(p)
-            worst = max(worst, float(np.max(np.abs(diff))))
+        diff = charts.jacobian_mixed(p) - charts.jacobian_mixed_closed_form(p)
         out.append(
             _result(
                 "charts",
                 f"jacobian_mixed_closed[{chart.value}]",
                 "index-moved transformation matrix equals the closed form",
-                worst,
+                _worst(np.abs(diff)),
                 cfg.tol,
             )
         )
 
-        worst = 0.0
-        for p in pts:
-            x0, x1 = charts.embed(p)
-            q = charts.invert(chart, x0, x1)
-            z0, z1 = charts.embed(q)
-            worst = max(worst, abs(x0 - z0), abs(x1 - z1))
+        x0, x1 = charts.embed(p)
+        z0, z1 = charts.embed(charts.invert(chart, x0, x1))
         out.append(
             _result(
                 "charts",
                 f"embed_roundtrip[{chart.value}]",
                 "embedding composed with the analytic inverse is the identity",
-                worst,
+                _worst(np.abs(x0 - z0), np.abs(x1 - z1)),
                 cfg.tol,
             )
         )
@@ -282,7 +302,7 @@ def charts_checks(cfg: SuiteConfig):
         x1 = rng.uniform(-2.5, 2.5)
         u = charts.compactify(x0, x1)
         v = charts.compactify(x0, x1, rescaled=True)
-        worst = max(
+        worst = _worst(
             worst,
             abs(u.null_defect()) / (1.0 + u.u3 * u.u3),
             abs(v.null_defect()),
@@ -301,11 +321,9 @@ def charts_checks(cfg: SuiteConfig):
     )
 
     # finite special conformal map: worked value and first-order generator match
-    worst = 0.0
     x = charts.special_conformal((0.7, -0.3), (0.0, 0.0))
-    worst = max(worst, abs(x[0] - 0.7), abs(x[1] + 0.3))
-    x = charts.special_conformal((0.0, 2.0), (0.0, -0.25))
-    worst = max(worst, abs(x[0] - 0.0), abs(x[1] - 4.0))
+    y = charts.special_conformal((0.0, 2.0), (0.0, -0.25))
+    worst = _worst(abs(x[0] - 0.7), abs(x[1] + 0.3), abs(y[0] - 0.0), abs(y[1] - 4.0))
     out.append(
         _result(
             "charts",
@@ -336,8 +354,7 @@ def charts_checks(cfg: SuiteConfig):
             dx1 = -(c[0] * q0.coeffs[1](*x) + c[1] * q1.coeffs[1](*x))
             return math.hypot(y[0] - (x[0] + dx0), y[1] - (x[1] + dx1))
 
-        ratio = defect(eps) / defect(eps / 2)
-        worst = max(worst, abs(ratio - 4.0))
+        worst = _worst(worst, _ratio_defect(defect(eps), defect(eps / 2)))
     out.append(
         _result(
             "charts",
@@ -346,6 +363,7 @@ def charts_checks(cfg: SuiteConfig):
             "at second order (Richardson ratio 4)",
             worst,
             0.2,
+            message=RATIO_UNDEFINED if worst == math.inf else None,
         )
     )
     return out
@@ -374,11 +392,11 @@ def laplace_checks(cfg: SuiteConfig):
         rng = _rng(cfg, f"lap.res.{chart.value}")
         alphas = sampling.scale_dimensions(cfg.samples, rng)
         pts = sampling.chart_points(chart, 3, rng)
-        worst = 0.0
-        for alpha in alphas:
-            for p in pts:
-                u = laplace.solve(alpha, chart, p)
-                worst = max(worst, laplace.residual(alpha, chart, p) / (1.0 + abs(u)))
+        # the alpha x point grid, flattened: every point for each alpha
+        alpha = np.repeat(alphas, len(pts))
+        grid = ChartPoint.stack(pts * len(alphas))
+        u = laplace.solve(alpha, chart, grid)
+        worst = _worst(laplace.residual(alpha, chart, grid) / (1.0 + np.abs(u)))
         out.append(
             _result(
                 "laplace",
@@ -391,7 +409,8 @@ def laplace_checks(cfg: SuiteConfig):
 
     for chart in (ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL):
         rng = _rng(cfg, f"lap.scale.{chart.value}")
-        pts = sampling.chart_points(chart, 10, rng)
+        p = ChartPoint.stack(sampling.chart_points(chart, 10, rng))
+        flat_p = ChartPoint(ChartId.CARTESIAN, *charts.embed(p))
         worst = 0.0
         for _ in range(3):
             poly = _random_polynomial(rng)
@@ -399,14 +418,11 @@ def laplace_checks(cfg: SuiteConfig):
             def pulled(y0, y1, chart=chart, poly=poly):
                 return poly(*charts.embed_coords(chart, y0, y1))
 
-            for p in pts:
-                lhs = laplace.laplacian(chart, pulled, p)
-                x0, x1 = charts.embed(p)
-                flat = laplace.laplacian(
-                    ChartId.CARTESIAN, poly, ChartPoint(ChartId.CARTESIAN, x0, x1)
-                )
-                rhs = laplace.rescale_factor(chart, p) * flat
-                worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
+            lhs = laplace.laplacian(chart, pulled, p)
+            rhs = laplace.rescale_factor(chart, p) * laplace.laplacian(
+                ChartId.CARTESIAN, poly, flat_p
+            )
+            worst = _worst(worst, np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))
         out.append(
             _result(
                 "laplace",
@@ -419,17 +435,17 @@ def laplace_checks(cfg: SuiteConfig):
         )
 
     rng = _rng(cfg, "lap.consist")
-    pts = sampling.chart_points(ChartId.HOLOGRAPHIC, cfg.samples, rng)
-    alphas = sampling.scale_dimensions(cfg.samples, rng)
-    worst = 0.0
-    for p, alpha in zip(pts, alphas):
-        x0, x1 = charts.embed(p)
-        ref = laplace.solve(alpha, ChartId.HOLOGRAPHIC, p)
-        for chart in (ChartId.CARTESIAN, ChartId.POLAR, ChartId.CONFORMAL):
-            q = charts.invert(chart, x0, x1)
-            worst = max(
-                worst, abs(laplace.solve(alpha, chart, q) - ref) / (1.0 + abs(ref))
-            )
+    p = ChartPoint.stack(sampling.chart_points(ChartId.HOLOGRAPHIC, cfg.samples, rng))
+    alpha = np.array(sampling.scale_dimensions(cfg.samples, rng))
+    x0, x1 = charts.embed(p)
+    ref = laplace.solve(alpha, ChartId.HOLOGRAPHIC, p)
+    worst = _worst(
+        *(
+            np.abs(laplace.solve(alpha, chart, charts.invert(chart, x0, x1)) - ref)
+            / (1.0 + np.abs(ref))
+            for chart in (ChartId.CARTESIAN, ChartId.POLAR, ChartId.CONFORMAL)
+        )
+    )
     out.append(
         _result(
             "laplace",
@@ -450,9 +466,9 @@ def laplace_checks(cfg: SuiteConfig):
             expected = (-1) ** l * math.sqrt(
                 (2 * l + 1) / (4 * math.pi * math.factorial(2 * l))
             ) * math.prod(range(1, 2 * l, 2))
-            worst = max(worst, abs(ratio - expected) / abs(expected))
+            worst = _worst(worst, abs(ratio - expected) / abs(expected))
         neg = laplace.ylm_ratio(1, grid, negative_branch=True)
-        worst = max(worst, abs(neg - math.sqrt(3 / (8 * math.pi))))
+        worst = _worst(worst, abs(neg - math.sqrt(3 / (8 * math.pi))))
     except ArithmeticError as exc:
         worst, message = math.inf, str(exc)
     out.append(
@@ -468,13 +484,11 @@ def laplace_checks(cfg: SuiteConfig):
     )
 
     rng = _rng(cfg, "lap.holo")
-    pts = sampling.chart_points(ChartId.CARTESIAN, cfg.samples, rng)
-    alphas = sampling.scale_dimensions(cfg.samples, rng)
-    worst = 0.0
-    for p, alpha in zip(pts, alphas):
-        f = laplace.SolutionFamily(alpha, ChartId.CARTESIAN)
-        d = laplace.conjugate_derivative(f, p.y0, p.y1)
-        worst = max(worst, abs(d) / (1.0 + abs(alpha) * abs(f(p.y0, p.y1))))
+    p = ChartPoint.stack(sampling.chart_points(ChartId.CARTESIAN, cfg.samples, rng))
+    alpha = np.array(sampling.scale_dimensions(cfg.samples, rng))
+    f = laplace.SolutionFamily(alpha, ChartId.CARTESIAN)
+    d = laplace.conjugate_derivative(f, p.y0, p.y1)
+    worst = _worst(np.abs(d) / (1.0 + np.abs(alpha) * np.abs(f(p.y0, p.y1))))
     out.append(
         _result(
             "laplace",
@@ -532,16 +546,15 @@ def algebra_checks(cfg: SuiteConfig):
 
     for chart in (ChartId.HOLOGRAPHIC, ChartId.CARTESIAN, ChartId.CONFORMAL):
         rng = _rng(cfg, f"alg.eig.{chart.value}")
-        pts = sampling.chart_points(chart, cfg.samples, rng)
-        alphas = sampling.scale_dimensions(cfg.samples, rng)
+        p = ChartPoint.stack(sampling.chart_points(chart, cfg.samples, rng))
+        alpha = np.array(sampling.scale_dimensions(cfg.samples, rng))
         worst = 0.0
         for g in GENERATORS:
-            for p, alpha in zip(pts, alphas):
-                expected = algebra.eigenaction_expected(g, alpha, p)
-                worst = max(
-                    worst,
-                    abs(algebra.act(g, alpha, p) - expected) / (1.0 + abs(expected)),
-                )
+            expected = algebra.eigenaction_expected(g, alpha, p)
+            worst = _worst(
+                worst,
+                np.abs(algebra.act(g, alpha, p) - expected) / (1.0 + np.abs(expected)),
+            )
         out.append(
             _result(
                 "algebra",
@@ -562,7 +575,7 @@ def algebra_checks(cfg: SuiteConfig):
         mono = lambda u, n=n: u**n
         for u in us:
             expected_p = n * u ** (n - 1) if n else 0.0
-            worst = max(
+            worst = _worst(
                 worst,
                 abs(algebra.apply_to_function(p0, mono, u) - expected_p),
                 abs(algebra.apply_to_function(q0, mono, u) - n * u ** (n + 1)),
@@ -595,8 +608,7 @@ def algebra_checks(cfg: SuiteConfig):
                 ],
                 r,
             )
-            vals = algebra.field_values(total, pts)
-            worst = max(worst, float(np.max(np.abs(vals))))
+            worst = _worst(worst, np.abs(algebra.field_values(total, pts)))
         out.append(
             _result(
                 "algebra",
@@ -647,15 +659,13 @@ def algebra_checks(cfg: SuiteConfig):
             )
 
     rng = _rng(cfg, "alg.tensor")
-    us = sampling.upsilon_points(cfg.samples, rng)
+    u = np.array(sampling.upsilon_points(cfg.samples, rng))
     pack = algebra.so31_pack(UPSILON_LINE)
-    worst = 0.0
-    for u in us:
-        m = algebra.angular_tensor(u)
-        worst = max(worst, float(np.max(np.abs(m + m.T))))
-        for (a, b), fld in pack.items():
-            coeff = complex(dual.value(fld.coeffs[0](u)))
-            worst = max(worst, abs(m[a, b] * u - coeff))
+    m = algebra.angular_tensor(u)
+    worst = _worst(
+        np.abs(m + m.swapaxes(0, 1)),
+        *(np.abs(m[a, b] * u - dual.value(fld.coeffs[0](u))) for (a, b), fld in pack.items()),
+    )
     out.append(
         _result(
             "algebra",
@@ -680,7 +690,7 @@ def algebra_checks(cfg: SuiteConfig):
     for target, sub in ((Q0, sub_q0), (P0, sub_p0), (B, sub_b)):
         ref = algebra.generator(target, ChartId.HOLOGRAPHIC)
         diff = algebra.field_values(sub, pts) - algebra.field_values(ref, pts)
-        worst = max(worst, float(np.max(np.abs(diff))))
+        worst = _worst(worst, np.abs(diff))
     out.append(
         _result(
             "algebra",
@@ -703,7 +713,7 @@ def algebra_checks(cfg: SuiteConfig):
             laplace.SolutionFamily(1.0, ChartId.HOLOGRAPHIC),
             p,
         )
-        worst_deriv = max(worst_deriv, abs(flow_derivative - u))
+        worst_deriv = _worst(worst_deriv, abs(flow_derivative - u))
 
         def sine_defect(eps, p=p):
             approx = math.sin(p.y0 + eps * math.tan(p.y0)) * complex(
@@ -711,7 +721,7 @@ def algebra_checks(cfg: SuiteConfig):
             )
             return abs(algebra.tangent_curve(eps, p) - approx)
 
-        worst_ratio = max(worst_ratio, abs(sine_defect(1e-3) / sine_defect(5e-4) - 4.0))
+        worst_ratio = _worst(worst_ratio, _ratio_defect(sine_defect(1e-3), sine_defect(5e-4)))
     out.append(
         _result(
             "algebra",
@@ -732,8 +742,9 @@ def algebra_checks(cfg: SuiteConfig):
             "tangent_curve_order",
             "the flow curve matches the shifted-angle sine to second order "
             "(Richardson ratio 4; defect below 1e-5 at eps = 1e-3)",
-            max(worst_ratio / 0.4, sample_defect / 1e-5),
+            _worst(worst_ratio / 0.4, sample_defect / 1e-5),
             1.0,
+            message=RATIO_UNDEFINED if worst_ratio == math.inf else None,
         )
     )
     return out
@@ -775,7 +786,7 @@ def projective_checks(cfg: SuiteConfig):
 
     real_ledger = projective.matrix_bracket_table(projective.Ring.REAL)
     ups_ledger = algebra.structure_table(
-        UPSILON_LINE, points=algebra.default_points(UPSILON_LINE, n=cfg.samples)
+        UPSILON_LINE, points=sampling.upsilon_points(cfg.samples, _rng(cfg, "proj.ledger"))
     )
     worst = 0.0
     for key in real_ledger.signs:
@@ -831,12 +842,12 @@ def projective_checks(cfg: SuiteConfig):
     for m, entries in expected_matrices:
         for got, want in zip(m.entries(), entries):
             diff = got - want
-            worst = max(
+            worst = _worst(
                 worst,
                 diff.max_abs() if isinstance(diff, bc.Bicomplex) else abs(diff),
             )
         tr = m.trace()
-        worst = max(
+        worst = _worst(
             worst, tr.max_abs() if isinstance(tr, bc.Bicomplex) else abs(tr)
         )
     out.append(
@@ -857,12 +868,12 @@ def projective_checks(cfg: SuiteConfig):
                 m = projective.exp_one_param(g, eps, ring)
                 det = m.det()
                 if isinstance(det, bc.Bicomplex):
-                    worst = max(worst, (det - bc.ONE).max_abs())
+                    worst = _worst(worst, (det - bc.ONE).max_abs())
                 else:
-                    worst = max(worst, abs(det - 1.0))
+                    worst = _worst(worst, abs(det - 1.0))
     eps = 0.37
     m = projective.exp_one_param(S01, eps, projective.Ring.COMPLEX)
-    worst = max(
+    worst = _worst(
         worst,
         abs(m.a - cmath.exp(1j * eps / 2)),
         abs(m.d - cmath.exp(-1j * eps / 2)),
@@ -871,9 +882,9 @@ def projective_checks(cfg: SuiteConfig):
     )
     mb = projective.exp_one_param(B, eps, projective.Ring.BICOMPLEX)
     want = bc.Bicomplex(math.cosh(eps / 2), 0, 0, math.sinh(eps / 2))
-    worst = max(worst, (mb.a - want).max_abs(), (mb.d - want.conjugate()).max_abs())
+    worst = _worst(worst, (mb.a - want).max_abs(), (mb.d - want.conjugate()).max_abs())
     mp = projective.exp_one_param(P0, eps, projective.Ring.REAL)
-    worst = max(worst, abs(mp.a - 1), abs(mp.b - eps), abs(mp.c), abs(mp.d - 1))
+    worst = _worst(worst, abs(mp.a - 1), abs(mp.b - eps), abs(mp.c), abs(mp.d - 1))
     out.append(
         _result(
             "projective",
@@ -899,7 +910,7 @@ def projective_checks(cfg: SuiteConfig):
             d2 = projective.flow_consistency(g, v0, eps / 2)
             if d1 <= exact_floor and d2 <= exact_floor:
                 continue  # translation flows are exact
-            worst = max(worst, abs(d1 / d2 - 4.0))
+            worst = _worst(worst, _ratio_defect(d1, d2))
     out.append(
         _result(
             "projective",
@@ -908,6 +919,7 @@ def projective_checks(cfg: SuiteConfig):
             "eps divides the defect by 4 (translations are exact)",
             worst,
             0.2,
+            message=RATIO_UNDEFINED if worst == math.inf else None,
         )
     )
 
@@ -923,7 +935,7 @@ def projective_checks(cfg: SuiteConfig):
             rhs = projective.mobius_apply(m, projective.mobius_apply(n, v))
         except projective.PoleError:
             continue
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+        worst = _worst(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     out.append(
         _result(
             "projective",
@@ -942,29 +954,20 @@ def projective_checks(cfg: SuiteConfig):
             continue
         xi = projective.hopf_raw(*raw)
         nsq = sum(c * c for c in raw)
-        worst = max(
-            worst,
-            abs(math.sqrt(sum(x * x for x in xi)) - nsq) / (1.0 + nsq),
-        )
         # agreement with the bicomplex involution projections
         t = bc.involution_projections(bc.Bicomplex(*raw))
-        worst = max(
+        s = projective.S3Point(*raw)
+        onsphere = projective.hopf(s)
+        lam = rng.uniform(0, 2 * math.pi)
+        rot = projective.hopf(s.phase_rotated(lam))
+        worst = _worst(
             worst,
+            abs(math.sqrt(sum(x * x for x in xi)) - nsq) / (1.0 + nsq),
             abs(t.xi1 - xi[0]),
             abs(t.xi2 - xi[1]),
             abs(t.xi3 - xi[2]),
             abs(t.len_sq - nsq),
-        )
-        s = projective.S3Point(*raw)
-        onsphere = projective.hopf(s)
-        worst = max(
-            worst,
             abs(onsphere.xi1**2 + onsphere.xi2**2 + onsphere.xi3**2 - 1.0),
-        )
-        lam = rng.uniform(0, 2 * math.pi)
-        rot = projective.hopf(s.phase_rotated(lam))
-        worst = max(
-            worst,
             abs(rot.xi1 - onsphere.xi1),
             abs(rot.xi2 - onsphere.xi2),
             abs(rot.xi3 - onsphere.xi3),
@@ -989,7 +992,7 @@ def projective_checks(cfg: SuiteConfig):
             continue
         p = projective.ProjectivePoint(v1, v2)
         tr = projective.chart_transition(p)
-        worst = max(worst, abs(abs(tr.transition) - 1.0))
+        worst = _worst(worst, abs(abs(tr.transition) - 1.0))
         scaled = projective.ProjectivePoint(1.7j * v1, 1.7j * v2)
         if not projective.projectively_equal(p, scaled):
             worst = math.inf

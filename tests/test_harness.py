@@ -6,12 +6,18 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from holoconf import algebra, charts, cli, laplace
+from holoconf.algebra import Q0, Q1
+from holoconf.charts import ChartId
 from holoconf.grids import emit_grid
 from holoconf.report import SUITE_NAMES, SuiteConfig
 from holoconf.suites import run_suite
+
+GOLDEN = Path(__file__).parent / "data" / "verify_seed7_golden.json"
 
 
 def test_default_run_passes():
@@ -65,6 +71,82 @@ def test_sign_ledgers_in_report():
     for c in tables:
         assert c.sign_ledger["[q0,p0]"] == -1
         assert c.sign_ledger["[b,p0]"] == 1
+
+
+def test_seed7_structure_matches_golden():
+    # names, order, status, ledgers and messages of `holoconf verify --seed 7`
+    data = json.loads(run_suite(SuiteConfig(seed=7)).to_json())
+    got = [
+        {k: c[k] for k in ("suite", "name", "status", "sign_ledger", "message")}
+        for c in data["checks"]
+    ]
+    assert got == json.loads(GOLDEN.read_text())
+
+
+def test_nan_defect_fails_the_check(monkeypatch, capsys):
+    monkeypatch.setattr(laplace, "laplacian", lambda chart, f, p: math.nan)
+    report = run_suite(SuiteConfig(seed=3, samples=10, suites=("laplace",)))
+    residuals = [c for c in report.checks if c.name.startswith("solution_residual")]
+    assert len(residuals) == 4
+    for c in residuals:
+        assert not c.passed
+        assert c.max_defect is None
+        assert c.message == "non-finite defect"
+    rc = cli.main(["verify", "--suite", "laplace", "--seed", "3", "--samples", "10"])
+    assert rc == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["overall"] == "fail"
+
+
+def test_zero_richardson_denominator_fails_with_message(monkeypatch):
+    q0 = algebra.generator(Q0, ChartId.CARTESIAN)
+    q1 = algebra.generator(Q1, ChartId.CARTESIAN)
+
+    def first_order_step(x, c):
+        # exactly the step the check compares against: zero defect at every eps
+        return tuple(
+            x[k] - (c[0] * q0.coeffs[k](*x) + c[1] * q1.coeffs[k](*x)) for k in (0, 1)
+        )
+
+    def sine_curve(eps, p):
+        return math.sin(p.y0 + eps * math.tan(p.y0)) * complex(
+            math.cos(p.y1), math.sin(p.y1)
+        )
+
+    monkeypatch.setattr(charts, "special_conformal", first_order_step)
+    monkeypatch.setattr(algebra, "tangent_curve", sine_curve)
+    report = run_suite(SuiteConfig(seed=3, samples=5, suites=("charts", "algebra")))
+    checks = {c.name: c for c in report.checks}
+    for name in ("special_conformal_infinitesimal", "tangent_curve_order"):
+        assert not checks[name].passed
+        assert checks[name].max_defect is None
+        assert "Richardson ratio undefined" in checks[name].message
+    assert checks["tangent_curve_derivative"].passed
+
+
+def test_real_ledger_negation_draws_points_from_the_seed(monkeypatch):
+    seen = []
+    structure_table = algebra.structure_table
+
+    def recording(realization, points=None, **kwargs):
+        seen.append(list(points))
+        return structure_table(realization, points=points, **kwargs)
+
+    monkeypatch.setattr(algebra, "structure_table", recording)
+    for seed in (1, 2):
+        assert run_suite(SuiteConfig(seed=seed, samples=5, suites=("projective",))).overall_pass
+    assert len(seen) == 2
+    assert seen[0] != seen[1]
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, holoconf; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_config_validation():
