@@ -46,6 +46,14 @@ REALIZATIONS = (
     UPSILON_LINE,
 )
 
+# the realizations whose bracket tables the verification suites check
+FIELD_REALIZATIONS = (
+    ChartId.CARTESIAN,
+    ChartId.HOLOGRAPHIC,
+    ChartId.CONFORMAL,
+    UPSILON_LINE,
+)
+
 
 class RealizationMismatchError(ValueError):
     """Bracketed fields must live in the same realization."""
@@ -395,17 +403,31 @@ BRACKET_RELATIONS: dict = {
     (Q1, P1): {B: 2.0},
 }
 
-_QP_PAIRS = {(Q0, P0), (Q0, P1), (Q1, P0), (Q1, P1)}
+QP_PAIRS = frozenset({(Q0, P0), (Q0, P1), (Q1, P0), (Q1, P1)})
 
 # every vector-field realization satisfies the table with exactly the
 # four [q, p] brackets negated
 EXPECTED_FIELD_SIGNS = {
-    pair: (-1 if pair in _QP_PAIRS else 1) for pair in BRACKET_PAIRS
+    pair: (-1 if pair in QP_PAIRS else 1) for pair in BRACKET_PAIRS
 }
 
 
 def pair_label(g1: GeneratorId, g2: GeneratorId) -> str:
     return f"[{g1.value},{g2.value}]"
+
+
+def match_sign(label: str, d_plus: float, d_minus: float, tol: float) -> tuple:
+    """Sign under which a bracket matches its table value, and the defect.
+
+    d_plus and d_minus are the defects of bracket - rhs and bracket + rhs.
+    Returns (1, d_plus) or (-1, d_minus), preferring +1 when both fit (a zero
+    right-hand side); raises UnmatchedBracketError when neither is within tol.
+    """
+    if d_plus <= tol:
+        return 1, d_plus
+    if d_minus <= tol:
+        return -1, d_minus
+    raise UnmatchedBracketError(f"{label}: defects {d_plus:.3e}/{d_minus:.3e}")
 
 
 @dataclass
@@ -446,17 +468,12 @@ def structure_table(realization, points=None, match_tol: float = 1e-6) -> SignLe
         rhs = np.zeros_like(bra)
         for g, c in BRACKET_RELATIONS[(g1, g2)].items():
             rhs = rhs + c * gen_vals[g]
-        d_plus = float(np.max(np.abs(bra - rhs)))
-        d_minus = float(np.max(np.abs(bra + rhs)))
-        if d_plus <= match_tol:
-            sign, defect = 1, d_plus
-        elif d_minus <= match_tol:
-            sign, defect = -1, d_minus
-        else:
-            raise UnmatchedBracketError(
-                f"{pair_label(g1, g2)} in {ledger.realization}: "
-                f"defects {d_plus:.3e} / {d_minus:.3e}"
-            )
+        sign, defect = match_sign(
+            f"{pair_label(g1, g2)} in {ledger.realization}",
+            float(np.max(np.abs(bra - rhs))),
+            float(np.max(np.abs(bra + rhs))),
+            match_tol,
+        )
         ledger.signs[pair_label(g1, g2)] = sign
         worst = max(worst, defect)
     ledger.max_defect = worst
@@ -489,10 +506,6 @@ def eigenaction_expected(g: GeneratorId, alpha: complex, p: ChartPoint) -> compl
     if g is Q0:
         return alpha * u(alpha + 1)
     return -1j * alpha * u(alpha + 1)
-
-
-def eigenaction_defect(g: GeneratorId, alpha: complex, p: ChartPoint) -> float:
-    return abs(act(g, alpha, p) - eigenaction_expected(g, alpha, p))
 
 
 # --- rotation packaging in R^{3,1} -------------------------------------------
@@ -589,15 +602,13 @@ def minkowski_check(
     worst = 0.0
     for (a, b), bra in bra_vals.items():
         rhs = rhs_values(a, b, MINKOWSKI_METRIC)
-        d_plus = float(np.max(np.abs(bra - rhs)))
-        d_minus = float(np.max(np.abs(bra + rhs)))
         key = f"[s{a[0]}{a[1]},s{b[0]}{b[1]}]"
-        if d_plus <= match_tol:
-            ledger.signs[key], defect = 1, d_plus
-        elif d_minus <= match_tol:
-            ledger.signs[key], defect = -1, d_minus
-        else:
-            raise UnmatchedBracketError(f"{key}: defects {d_plus:.3e}/{d_minus:.3e}")
+        ledger.signs[key], defect = match_sign(
+            key,
+            float(np.max(np.abs(bra - rhs))),
+            float(np.max(np.abs(bra + rhs))),
+            match_tol,
+        )
         worst = max(worst, defect)
     ledger.max_defect = worst
 

@@ -6,12 +6,18 @@ import argparse
 import os
 import sys
 
-from .algebra import GENERATOR_TABLE_STRINGS, GENERATORS, UPSILON_LINE
+from .algebra import (
+    GENERATOR_TABLE_STRINGS,
+    GENERATORS,
+    REALIZATIONS,
+    UPSILON_LINE,
+    realization_key,
+)
 from .grids import GRID_KINDS, emit_grid
 from .report import SUITE_NAMES, SuiteConfig
 from .suites import run_suite
 
-REALIZATION_NAMES = ("cartesian", "polar", "holographic", "conformal", UPSILON_LINE)
+REALIZATION_NAMES = tuple(realization_key(r) for r in REALIZATIONS)
 
 
 def _default_seed() -> int:
@@ -19,7 +25,7 @@ def _default_seed() -> int:
     try:
         return int(env) if env is not None else 1
     except ValueError:
-        raise SystemExit(f"HOLOCONF_SEED must be an integer, got {env!r}")
+        raise ValueError(f"HOLOCONF_SEED must be an integer, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,20 +57,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, parser) -> int:
     suites = args.suite or ["all"]
     if "all" in suites:
         suites = list(SUITE_NAMES)
-    seed = args.seed if args.seed is not None else _default_seed()
-    cfg = SuiteConfig(
-        seed=seed, samples=args.samples, tol=args.tol, suites=tuple(dict.fromkeys(suites))
-    )
+    try:
+        seed = args.seed if args.seed is not None else _default_seed()
+        cfg = SuiteConfig(
+            seed=seed, samples=args.samples, tol=args.tol, suites=tuple(dict.fromkeys(suites))
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run_suite(cfg)
     print(report.to_json() if args.format == "json" else report.to_text())
     return 0 if report.overall_pass else 1
 
 
-def cmd_table(args) -> int:
+def cmd_table(args, parser) -> int:
     table = GENERATOR_TABLE_STRINGS[args.realization]
     if args.realization == UPSILON_LINE:
         headers = ("generator", "coefficient of d/du")
@@ -84,16 +93,22 @@ def cmd_table(args) -> int:
     return 0
 
 
-def cmd_grid(args) -> int:
-    n = emit_grid(args.kind, args.res, args.out)
+def cmd_grid(args, parser) -> int:
+    try:
+        n = emit_grid(args.kind, args.res, args.out)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
     print(f"wrote {n} rows to {args.out}")
     return 0
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command; bad input exits with status 2, like argparse's own
+    errors, and a failed check returns 1."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     handler = {"verify": cmd_verify, "table": cmd_table, "grid": cmd_grid}[args.command]
-    return handler(args)
+    return handler(args, parser)
 
 
 if __name__ == "__main__":

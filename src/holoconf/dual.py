@@ -161,16 +161,6 @@ def sqrt(x):
     return _lib(x).sqrt(x)
 
 
-def sinh(x):
-    e, em = exp(x), exp(-x)
-    return (e - em) * 0.5
-
-
-def cosh(x):
-    e, em = exp(x), exp(-x)
-    return (e + em) * 0.5
-
-
 def hypot(x, y):
     return sqrt(x * x + y * y)
 

@@ -73,10 +73,6 @@ class SolutionFamily:
         sign = -1j if self.conjugate_branch else 1j
         return dual.exp(self.alpha * (log_r + sign * phi))
 
-    def evaluate(self, p: ChartPoint) -> complex:
-        validate(p)
-        return self(p.y0, p.y1)
-
 
 def solve(alpha: complex, chart: ChartId, p: ChartPoint) -> complex:
     """Value of the scale-dimension-alpha solution at p.

@@ -28,13 +28,13 @@ from .algebra import (
     P0,
     P1,
     Q0,
-    Q1,
+    QP_PAIRS,
     S01,
     UPSILON_LINE,
     GeneratorId,
     SignLedger,
-    UnmatchedBracketError,
     generator,
+    match_sign,
     pair_label,
 )
 from .bicomplex import (
@@ -222,16 +222,12 @@ def matrix_bracket_table(ring: Ring, tol: float = 1e-12) -> SignLedger:
         rhs = zero
         for g, coeff in BRACKET_RELATIONS[(g1, g2)].items():
             rhs = rhs + gens[g].scaled(coeff)
-        d_plus = bra.max_abs_diff(rhs)
-        d_minus = bra.max_abs_diff(rhs.scaled(-1.0))
-        if d_plus <= tol:
-            sign, defect = 1, d_plus
-        elif d_minus <= tol:
-            sign, defect = -1, d_minus
-        else:
-            raise UnmatchedBracketError(
-                f"{pair_label(g1, g2)} over {ring}: defects {d_plus:.3e}/{d_minus:.3e}"
-            )
+        sign, defect = match_sign(
+            f"{pair_label(g1, g2)} over {ring}",
+            bra.max_abs_diff(rhs),
+            bra.max_abs_diff(rhs.scaled(-1.0)),
+            tol,
+        )
         ledger.signs[pair_label(g1, g2)] = sign
         worst = max(worst, defect)
     ledger.max_defect = worst
@@ -244,9 +240,7 @@ EXPECTED_MATRIX_SIGNS = {
     Ring.REAL: {"[b,p0]": -1, "[b,q0]": -1, "[q0,p0]": 1},
     Ring.COMPLEX: {
         pair_label(g1, g2): (
-            1 if not BRACKET_RELATIONS[(g1, g2)] else (
-                1 if (g1, g2) in {(Q0, P0), (Q0, P1), (Q1, P0), (Q1, P1)} else -1
-            )
+            1 if not BRACKET_RELATIONS[(g1, g2)] or (g1, g2) in QP_PAIRS else -1
         )
         for g1, g2 in BRACKET_PAIRS
     },
@@ -333,9 +327,6 @@ class S3Point:
 
     def components(self) -> tuple:
         return (self.s1, self.s2, self.s3, self.s4)
-
-    def as_bicomplex(self) -> Bicomplex:
-        return Bicomplex(self.s1, self.s2, self.s3, self.s4)
 
     def phase_rotated(self, lam: float) -> "S3Point":
         """Joint phase action on (s1 + i s2, s3 + i s4): the fiber circle."""

@@ -21,6 +21,7 @@ from holoconf.algebra import (
     S01,
     UPSILON_LINE,
     RealizationMismatchError,
+    UnmatchedBracketError,
     act,
     angular_tensor,
     apply_to_function,
@@ -31,6 +32,7 @@ from holoconf.algebra import (
     field_values,
     generator,
     generator_by_transport,
+    match_sign,
     minkowski_check,
     paravector_substitute,
     pair_label,
@@ -108,6 +110,16 @@ def test_bracket_examples():
 def test_bracket_realization_mismatch():
     with pytest.raises(RealizationMismatchError):
         bracket(generator(B, ChartId.POLAR), generator(B, ChartId.CONFORMAL))
+
+
+def test_match_sign():
+    assert match_sign("[b,p0]", 1e-9, 2.0, 1e-6) == (1, 1e-9)
+    assert match_sign("[b,p0]", 2.0, 1e-9, 1e-6) == (-1, 1e-9)
+    # a zero right-hand side fits both signs and is recorded as +1
+    assert match_sign("[p0,p1]", 0.0, 0.0, 1e-6) == (1, 0.0)
+    for d_plus, d_minus in ((1.0, 1.0), (math.nan, math.nan)):
+        with pytest.raises(UnmatchedBracketError, match=r"^\[b,p0\] in x: defects "):
+            match_sign("[b,p0] in x", d_plus, d_minus, 1e-6)
 
 
 def test_structure_tables_all_realizations():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from holoconf import algebra, charts, cli, laplace
+from holoconf import bicomplex as bc
 from holoconf.algebra import Q0, Q1
 from holoconf.charts import ChartId
 from holoconf.grids import emit_grid
@@ -18,6 +19,7 @@ from holoconf.report import SUITE_NAMES, SuiteConfig
 from holoconf.suites import run_suite
 
 GOLDEN = Path(__file__).parent / "data" / "verify_seed7_golden.json"
+TABLE_GOLDEN = Path(__file__).parent / "data" / "table_golden.txt"
 
 
 def test_default_run_passes():
@@ -124,6 +126,43 @@ def test_zero_richardson_denominator_fails_with_message(monkeypatch):
     assert checks["tangent_curve_derivative"].passed
 
 
+def test_exception_in_a_check_fails_only_that_check(monkeypatch, capsys):
+    cfg = SuiteConfig(seed=3, samples=10, suites=("bicomplex", "projective"))
+    names = [c.name for c in run_suite(cfg).checks]
+
+    def boom(s, tol=1e-9):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bc, "involution_projections", boom)
+    report = run_suite(cfg)
+    assert [c.name for c in report.checks] == names
+    broken = {"projection_structure", "sphere_map"}
+    for c in report.checks:
+        if c.name in broken:
+            assert not c.passed
+            assert c.max_defect is None
+            assert "RuntimeError: boom" in c.message
+        else:
+            assert c.passed, c.name
+    argv = ["verify", "--suite", "bicomplex", "--suite", "projective", "--seed", "3", "--samples", "10"]
+    assert cli.main(argv) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["summary"]["failed"] == len(broken)
+
+
+def test_unmatched_bracket_fails_its_check(monkeypatch):
+    # [b, p0] = -3 p0 holds with neither sign
+    monkeypatch.setitem(algebra.BRACKET_RELATIONS, (algebra.B, algebra.P0), {algebra.P0: -3.0})
+    report = run_suite(SuiteConfig(seed=3, samples=5, suites=("algebra",)))
+    for c in report.checks:
+        if c.name.startswith("bracket_table["):
+            assert not c.passed
+            assert c.max_defect is None and c.sign_ledger is None
+            assert c.message.startswith("UnmatchedBracketError: [b,p0] in ")
+        else:
+            assert c.passed, c.name
+
+
 def test_real_ledger_negation_draws_points_from_the_seed(monkeypatch):
     seen = []
     structure_table = algebra.structure_table
@@ -204,6 +243,37 @@ def test_emit_grid_errors(tmp_path):
         emit_grid("joukowski", 1, str(tmp_path / "x.csv"))
     with pytest.raises(ValueError):
         emit_grid("nope", 8, str(tmp_path / "x.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv, seed_env",
+    [
+        (["verify", "--samples", "0"], None),
+        (["verify", "--tol", "nan"], None),
+        (["verify", "--tol", "-1"], None),
+        (["verify", "--suite", "bicomplex"], "x"),
+        (["grid", "--kind", "joukowski", "--res", "1", "--out", "{tmp}/g.csv"], None),
+        (["grid", "--kind", "joukowski", "--res", "4", "--out", "{tmp}/missing/g.csv"], None),
+    ],
+    ids=["samples-0", "tol-nan", "tol-negative", "seed-env", "grid-res-1", "grid-out-unwritable"],
+)
+def test_bad_cli_input_is_a_usage_error(argv, seed_env, tmp_path, monkeypatch, capsys):
+    if seed_env is None:
+        monkeypatch.delenv("HOLOCONF_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HOLOCONF_SEED", seed_env)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(tmp=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "holoconf: error:" in err
+    assert "Traceback" not in err
+
+
+def test_cli_table_matches_golden(capsys):
+    for r in ("cartesian", "polar", "holographic", "conformal", "upsilon-line"):
+        assert cli.main(["table", "--realization", r]) == 0
+    assert capsys.readouterr().out == TABLE_GOLDEN.read_text()
 
 
 def _run_cli(*args, env_extra=None):
