@@ -8,6 +8,7 @@ the scale dimension.  Packing the six generators as rotations of a
 """
 
 from holoconf.algebra import (
+    COORDINATE_NAMES,
     GENERATOR_TABLE_STRINGS,
     GENERATORS,
     UPSILON_LINE,
@@ -19,9 +20,10 @@ from holoconf.algebra import (
 from holoconf.charts import ChartId, ChartPoint
 
 print("--- holographic generator table")
+n0, n1 = COORDINATE_NAMES["holographic"]
 for g in GENERATORS:
     c0, c1 = GENERATOR_TABLE_STRINGS["holographic"][g]
-    print(f"{g.value:4s} = ({c0}) d_theta + ({c1}) d_phi")
+    print(f"{g.value:4s} = ({c0}) d_{n0} + ({c1}) d_{n1}")
 
 print()
 print("--- bracket sign ledgers (+1 = table as written, -1 = negated)")

@@ -26,7 +26,7 @@ from .charts import (
     metric,
     special_conformal,
 )
-from .laplace import ScalarField, SolutionFamily, laplacian, residual, solve, ylm, ylm_ratio
+from .laplace import SolutionFamily, laplacian, residual, solve, ylm, ylm_ratio
 from .algebra import (
     GeneratorId,
     SignLedger,

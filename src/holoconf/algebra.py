@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -149,7 +150,7 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
 
 def lincomb(terms, realization, label: str = "") -> VectorField:
     """Pointwise linear combination sum_i c_i * field_i."""
-    arity = 1 if realization_key(realization) == UPSILON_LINE else 2
+    arity = len(COORDINATE_NAMES[realization_key(realization)])
 
     def mk(k):
         def coeff(*ys):
@@ -204,94 +205,18 @@ def apply_to_function(x: VectorField, f: Callable, p) -> complex:
 
 # --- generator tables --------------------------------------------------------
 
-def _flat_table():
-    return {
-        B: (lambda x0, x1: x0, lambda x0, x1: x1),
-        S01: (lambda x0, x1: -x1, lambda x0, x1: x0),
-        P0: (lambda x0, x1: 1.0, lambda x0, x1: 0.0),
-        P1: (lambda x0, x1: 0.0, lambda x0, x1: 1.0),
-        Q0: (lambda x0, x1: x0 * x0 - x1 * x1, lambda x0, x1: 2.0 * x0 * x1),
-        Q1: (lambda x0, x1: 2.0 * x0 * x1, lambda x0, x1: x1 * x1 - x0 * x0),
-    }
-
-
-def _polar_table():
-    return {
-        B: (lambda r, f: r, lambda r, f: 0.0),
-        S01: (lambda r, f: 0.0, lambda r, f: 1.0),
-        P0: (lambda r, f: dual.cos(f), lambda r, f: -dual.sin(f) / r),
-        P1: (lambda r, f: dual.sin(f), lambda r, f: dual.cos(f) / r),
-        Q0: (lambda r, f: r * r * dual.cos(f), lambda r, f: r * dual.sin(f)),
-        Q1: (lambda r, f: r * r * dual.sin(f), lambda r, f: -r * dual.cos(f)),
-    }
-
-
-def _holographic_table():
-    return {
-        B: (lambda t, f: dual.tan(t), lambda t, f: 0.0),
-        S01: (lambda t, f: 0.0, lambda t, f: 1.0),
-        P0: (
-            lambda t, f: dual.cos(f) / dual.cos(t),
-            lambda t, f: -dual.sin(f) / dual.sin(t),
-        ),
-        P1: (
-            lambda t, f: dual.sin(f) / dual.cos(t),
-            lambda t, f: dual.cos(f) / dual.sin(t),
-        ),
-        Q0: (
-            lambda t, f: dual.cos(f) * dual.sin(t) * dual.tan(t),
-            lambda t, f: dual.sin(f) * dual.sin(t),
-        ),
-        Q1: (
-            lambda t, f: dual.sin(f) * dual.sin(t) * dual.tan(t),
-            lambda t, f: -dual.cos(f) * dual.sin(t),
-        ),
-    }
-
-
-def _conformal_table():
-    return {
-        B: (lambda r, f: 1.0, lambda r, f: 0.0),
-        S01: (lambda r, f: 0.0, lambda r, f: 1.0),
-        P0: (
-            lambda r, f: dual.exp(-r) * dual.cos(f),
-            lambda r, f: -dual.exp(-r) * dual.sin(f),
-        ),
-        P1: (
-            lambda r, f: dual.exp(-r) * dual.sin(f),
-            lambda r, f: dual.exp(-r) * dual.cos(f),
-        ),
-        Q0: (
-            lambda r, f: dual.exp(r) * dual.cos(f),
-            lambda r, f: dual.exp(r) * dual.sin(f),
-        ),
-        Q1: (
-            lambda r, f: dual.exp(r) * dual.sin(f),
-            lambda r, f: -dual.exp(r) * dual.cos(f),
-        ),
-    }
-
-
-def _upsilon_table():
-    return {
-        B: (lambda u: u,),
-        S01: (lambda u: 1j * u,),
-        P0: (lambda u: 1.0,),
-        P1: (lambda u: 1j,),
-        Q0: (lambda u: u * u,),
-        Q1: (lambda u: -1j * u * u,),
-    }
-
-
-_TABLES = {
-    ChartId.CARTESIAN.value: _flat_table,
-    ChartId.POLAR.value: _polar_table,
-    ChartId.HOLOGRAPHIC.value: _holographic_table,
-    ChartId.CONFORMAL.value: _conformal_table,
-    UPSILON_LINE: _upsilon_table,
+# coordinate names of each realization, in coefficient order; the table
+# strings below are written in these names
+COORDINATE_NAMES = {
+    ChartId.CARTESIAN.value: ("x0", "x1"),
+    ChartId.POLAR.value: ("r", "phi"),
+    ChartId.HOLOGRAPHIC.value: ("theta", "phi"),
+    ChartId.CONFORMAL.value: ("rho", "phi"),
+    UPSILON_LINE: ("u",),
 }
 
-# printable coefficient table, one row per generator
+# the coefficient table, one row per generator: printed by `holoconf table`
+# and compiled into the fields that generator() returns
 GENERATOR_TABLE_STRINGS = {
     ChartId.CARTESIAN.value: {
         B: ("x0", "x1"),
@@ -336,10 +261,41 @@ GENERATOR_TABLE_STRINGS = {
 }
 
 
+_COEFF_NAMESPACE = {
+    "__builtins__": {},
+    "sin": dual.sin,
+    "cos": dual.cos,
+    "tan": dual.tan,
+    "exp": dual.exp,
+    "i": 1j,
+}
+
+
+def _compile_coefficient(text: str, names: tuple) -> Callable:
+    """Jet-aware callable of a table string such as "r^2 cos(phi)".
+
+    Whitespace between two operands is a product, and `name^n` is the name
+    multiplied by itself n times (not `**`, which rounds differently).
+    Only the module's own table strings are compiled, never outside input.
+    """
+    expr = re.sub(r"(?<=[\w)])\s+(?=[\w(])", "*", text)
+    expr = re.sub(r"(\w+)\^(\d+)", lambda m: "*".join([m[1]] * int(m[2])), expr)
+    return eval(f"lambda {', '.join(names)}: {expr}", _COEFF_NAMESPACE)
+
+
+_COMPILED_TABLES = {
+    key: {
+        g: tuple(_compile_coefficient(c, COORDINATE_NAMES[key]) for c in row)
+        for g, row in rows.items()
+    }
+    for key, rows in GENERATOR_TABLE_STRINGS.items()
+}
+
+
 def generator(g: GeneratorId, realization) -> VectorField:
     """Closed-form vector field of generator g in the given realization."""
     key = realization_key(realization)
-    return VectorField(realization, _TABLES[key]()[g], label=g.value)
+    return VectorField(realization, _COMPILED_TABLES[key][g], label=g.value)
 
 
 def generator_by_transport(g: GeneratorId, chart: ChartId) -> VectorField:
@@ -350,7 +306,7 @@ def generator_by_transport(g: GeneratorId, chart: ChartId) -> VectorField:
     """
     from .charts import embed, jacobian_mixed
 
-    flat = _flat_table()[g]
+    flat = _COMPILED_TABLES[ChartId.CARTESIAN.value][g]
 
     def mk(alpha):
         def coeff(y0, y1):

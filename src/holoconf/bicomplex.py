@@ -23,6 +23,17 @@ import cmath
 from dataclasses import dataclass
 
 
+def nan_max(values: tuple) -> float:
+    """Largest of some non-negative values, NaN when any of them is NaN.
+
+    The builtin max keeps or drops NaN depending on argument order
+    (max(0.0, nan) is 0.0), which would let a NaN defect pass.  A sum of
+    non-negative values is NaN exactly when one of them is.
+    """
+    total = sum(values)
+    return max(values) if total == total else total
+
+
 class StructureError(ArithmeticError):
     """An algebraic identity that must hold exactly was violated."""
 
@@ -89,7 +100,7 @@ class Bicomplex:
         return self.re**2 + self.im_i**2 + self.im_j**2 + self.im_ij**2
 
     def max_abs(self) -> float:
-        return max(abs(self.re), abs(self.im_i), abs(self.im_j), abs(self.im_ij))
+        return nan_max((abs(self.re), abs(self.im_i), abs(self.im_j), abs(self.im_ij)))
 
     def idempotent_parts(self) -> tuple[complex, complex]:
         """Components (z+, z-) along e+- = (1 +- ij)/2, complex in i."""

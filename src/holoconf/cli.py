@@ -7,10 +7,10 @@ import os
 import sys
 
 from .algebra import (
+    COORDINATE_NAMES,
     GENERATOR_TABLE_STRINGS,
     GENERATORS,
     REALIZATIONS,
-    UPSILON_LINE,
     realization_key,
 )
 from .grids import GRID_KINDS, emit_grid
@@ -75,17 +75,8 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_table(args, parser) -> int:
     table = GENERATOR_TABLE_STRINGS[args.realization]
-    if args.realization == UPSILON_LINE:
-        headers = ("generator", "coefficient of d/du")
-    elif args.realization == "cartesian":
-        headers = ("generator", "coefficient of d/dx0", "coefficient of d/dx1")
-    else:
-        names = {
-            "polar": ("d/dr", "d/dphi"),
-            "holographic": ("d/dtheta", "d/dphi"),
-            "conformal": ("d/drho", "d/dphi"),
-        }[args.realization]
-        headers = ("generator",) + tuple(f"coefficient of {n}" for n in names)
+    names = COORDINATE_NAMES[args.realization]
+    headers = ("generator",) + tuple(f"coefficient of d/d{n}" for n in names)
     rows = [headers] + [(g.value,) + table[g] for g in GENERATORS]
     widths = [max(len(str(r[k])) for r in rows) for k in range(len(headers))]
     for r in rows:

@@ -181,13 +181,3 @@ def atan2(y, x):
     den_d = 2 * (xj.f * xj.d1 + yj.f * yj.d1)
     g2 = (num_d * den - num * den_d) / (den * den)
     return Jet(f, g1, g2)
-
-
-def derive1(f, x0):
-    """First derivative of a scalar function at x0."""
-    return f(seed(x0)).d1
-
-
-def derive2(f, x0):
-    """Second derivative of a scalar function at x0."""
-    return f(seed(x0)).d2

@@ -31,16 +31,6 @@ from . import dual
 from .charts import TWO_PI, ChartId, ChartPoint, validate
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """A (jet-aware) complex function of chart coordinates."""
-
-    fn: Callable
-
-    def __call__(self, y0, y1):
-        return self.fn(y0, y1)
-
-
 def _log_radius_angle(chart: ChartId, y0, y1):
     """(log r, phi) of the plane point, in chart terms; jet-aware."""
     if chart is ChartId.CARTESIAN:
@@ -125,11 +115,21 @@ def conjugate_derivative(f: Callable, x0: float, x1: float) -> complex:
     return dual.d1(g0) + 1j * dual.d1(g1)
 
 
+def legendre(l: int, m: int, x: float) -> float:
+    """Associated Legendre function P_l^m(x) for 0 <= m <= l and |x| <= 1,
+    with the Condon-Shortley phase, by the upward recurrence in l from
+    P_m^m = (-1)^m (2m-1)!! (1 - x^2)^(m/2)."""
+    somx2 = math.sqrt((1.0 - x) * (1.0 + x))
+    p_prev, p = 0.0, 1.0
+    for k in range(1, m + 1):
+        p = -(2 * k - 1) * somx2 * p
+    for k in range(m + 1, l + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k + m - 1) * p_prev) / (k - m)
+    return p
+
+
 def ylm(l: int, m: int, theta: float, phi: float) -> complex:
     """Spherical harmonic, unit L2 norm, Condon-Shortley phase."""
-    # imported here so that importing holoconf does not load scipy
-    from scipy.special import lpmv
-
     if abs(m) > l:
         raise ValueError(f"|m| = {abs(m)} exceeds l = {l}")
     if m < 0:
@@ -137,7 +137,7 @@ def ylm(l: int, m: int, theta: float, phi: float) -> complex:
     norm = math.sqrt(
         (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
     )
-    return norm * float(lpmv(m, l, math.cos(theta))) * complex(
+    return norm * legendre(l, m, math.cos(theta)) * complex(
         math.cos(m * phi), math.sin(m * phi)
     )
 

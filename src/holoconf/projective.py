@@ -42,6 +42,7 @@ from .bicomplex import (
     HopfTriple,
     UNIT_I,
     UNIT_IJ,
+    nan_max,
     null_plane_units,
 )
 
@@ -152,8 +153,8 @@ class SpinMatrix:
         return self.a + self.d
 
     def max_abs_diff(self, other: "SpinMatrix") -> float:
-        return max(
-            _absval(x - y) for x, y in zip(self.entries(), other.entries())
+        return nan_max(
+            tuple(_absval(x - y) for x, y in zip(self.entries(), other.entries()))
         )
 
 

@@ -78,6 +78,15 @@ def test_involutions_random():
         assert max_abs((a * b).reverse() - a.reverse() * b.reverse()) <= TOL
 
 
+def test_max_abs_propagates_nan():
+    nan = math.nan
+    for parts in ((1.0, nan, 0, 0), (nan, 1.0, 0, 0), (0, 2.0, -3.0, nan)):
+        assert math.isnan(Bicomplex(*parts).max_abs())
+    assert Bicomplex(1.0, -4.0, 2.0, math.inf).max_abs() == math.inf
+    assert bc.nan_max((0.5, 2.0, 1.0)) == 2.0
+    assert math.isnan(bc.nan_max((0.0, nan)))
+
+
 def test_squared_length_values():
     assert bc.ONE.squared_length() == 1.0
     o, _ = bc.null_plane_units()

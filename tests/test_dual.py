@@ -85,5 +85,5 @@ def test_value_helpers_on_plain_numbers():
     assert dual.value(2.5) == 2.5
     assert dual.d1(2.5) == 0.0
     assert dual.d2(2.5) == 0.0
-    assert dual.derive1(lambda x: x * x, 3.0) == pytest.approx(6.0)
-    assert dual.derive2(lambda x: x * x * x, 2.0) == pytest.approx(12.0)
+    assert (lambda x: x * x)(dual.seed(3.0)).d1 == pytest.approx(6.0)
+    assert (lambda x: x * x * x)(dual.seed(2.0)).d2 == pytest.approx(12.0)

@@ -1,6 +1,7 @@
 """Verification harness: determinism, filtering, report shape, grids, CLI."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from holoconf import algebra, charts, cli, laplace
+from holoconf import algebra, charts, cli, laplace, projective
 from holoconf import bicomplex as bc
 from holoconf.algebra import Q0, Q1
 from holoconf.charts import ChartId
@@ -163,6 +164,22 @@ def test_unmatched_bracket_fails_its_check(monkeypatch):
             assert c.passed, c.name
 
 
+def test_nan_commutator_fails_matrix_brackets(monkeypatch):
+    # a NaN in the last entry of every real commutator: a NaN-dropping
+    # reduction would see only the matching entries and pass
+    commutator = projective.commutator
+
+    def nan_commutator(m, n):
+        out = commutator(m, n)
+        return dataclasses.replace(out, d=math.nan) if out.ring is projective.Ring.REAL else out
+
+    monkeypatch.setattr(projective, "commutator", nan_commutator)
+    report = run_suite(SuiteConfig(seed=3, samples=5, suites=("projective",)))
+    failed = {c.name: c for c in report.checks if not c.passed}
+    assert set(failed) == {"matrix_brackets[real]", "real_ledger_negation"}
+    assert failed["matrix_brackets[real]"].message.startswith("UnmatchedBracketError: ")
+
+
 def test_real_ledger_negation_draws_points_from_the_seed(monkeypatch):
     seen = []
     structure_table = algebra.structure_table
@@ -186,6 +203,19 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_laplace_suite_does_not_load_scipy():
+    code = (
+        "import contextlib, io, sys\n"
+        "from holoconf import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['verify', '--suite', 'laplace', '--samples', '5'])\n"
+        "print(rc, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_config_validation():

@@ -9,7 +9,6 @@ import pytest
 from holoconf import laplace
 from holoconf.charts import ChartId, ChartPoint, embed, embed_coords, invert
 from holoconf.laplace import (
-    ScalarField,
     SolutionFamily,
     conjugate_derivative,
     laplacian,
@@ -24,12 +23,12 @@ RNG = random.Random(31)
 
 
 def test_laplacian_examples():
-    harmonic = ScalarField(lambda x0, x1: x0 * x0 - x1 * x1)
+    harmonic = lambda x0, x1: x0 * x0 - x1 * x1
     p = ChartPoint(ChartId.CARTESIAN, 0.7, -1.2)
     assert abs(laplacian(ChartId.CARTESIAN, harmonic, p)) <= 1e-13
 
     # (r d/dr)^2 r^2 = 4 r^2 = 16 at r = 2
-    f = ScalarField(lambda r, phi: r * r)
+    f = lambda r, phi: r * r
     p = ChartPoint(ChartId.POLAR, 2.0, 0.0)
     assert laplacian(ChartId.POLAR, f, p) == pytest.approx(16.0, abs=1e-12)
 
@@ -149,6 +148,52 @@ def test_ylm_values():
     assert ylm(3, -2, 0.9, 0.4) == pytest.approx(y.conjugate(), abs=1e-14)
     with pytest.raises(ValueError):
         ylm(1, 2, 0.5, 0.5)
+
+
+def _legendre_reference(mpmath, l, m, x):
+    """P_l^m(x) to 40 digits: the explicit sum for P_l differentiated m times,
+    with the Condon-Shortley phase (-1)^m."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        total = mpmath.mpf(0)
+        for k in range((l - m) // 2 + 1):
+            n = l - 2 * k
+            den = math.factorial(k) * math.factorial(l - k) * math.factorial(n - m)
+            total += (-1) ** k * mpmath.mpf(math.factorial(2 * l - 2 * k)) / den * x ** (n - m)
+        return (-1) ** m * (1 - x * x) ** (mpmath.mpf(m) / 2) * total / 2**l
+
+
+def _legendre_error(mpmath, fn):
+    """Largest relative error of fn(l, m, x) for l <= 4, 0 <= m <= l, at
+    x = cos(theta) of every point the ylm tests use."""
+    thetas = [0.5, 0.7, 0.9]
+    for seed, n in ((36, 20), (37, 5), (1031, 20)):  # the grids here and in test_acceptance
+        thetas += [p.y0 for p in chart_points(ChartId.HOLOGRAPHIC, n, random.Random(seed))]
+    errors = []
+    for l in range(5):
+        for m in range(l + 1):
+            for x in map(math.cos, thetas):
+                ref = _legendre_reference(mpmath, l, m, x)
+                errors.append(float(abs(fn(l, m, x) - ref) / abs(ref)))
+    assert not any(map(math.isnan, errors))
+    return max(errors)
+
+
+def test_legendre_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for l in range(5):
+            for m in range(l + 1):
+                ref = mpmath.legenp(l, m, mpmath.mpf(0.3), type=2)
+                assert abs(_legendre_reference(mpmath, l, m, 0.3) - ref) <= 1e-35
+    assert _legendre_error(mpmath, laplace.legendre) <= 1e-14
+
+
+def test_legendre_no_further_from_mpmath_than_scipy():
+    mpmath = pytest.importorskip("mpmath")
+    special = pytest.importorskip("scipy.special")
+    scipy_error = _legendre_error(mpmath, lambda l, m, x: float(special.lpmv(m, l, x)))
+    assert _legendre_error(mpmath, laplace.legendre) <= scipy_error
 
 
 def test_holomorphy_annihilation():

@@ -77,6 +77,16 @@ def test_bicomplex_brackets_exact():
     assert got.max_abs_diff(twice_b) == 0.0
 
 
+def test_max_abs_diff_propagates_nan():
+    nan = math.nan
+    assert math.isnan(
+        SpinMatrix(Ring.REAL, 0.0, 1.0, 0.0, 0.0).max_abs_diff(SpinMatrix(Ring.REAL, 0.0, nan, 0.0, 0.0))
+    )
+    assert math.isnan(identity(Ring.COMPLEX).max_abs_diff(SpinMatrix(Ring.COMPLEX, 1.0, 0.0, 0.0, complex(1.0, nan))))
+    one = identity(Ring.BICOMPLEX)
+    assert math.isnan(one.max_abs_diff(one.scaled(Bicomplex(1.0, 0.0, nan, 0.0))))
+
+
 def test_real_ledger_negates_field_ledger():
     led = matrix_bracket_table(Ring.REAL)
     assert led.signs == {"[b,p0]": -1, "[b,q0]": -1, "[q0,p0]": 1}
