@@ -15,23 +15,98 @@ s*conjugate(s) = xi3 + j*xi1 and s*reverse(s) = |s|^2 - ij*xi2.
 Internally the ring splits over the idempotents e+- = (1 +- ij)/2 into two
 copies of the complex plane; exp and inverse use that split, so they are
 exact up to one complex exp / division per component.
+
+The components may also be 1-D numpy arrays over samples: one Bicomplex
+then holds a whole batch, and every operation acts sample by sample with the
+rounding of the scalar path.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import numbers
 from dataclasses import dataclass
 
+import numpy as np
 
-def nan_max(values: tuple) -> float:
-    """Largest of some non-negative values, NaN when any of them is NaN.
+
+def nan_max(values: tuple):
+    """Largest of some non-negative values, NaN when any of them is NaN;
+    sample by sample when any of them is an array.
 
     The builtin max keeps or drops NaN depending on argument order
     (max(0.0, nan) is 0.0), which would let a NaN defect pass.  A sum of
-    non-negative values is NaN exactly when one of them is.
+    non-negative values is NaN exactly when one of them is; np.maximum
+    keeps NaN.
     """
     total = sum(values)
+    if isinstance(total, np.ndarray):
+        return functools.reduce(np.maximum, values)
     return max(values) if total == total else total
+
+
+def pow2(x):
+    """x**2, with Python's rounding also on arrays.
+
+    Python's float power calls the C pow; numpy's ``a**2`` is a*a, which
+    rounds differently about once in a thousand samples.
+    """
+    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x**2
+
+
+def reject(bad, error: type, message: str, *values) -> None:
+    """Raise error(message.format(*values)) where bad holds.
+
+    bad is a bool for one sample, or a bool array over the samples; then
+    the message names the first bad sample and formats each value (a
+    number, an array or an array-valued Bicomplex) as it is there.
+    """
+    if isinstance(bad, np.ndarray) and bad.ndim:
+        if not bad.any():
+            return
+        k = int(np.argmax(bad))
+        values = [_at(v, k) for v in values]
+        message += f" at sample {k}"
+    elif not bad:
+        return
+    raise error(message.format(*values))
+
+
+def _at(v, k: int):
+    """Sample k of v, as Python numbers; v itself when it is not an array."""
+    if isinstance(v, Bicomplex):
+        return Bicomplex(*(_at(c, k) for c in v.components()))
+    return v[k].item() if np.ndim(v) else v
+
+
+def _complex(re, im):
+    """Complex array with the given real and imaginary parts, exactly."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def modulus(z):
+    """abs(z) of a complex number or array, rounded as Python's abs (C
+    hypot); numpy's abs of a complex array rounds differently in about a
+    third of the samples."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
+def quotient(a, b) -> np.ndarray:
+    """a / b for complex arrays (or an array and a number), rounded as
+    Python's complex division (Smith's method); numpy multiplies by a
+    reciprocal instead."""
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    wide = abs(br) >= abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(wide, bi / br, br / bi)
+        denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+        return _complex(
+            np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom,
+        )
 
 
 class StructureError(ArithmeticError):
@@ -50,6 +125,17 @@ class Bicomplex:
     im_i: float = 0.0
     im_j: float = 0.0
     im_ij: float = 0.0
+
+    # make `ndarray * Bicomplex` defer to Bicomplex.__rmul__ instead of
+    # building an object array of per-element products
+    __array_ufunc__ = None
+
+    def __getitem__(self, index) -> "Bicomplex":
+        """The samples at index of an array-valued number."""
+        return Bicomplex(self.re[index], self.im_i[index], self.im_j[index], self.im_ij[index])
+
+    def components(self) -> tuple:
+        return (self.re, self.im_i, self.im_j, self.im_ij)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -97,13 +183,29 @@ class Bicomplex:
         return Bicomplex(self.re, -self.im_i, -self.im_j, self.im_ij)
 
     def squared_length(self) -> float:
-        return self.re**2 + self.im_i**2 + self.im_j**2 + self.im_ij**2
+        return pow2(self.re) + pow2(self.im_i) + pow2(self.im_j) + pow2(self.im_ij)
 
     def max_abs(self) -> float:
+        """Largest component modulus (per sample for arrays); NaN when any
+        component is NaN."""
         return nan_max((abs(self.re), abs(self.im_i), abs(self.im_j), abs(self.im_ij)))
+
+    def _is_array(self) -> bool:
+        return (
+            isinstance(self.re, np.ndarray)
+            or isinstance(self.im_i, np.ndarray)
+            or isinstance(self.im_j, np.ndarray)
+            or isinstance(self.im_ij, np.ndarray)
+        )
 
     def idempotent_parts(self) -> tuple[complex, complex]:
         """Components (z+, z-) along e+- = (1 +- ij)/2, complex in i."""
+        if self._is_array():
+            # the sums Python's complex arithmetic below rounds
+            return (
+                _complex(self.re + self.im_ij, self.im_i - self.im_j),
+                _complex(self.re - self.im_ij, self.im_i + self.im_j),
+            )
         w1 = complex(self.re, self.im_i)
         w2 = complex(self.im_j, self.im_ij)
         return w1 - 1j * w2, w1 + 1j * w2
@@ -116,14 +218,23 @@ class Bicomplex:
 
     def inverse(self, tol: float = 1e-14) -> "Bicomplex":
         zp, zm = self.idempotent_parts()
-        if abs(zp) <= tol or abs(zm) <= tol:
-            raise ZeroDivisorError(
-                f"not invertible: idempotent parts ({zp}, {zm})"
+        if isinstance(zp, np.ndarray):
+            reject(
+                (modulus(zp) <= tol) | (modulus(zm) <= tol),
+                ZeroDivisorError,
+                "not invertible: idempotent parts ({}, {})",
+                zp,
+                zm,
             )
+            return Bicomplex.from_idempotent_parts(quotient(1, zp), quotient(1, zm))
+        if abs(zp) <= tol or abs(zm) <= tol:
+            raise ZeroDivisorError(f"not invertible: idempotent parts ({zp}, {zm})")
         return Bicomplex.from_idempotent_parts(1 / zp, 1 / zm)
 
     def exp(self) -> "Bicomplex":
         zp, zm = self.idempotent_parts()
+        if isinstance(zp, np.ndarray):
+            return Bicomplex.from_idempotent_parts(np.exp(zp), np.exp(zm))
         return Bicomplex.from_idempotent_parts(cmath.exp(zp), cmath.exp(zm))
 
 
@@ -134,6 +245,15 @@ def _coerce(x) -> Bicomplex:
         return Bicomplex(x.real, x.imag)
     if isinstance(x, (int, float)):
         return Bicomplex(float(x))
+    if isinstance(x, np.ndarray):
+        if np.iscomplexobj(x):
+            return Bicomplex(x.real, x.imag)
+        return Bicomplex(np.asarray(x, dtype=float))
+    # numpy scalars of other widths (np.float32, np.complex64, ...)
+    if isinstance(x, numbers.Real):
+        return Bicomplex(float(x))
+    if isinstance(x, numbers.Complex):
+        return Bicomplex(float(x.real), float(x.imag))
     raise TypeError(f"cannot interpret {type(x).__name__} as Bicomplex")
 
 
@@ -170,9 +290,17 @@ def involution_projections(s: Bicomplex, tol: float = 1e-9) -> HopfTriple:
     """
     scale = 1.0 + s.squared_length()
     pc = s * s.conjugate()
-    if abs(pc.im_i) > tol * scale or abs(pc.im_ij) > tol * scale:
-        raise StructureError(f"s*conjugate(s) leaked outside span(1, j): {pc}")
+    reject(
+        (abs(pc.im_i) > tol * scale) | (abs(pc.im_ij) > tol * scale),
+        StructureError,
+        "s*conjugate(s) leaked outside span(1, j): {}",
+        pc,
+    )
     pr = s * s.reverse()
-    if abs(pr.im_i) > tol * scale or abs(pr.im_j) > tol * scale:
-        raise StructureError(f"s*reverse(s) leaked outside span(1, ij): {pr}")
+    reject(
+        (abs(pr.im_i) > tol * scale) | (abs(pr.im_j) > tol * scale),
+        StructureError,
+        "s*reverse(s) leaked outside span(1, ij): {}",
+        pr,
+    )
     return HopfTriple(xi1=pc.im_j, xi2=-pr.im_ij, xi3=pc.re, len_sq=pr.re)

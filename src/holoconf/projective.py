@@ -11,6 +11,11 @@ hyperbolic unit, which makes the full table hold as written (ledger all
 The sphere map sends a unit 4-vector (the components of two complex line
 coordinates) to its base point; the same three numbers fall out of the two
 bicomplex involutions, which is checked in the verification suites.
+
+Matrix entries, Mobius arguments, sphere points and projective points may be
+1-D numpy arrays over samples (ring elements of arrays, for the bicomplex
+ring); every function then acts sample by sample, and a bad sample raises
+the function's error naming the first one.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import (
     B,
@@ -42,8 +49,13 @@ from .bicomplex import (
     HopfTriple,
     UNIT_I,
     UNIT_IJ,
+    _coerce,
+    modulus,
     nan_max,
     null_plane_units,
+    pow2,
+    quotient,
+    reject,
 )
 
 
@@ -86,6 +98,8 @@ def _ring_one(ring: Ring):
 def _ring_exp(x):
     if isinstance(x, Bicomplex):
         return x.exp()
+    if isinstance(x, np.ndarray):
+        return np.exp(x)
     if isinstance(x, complex):
         return cmath.exp(x)
     return math.exp(x)
@@ -249,31 +263,41 @@ EXPECTED_MATRIX_SIGNS = {
 }
 
 
+# a denominator (or, over the bicomplex ring, one of its idempotent parts)
+# this small is a pole
+POLE_TOL = 1e-14
+
+
 def mobius_apply(m: SpinMatrix, v):
-    """Fractional-linear action (a v + b) / (c v + d) in the matrix's ring."""
+    """Fractional-linear action (a v + b) / (c v + d) in the matrix's ring.
+
+    On arrays of samples, a sample on a pole raises PoleError; over the
+    bicomplex ring a full pole is reported before a null-line one."""
     if m.ring is Ring.BICOMPLEX:
-        if isinstance(v, complex):
-            v = Bicomplex(v.real, v.imag)
-        elif not isinstance(v, Bicomplex):
-            v = Bicomplex(float(v))
+        v = _coerce(v)
         den = m.c * v + m.d
         zp, zm = den.idempotent_parts()
-        dead = (abs(zp) <= 1e-14, abs(zm) <= 1e-14)
-        if all(dead):
-            raise PoleError("denominator vanished")
-        if any(dead):
-            raise NullLinePoleError(
-                f"denominator is a zero divisor: idempotent parts ({zp}, {zm})"
-            )
+        dead_p, dead_m = modulus(zp) <= POLE_TOL, modulus(zm) <= POLE_TOL
+        reject(dead_p & dead_m, PoleError, "denominator vanished")
+        reject(
+            dead_p | dead_m,
+            NullLinePoleError,
+            "denominator is a zero divisor: idempotent parts ({}, {})",
+            zp,
+            zm,
+        )
         return (m.a * v + m.b) * den.inverse()
     den = m.c * v + m.d
-    if abs(den) <= 1e-14:
+    if isinstance(den, np.ndarray):
+        reject(modulus(den) <= POLE_TOL, PoleError, "denominator vanished")
+        return quotient(m.a * v + m.b, den)
+    if abs(den) <= POLE_TOL:
         raise PoleError("denominator vanished")
     return (m.a * v + m.b) / den
 
 
 def exp_one_param(g: GeneratorId, eps: float, ring: Ring) -> SpinMatrix:
-    """Matrix exponential of eps * matrix_rep(g, ring).
+    """Matrix exponential of eps * matrix_rep(g, ring); eps may be an array.
 
     Diagonal generators exponentiate entrywise in the ring; the translation
     and special-conformal matrices square to zero, so their series stops
@@ -312,7 +336,8 @@ def hopf_raw(c1: float, c2: float, c3: float, c4: float) -> tuple:
 
 @dataclass(frozen=True)
 class S3Point:
-    """Unit 4-vector; the constructor normalizes and rejects zero input."""
+    """Unit 4-vector; the constructor normalizes and rejects zero and
+    non-finite input."""
 
     s1: float
     s2: float
@@ -320,10 +345,17 @@ class S3Point:
     s4: float
 
     def __post_init__(self):
-        n = math.sqrt(self.s1**2 + self.s2**2 + self.s3**2 + self.s4**2)
-        if n < 1e-300:
-            raise ValueError("cannot normalize the zero vector")
-        for name, v in zip(("s1", "s2", "s3", "s4"), (self.s1, self.s2, self.s3, self.s4)):
+        comps = self.components()
+        sq = pow2(self.s1) + pow2(self.s2) + pow2(self.s3) + pow2(self.s4)
+        if isinstance(sq, np.ndarray):
+            n = np.sqrt(sq)
+            bad = ~np.isfinite(n)
+        else:
+            n = math.sqrt(sq)
+            bad = not math.isfinite(n)
+        reject(bad, ValueError, "cannot normalize ({}, {}, {}, {}): norm not finite", *comps)
+        reject(n < 1e-300, ValueError, "cannot normalize the zero vector")
+        for name, v in zip(("s1", "s2", "s3", "s4"), comps):
             object.__setattr__(self, name, v / n)
 
     def components(self) -> tuple:
@@ -331,6 +363,16 @@ class S3Point:
 
     def phase_rotated(self, lam: float) -> "S3Point":
         """Joint phase action on (s1 + i s2, s3 + i s4): the fiber circle."""
+        if isinstance(lam, np.ndarray) or isinstance(self.s1, np.ndarray):
+            # the products by exp(i lam) = cos + i sin, rounded as Python's
+            # complex product below rounds them
+            c, s = np.cos(lam), np.sin(lam)
+            return S3Point(
+                self.s1 * c - self.s2 * s,
+                self.s1 * s + self.s2 * c,
+                self.s3 * c - self.s4 * s,
+                self.s3 * s + self.s4 * c,
+            )
         w = cmath.exp(1j * lam)
         v1 = complex(self.s1, self.s2) * w
         v2 = complex(self.s3, self.s4) * w
@@ -348,18 +390,35 @@ def hopf(s: S3Point) -> HopfTriple:
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """Homogeneous pair (v1, v2), not both zero."""
+    """Homogeneous pair (v1, v2), finite and not both zero."""
 
     v1: complex
     v2: complex
 
     def __post_init__(self):
-        if abs(self.v1) == 0.0 and abs(self.v2) == 0.0:
-            raise ValueError("(0, 0) is not a projective point")
+        reject(
+            ~(np.isfinite(self.v1) & np.isfinite(self.v2)),
+            ValueError,
+            "({}, {}) is not finite",
+            self.v1,
+            self.v2,
+        )
+        reject(
+            (abs(self.v1) == 0.0) & (abs(self.v2) == 0.0),
+            ValueError,
+            "(0, 0) is not a projective point",
+        )
+
+    def _is_array(self) -> bool:
+        return isinstance(self.v1, np.ndarray) or isinstance(self.v2, np.ndarray)
 
 
 def projectively_equal(p: ProjectivePoint, q: ProjectivePoint, tol: float = 1e-12) -> bool:
-    """Cross-multiplication test v1*w2 == v2*w1 (no normalization needed)."""
+    """Cross-multiplication test v1*w2 == v2*w1 (no normalization needed);
+    one bool per sample for array points."""
+    if p._is_array() or q._is_array():
+        scale = np.maximum(modulus(p.v1), modulus(p.v2)) * np.maximum(modulus(q.v1), modulus(q.v2))
+        return modulus(p.v1 * q.v2 - p.v2 * q.v1) <= tol * np.maximum(scale, 1e-300)
     scale = max(abs(p.v1), abs(p.v2)) * max(abs(q.v1), abs(q.v2))
     return abs(p.v1 * q.v2 - p.v2 * q.v1) <= tol * max(scale, 1e-300)
 
@@ -370,7 +429,9 @@ class ChartTransition:
 
     ``affine0`` normalizes the second component, ``affine1`` the first; the
     transition value has unit modulus on the chart overlap.  Off the overlap
-    exactly one representative exists and ``transition`` is None."""
+    exactly one representative exists and ``transition`` is None.  For an
+    array point every field holds arrays, NaN at the samples where the
+    representative or the transition does not exist."""
 
     affine0: tuple | None
     affine1: tuple | None
@@ -378,10 +439,28 @@ class ChartTransition:
 
     @property
     def in_overlap(self) -> bool:
+        if isinstance(self.transition, np.ndarray):
+            return ~np.isnan(self.transition)
         return self.transition is not None
 
 
+def _chart_transition_array(p: ProjectivePoint, tol: float) -> ChartTransition:
+    v1, v2 = np.broadcast_arrays(np.asarray(p.v1, dtype=complex), np.asarray(p.v2, dtype=complex))
+    scale = np.maximum(modulus(v1), modulus(v2))
+    have0 = modulus(v2) > tol * scale
+    have1 = modulus(v1) > tol * scale
+    missing = complex(math.nan, math.nan)
+    w = np.where(have0, quotient(v1, v2), missing)
+    return ChartTransition(
+        (w, np.where(have0, 1.0 + 0j, missing)),
+        (np.where(have1, 1.0 + 0j, missing), np.where(have1, quotient(v2, v1), missing)),
+        np.where(have0 & have1, quotient(w, modulus(w)), missing),
+    )
+
+
 def chart_transition(p: ProjectivePoint, tol: float = 1e-14) -> ChartTransition:
+    if p._is_array():
+        return _chart_transition_array(p, tol)
     scale = max(abs(p.v1), abs(p.v2))
     have0 = abs(p.v2) > tol * scale
     have1 = abs(p.v1) > tol * scale

@@ -58,6 +58,8 @@ def _worst(defects) -> float:
     worst = 0.0
     for d in defects:
         if isinstance(d, np.ndarray):
+            if not d.size:
+                continue  # every sample skipped
             d = np.max(d)  # propagates NaN
         if d != d:
             return math.nan
@@ -136,14 +138,14 @@ def bicomplex_checks(cfg: SuiteConfig):
         "exact",
     )
     def _():
-        vals = sampling.bicomplex_values(3 * cfg.samples, _rng(cfg, "bc.ring"))
-        for a, b, c in zip(vals[0::3], vals[1::3], vals[2::3]):
-            yield from (
-                ((a * b) * c - a * (b * c)).max_abs(),
-                (a * b - b * a).max_abs(),
-                (a * (b + c) - (a * b + a * c)).max_abs(),
-                (bc.ONE * a - a).max_abs(),
-            )
+        vals = sampling.bicomplex_batch(3 * cfg.samples, _rng(cfg, "bc.ring"))
+        a, b, c = vals[0::3], vals[1::3], vals[2::3]
+        yield from (
+            ((a * b) * c - a * (b * c)).max_abs(),
+            (a * b - b * a).max_abs(),
+            (a * (b + c) - (a * b + a * c)).max_abs(),
+            (bc.ONE * a - a).max_abs(),
+        )
 
     @run.check(
         "null_unit_rules",
@@ -172,7 +174,8 @@ def bicomplex_checks(cfg: SuiteConfig):
         "exact",
     )
     def _():
-        vals = sampling.bicomplex_values(2 * cfg.samples, _rng(cfg, "bc.invol"))
+        vals = sampling.bicomplex_batch(2 * cfg.samples, _rng(cfg, "bc.invol"))
+        a, b = vals[0::2], vals[1::2]
         yield from (
             (bc.UNIT_I.conjugate() + bc.UNIT_I).max_abs(),
             (bc.UNIT_J.conjugate() - bc.UNIT_J).max_abs(),
@@ -180,14 +183,11 @@ def bicomplex_checks(cfg: SuiteConfig):
             (bc.UNIT_I.reverse() + bc.UNIT_I).max_abs(),
             (bc.UNIT_J.reverse() + bc.UNIT_J).max_abs(),
             (bc.UNIT_IJ.reverse() - bc.UNIT_IJ).max_abs(),
+            (a.conjugate().conjugate() - a).max_abs(),
+            (a.reverse().reverse() - a).max_abs(),
+            ((a * b).conjugate() - a.conjugate() * b.conjugate()).max_abs(),
+            ((a * b).reverse() - a.reverse() * b.reverse()).max_abs(),
         )
-        for a, b in zip(vals[0::2], vals[1::2]):
-            yield from (
-                (a.conjugate().conjugate() - a).max_abs(),
-                (a.reverse().reverse() - a).max_abs(),
-                ((a * b).conjugate() - a.conjugate() * b.conjugate()).max_abs(),
-                ((a * b).reverse() - a.reverse() * b.reverse()).max_abs(),
-            )
 
     @run.check(
         "projection_structure",
@@ -196,12 +196,13 @@ def bicomplex_checks(cfg: SuiteConfig):
         "exact",
     )
     def _():
-        for s in sampling.bicomplex_values(cfg.samples, _rng(cfg, "bc.proj")):
-            t = bc.involution_projections(s)
-            nsq = s.squared_length()
-            scale = 1.0 + nsq * nsq
-            yield abs(t.xi1**2 + t.xi2**2 + t.xi3**2 - t.len_sq**2) / scale
-            yield abs(t.len_sq - nsq) / (1.0 + nsq)
+        s = sampling.bicomplex_batch(cfg.samples, _rng(cfg, "bc.proj"))
+        t = bc.involution_projections(s)
+        nsq = s.squared_length()
+        scale = 1.0 + nsq * nsq
+        sq = bc.pow2
+        yield abs(sq(t.xi1) + sq(t.xi2) + sq(t.xi3) - sq(t.len_sq)) / scale
+        yield abs(t.len_sq - nsq) / (1.0 + nsq)
 
     @run.check(
         "exp_addition",
@@ -209,12 +210,12 @@ def bicomplex_checks(cfg: SuiteConfig):
         "exact",
     )
     def _():
-        vals = sampling.bicomplex_values(2 * cfg.samples, _rng(cfg, "bc.exp"), scale=0.8)
+        vals = sampling.bicomplex_batch(2 * cfg.samples, _rng(cfg, "bc.exp"), scale=0.8)
+        a, b = vals[0::2], vals[1::2]
         yield (bc.ZERO.exp() - bc.ONE).max_abs()
-        for a, b in zip(vals[0::2], vals[1::2]):
-            lhs = a.exp() * b.exp()
-            rhs = (a + b).exp()
-            yield (lhs - rhs).max_abs() / (1.0 + rhs.max_abs())
+        lhs = a.exp() * b.exp()
+        rhs = (a + b).exp()
+        yield (lhs - rhs).max_abs() / (1.0 + rhs.max_abs())
 
     return run.results
 
@@ -635,6 +636,26 @@ def algebra_checks(cfg: SuiteConfig):
 
 # --- projective ---------------------------------------------------------------
 
+def _exp_per_sample(gens: np.ndarray, eps: np.ndarray) -> projective.SpinMatrix:
+    """exp_one_param(GENERATORS[gens[k]], eps[k], COMPLEX) at every sample k,
+    as one matrix of entry arrays."""
+    mats = [projective.exp_one_param(g, eps, projective.Ring.COMPLEX) for g in GENERATORS]
+    entries = zip(*(m.entries() for m in mats))
+    return projective.SpinMatrix(
+        projective.Ring.COMPLEX,
+        *(np.choose(gens, [np.broadcast_to(e, eps.shape) for e in entry]) for entry in entries),
+    )
+
+
+def _off_pole(m: projective.SpinMatrix, v: np.ndarray) -> np.ndarray:
+    """Per sample, whether mobius_apply(m, v) is defined (complex ring)."""
+    return bc.modulus(m.c * v + m.d) > projective.POLE_TOL
+
+
+def _take(m: projective.SpinMatrix, keep: np.ndarray) -> projective.SpinMatrix:
+    return projective.SpinMatrix(m.ring, *(e[keep] for e in m.entries()))
+
+
 def projective_checks(cfg: SuiteConfig):
     run = _Runner("projective", cfg)
 
@@ -771,17 +792,25 @@ def projective_checks(cfg: SuiteConfig):
     )
     def _():
         rng = _rng(cfg, "proj.mobius")
-        for _ in range(cfg.samples):
-            gs = rng.sample(GENERATORS, 2)
-            m = projective.exp_one_param(gs[0], rng.uniform(-0.8, 0.8), projective.Ring.COMPLEX)
-            n = projective.exp_one_param(gs[1], rng.uniform(-0.8, 0.8), projective.Ring.COMPLEX)
-            v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            try:
-                lhs = projective.mobius_apply(m @ n, v)
-                rhs = projective.mobius_apply(m, projective.mobius_apply(n, v))
-            except projective.PoleError:
-                continue  # the sample sits on a pole: skip it
-            yield abs(lhs - rhs) / (1.0 + abs(lhs))
+        count = cfg.samples
+        first, second = np.empty(count, dtype=int), np.empty(count, dtype=int)
+        eps_m, eps_n, v = np.empty(count), np.empty(count), np.empty(count, dtype=complex)
+        for k in range(count):
+            g0, g1 = rng.sample(GENERATORS, 2)
+            first[k], second[k] = GENERATORS.index(g0), GENERATORS.index(g1)
+            eps_m[k] = rng.uniform(-0.8, 0.8)
+            eps_n[k] = rng.uniform(-0.8, 0.8)
+            v[k] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        m, n = _exp_per_sample(first, eps_m), _exp_per_sample(second, eps_n)
+        mn = m @ n
+        # skip the samples that sit on a pole of any of the three maps
+        keep = _off_pole(mn, v) & _off_pole(n, v)
+        m, n, mn, v = _take(m, keep), _take(n, keep), _take(mn, keep), v[keep]
+        inner = projective.mobius_apply(n, v)
+        keep = _off_pole(m, inner)
+        lhs = projective.mobius_apply(_take(mn, keep), v[keep])
+        rhs = projective.mobius_apply(_take(m, keep), inner[keep])
+        yield bc.modulus(lhs - rhs) / (1.0 + bc.modulus(lhs))
 
     @run.check(
         "sphere_map",
@@ -791,29 +820,35 @@ def projective_checks(cfg: SuiteConfig):
     )
     def _():
         rng = _rng(cfg, "proj.hopf")
+        raw, lam = np.empty((4, cfg.samples)), np.empty(cfg.samples)
+        kept = 0
         for _ in range(cfg.samples):
-            raw = [rng.uniform(-2, 2) for _ in range(4)]
-            if all(abs(c) < 1e-3 for c in raw):
-                continue
-            xi = projective.hopf_raw(*raw)
-            nsq = sum(c * c for c in raw)
-            # agreement with the bicomplex involution projections
-            t = bc.involution_projections(bc.Bicomplex(*raw))
-            s = projective.S3Point(*raw)
-            onsphere = projective.hopf(s)
-            lam = rng.uniform(0, 2 * math.pi)
-            rot = projective.hopf(s.phase_rotated(lam))
-            yield from (
-                abs(math.sqrt(sum(x * x for x in xi)) - nsq) / (1.0 + nsq),
-                abs(t.xi1 - xi[0]),
-                abs(t.xi2 - xi[1]),
-                abs(t.xi3 - xi[2]),
-                abs(t.len_sq - nsq),
-                abs(onsphere.xi1**2 + onsphere.xi2**2 + onsphere.xi3**2 - 1.0),
-                abs(rot.xi1 - onsphere.xi1),
-                abs(rot.xi2 - onsphere.xi2),
-                abs(rot.xi3 - onsphere.xi3),
-            )
+            c = [rng.uniform(-2, 2) for _ in range(4)]
+            if all(abs(x) < 1e-3 for x in c):
+                continue  # no fiber angle is drawn for a skipped sample
+            raw[:, kept] = c
+            lam[kept] = rng.uniform(0, 2 * math.pi)
+            kept += 1
+        raw, lam = raw[:, :kept], lam[:kept]
+        xi = projective.hopf_raw(*raw)
+        nsq = sum(c * c for c in raw)
+        # agreement with the bicomplex involution projections
+        t = bc.involution_projections(bc.Bicomplex(*raw))
+        s = projective.S3Point(*raw)
+        onsphere = projective.hopf(s)
+        rot = projective.hopf(s.phase_rotated(lam))
+        sq = bc.pow2
+        yield from (
+            abs(np.sqrt(sum(x * x for x in xi)) - nsq) / (1.0 + nsq),
+            abs(t.xi1 - xi[0]),
+            abs(t.xi2 - xi[1]),
+            abs(t.xi3 - xi[2]),
+            abs(t.len_sq - nsq),
+            abs(sq(onsphere.xi1) + sq(onsphere.xi2) + sq(onsphere.xi3) - 1.0),
+            abs(rot.xi1 - onsphere.xi1),
+            abs(rot.xi2 - onsphere.xi2),
+            abs(rot.xi3 - onsphere.xi3),
+        )
 
     @run.check(
         "line_charts",
@@ -822,18 +857,16 @@ def projective_checks(cfg: SuiteConfig):
         "exact",
     )
     def _():
-        rng = _rng(cfg, "proj.charts")
-        for _ in range(cfg.samples):
-            v1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            v2 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            if abs(v1) < 1e-3 or abs(v2) < 1e-3:
-                continue
-            p = projective.ProjectivePoint(v1, v2)
-            tr = projective.chart_transition(p)
-            yield abs(abs(tr.transition) - 1.0)
-            scaled = projective.ProjectivePoint(1.7j * v1, 1.7j * v2)
-            if not projective.projectively_equal(p, scaled):
-                yield math.inf
+        # per sample: re v1, im v1, re v2, im v2
+        c = sampling.uniform_array(4 * cfg.samples, _rng(cfg, "proj.charts"), -2, 2)
+        v1 = c[0::4] + 1j * c[1::4]
+        v2 = c[2::4] + 1j * c[3::4]
+        keep = (bc.modulus(v1) >= 1e-3) & (bc.modulus(v2) >= 1e-3)
+        p = projective.ProjectivePoint(v1[keep], v2[keep])
+        tr = projective.chart_transition(p)
+        yield abs(bc.modulus(tr.transition) - 1.0)
+        scaled = projective.ProjectivePoint(1.7j * p.v1, 1.7j * p.v2)
+        yield np.where(projective.projectively_equal(p, scaled), 0.0, math.inf)
         single = projective.chart_transition(projective.ProjectivePoint(2.0 + 0j, 0j))
         if single.in_overlap or single.affine1 != (1.0 + 0j, 0j):
             yield math.inf

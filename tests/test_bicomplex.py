@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from holoconf import bicomplex as bc
@@ -85,6 +86,15 @@ def test_max_abs_propagates_nan():
     assert Bicomplex(1.0, -4.0, 2.0, math.inf).max_abs() == math.inf
     assert bc.nan_max((0.5, 2.0, 1.0)) == 2.0
     assert math.isnan(bc.nan_max((0.0, nan)))
+
+
+def test_numpy_scalars_coerce():
+    assert Bicomplex(1.0) * np.float32(2) == Bicomplex(2.0)
+    assert np.float32(2) * Bicomplex(1.0, 1.0) == Bicomplex(2.0, 2.0)
+    assert Bicomplex(1.0) + np.int64(3) == Bicomplex(4.0)
+    assert Bicomplex(1.0) - np.complex64(1 + 2j) == Bicomplex(0.0, -2.0)
+    with pytest.raises(TypeError):
+        Bicomplex(1.0) * "2"
 
 
 def test_squared_length_values():

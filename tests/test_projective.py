@@ -213,6 +213,21 @@ def test_flow_consistency_richardson():
             assert 3.8 <= d1 / d2 <= 4.2
 
 
+@pytest.mark.parametrize(
+    "parts", [(math.nan, 0, 0, 0), (math.inf, 1, 0, 0), (0, 0, -math.inf, 0)]
+)
+def test_sphere_point_rejects_non_finite_input(parts):
+    # normalizing would give an all-NaN point, or NaN beside zeros
+    with pytest.raises(ValueError, match="norm not finite"):
+        S3Point(*parts)
+
+
+@pytest.mark.parametrize("v1, v2", [(complex(math.nan, 0), 1 + 0j), (1 + 0j, complex(0, math.inf))])
+def test_projective_point_rejects_non_finite_input(v1, v2):
+    with pytest.raises(ValueError, match="not finite"):
+        ProjectivePoint(v1, v2)
+
+
 def test_hopf_examples():
     t = hopf(S3Point(1, 0, 0, 0))
     assert (t.xi1, t.xi2, t.xi3) == pytest.approx((0, 0, 1))
