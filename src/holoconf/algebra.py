@@ -20,6 +20,12 @@ operators s_ab (a < b in 0..3) turns the table into a single relation
 whose consistent metric is diag(1, 1, 1, -1); minkowski_check verifies
 both the relation and the uniqueness of that metric among diagonal sign
 patterns.
+
+The checks evaluate each generator once per realization, as value, gradient
+and Hessian tensors at the stacked sample points (generator_tensors), and
+compute brackets as contractions of them (taylor_bracket).  bracket() and
+lincomb() build the same fields as closures over nested jets; they are the
+independent reference the tests compare the tensors against.
 """
 
 from __future__ import annotations
@@ -320,6 +326,105 @@ def generator_by_transport(g: GeneratorId, chart: ChartId) -> VectorField:
     return VectorField(chart, (mk(0), mk(1)), label=g.value + "~")
 
 
+# --- Taylor tensors: brackets as contractions --------------------------------
+
+@dataclass(frozen=True)
+class TaylorField:
+    """Coefficients of a vector field at stacked sample points, with their
+    derivatives; the sample axis comes last.
+
+    v[k] is coefficient k, g[k, j] its derivative along coordinate j and
+    h[k, j, l] its second derivative along j and l (None where not
+    computed).  A stack of fields carries one more leading axis, which
+    indexing and combine act on.
+    """
+
+    v: np.ndarray
+    g: np.ndarray | None = None
+    h: np.ndarray | None = None
+
+    def _map(self, fn) -> "TaylorField":
+        return TaylorField(*(None if a is None else fn(a) for a in (self.v, self.g, self.h)))
+
+    def __getitem__(self, i) -> "TaylorField":
+        return self._map(lambda a: a[i])
+
+    def combine(self, matrix) -> "TaylorField":
+        """The stack of r fields sum_i matrix[:, i] * self[i], for a matrix of
+        shape (r, len(self.v)).  (einsum, unlike tensordot, leaves BLAS and
+        its buffers unloaded.)"""
+        return self._map(lambda a: np.einsum("ri,i...->r...", matrix, a))
+
+
+def generator_tensors(realization, points, hessian: bool = False) -> TaylorField:
+    """The six generators at the sample points, as one stack of fields in
+    GENERATORS order with values and gradients (and Hessians on request).
+
+    Each compiled coefficient is evaluated once per direction on the stacked
+    points, as a 2-jet: along each coordinate axis (the gradient and the
+    diagonal of the Hessian) and, for the Hessian, along e0 + e1, whose
+    second derivative gives the mixed partial by polarization (Griewank and
+    Walther, Evaluating Derivatives, ch. 13).  On the upsilon line the one
+    direction is the complex derivative d/du.
+    """
+    key = realization_key(realization)
+    args = point_args(realization, stack_points(realization, points))
+    m, shape = len(args), np.shape(args[0])
+    table = [_COMPILED_TABLES[key][g] for g in GENERATORS]
+
+    dtype = np.result_type(*args)
+    v = np.empty((len(table), m, *shape), dtype)
+    g = np.empty((len(table), m, m, *shape), dtype)
+    h = np.zeros((len(table), m, m, m, *shape), dtype) if hessian else None
+
+    def along(*axes):
+        # each argument in one fresh jet level, as _partial lifts them; one
+        # coefficient's jet at a time, so that only its parts are kept
+        jets = [dual.Jet(a, float(j in axes), 0.0) for j, a in enumerate(args)]
+        for i, row in enumerate(table):
+            for k, c in enumerate(row):
+                yield i, k, c(*jets)
+
+    for j in range(m):
+        for i, k, jet in along(j):
+            v[i, k] = dual.value(jet)
+            g[i, k, j] = dual.d1(jet)
+            if hessian:
+                h[i, k, j, j] = dual.d2(jet)
+    mixed = [(j, l) for j in range(m) for l in range(j + 1, m)] if hessian else []
+    for j, l in mixed:
+        for i, k, jet in along(j, l):
+            h[i, k, j, l] = h[i, k, l, j] = (dual.d2(jet) - h[i, k, j, j] - h[i, k, l, l]) / 2
+    return TaylorField(v, g, h)
+
+
+def taylor_bracket(x: TaylorField, y: TaylorField) -> TaylorField:
+    """[x, y]_k = x_j d_j y_k - y_j d_j x_k, contracted from the tensors.
+
+    The bracket carries its gradient when both operands carry Hessians, so
+    a bracket of it needs no further differentiation; else its values only.
+    The sums run in the order of bracket() and of the jet product rule; the
+    bracket of two generators equals bracket()'s values bitwise.
+    """
+    v = g = 0.0
+    for j in range(len(x.v)):
+        v = v + x.v[j] * y.g[:, j]
+        v = v - y.v[j] * x.g[:, j]
+    if x.h is None or y.h is None:
+        return TaylorField(v)
+    for j in range(len(x.v)):
+        g = g + (x.v[j] * y.h[:, j] + x.g[j][None] * y.g[:, j][:, None])
+        g = g - (y.v[j] * x.h[:, j] + y.g[j][None] * x.g[:, j][:, None])
+    return TaylorField(v, g)
+
+
+def jacobiator(x: TaylorField, y: TaylorField, z: TaylorField) -> np.ndarray:
+    """Values of [[x, y], z] + [[y, z], x] + [[z, x], y]; the fields must
+    carry Hessians."""
+    outer = [taylor_bracket(taylor_bracket(a, b), c) for a, b, c in ((x, y, z), (y, z, x), (z, x, y))]
+    return outer[0].v + outer[1].v + outer[2].v
+
+
 # --- the commutation table and sign ledgers ---------------------------------
 
 # ordered bracket pairs and their table right-hand sides (zero when absent)
@@ -406,28 +511,41 @@ def default_points(realization, n: int = 50, seed: int = 0):
     return sampling.chart_points(ChartId(key), n, rng)
 
 
+# samples per tensor evaluation in structure_table, which bounds its memory
+STRUCTURE_CHUNK = 4096
+
+
 def structure_table(realization, points=None, match_tol: float = 1e-6) -> SignLedger:
     """Match all 15 generator brackets against the table, recording signs.
 
-    match_tol only decides which sign fits (a genuinely wrong bracket raises
-    UnmatchedBracketError); the ledger records the actual worst defect for
-    the caller to judge against its own tolerance.
+    The brackets are contractions of the generators' value and gradient
+    tensors (generator_tensors), one pair at a time, over at most
+    STRUCTURE_CHUNK points at a time.  match_tol only decides which sign
+    fits (a genuinely wrong bracket raises UnmatchedBracketError); the ledger
+    records the actual worst defect for the caller to judge against its own
+    tolerance.
     """
     if points is None:
         points = default_points(realization)
-    gens = {g: generator(g, realization) for g in GENERATORS}
-    gen_vals = {g: field_values(gens[g], points) for g in GENERATORS}
+    # per pair, the largest |bracket - rhs| and |bracket + rhs| (NaN kept)
+    d_plus = dict.fromkeys(BRACKET_PAIRS, 0.0)
+    d_minus = dict.fromkeys(BRACKET_PAIRS, 0.0)
+    for lo in range(0, len(points), STRUCTURE_CHUNK):
+        gens = generator_tensors(realization, points[lo : lo + STRUCTURE_CHUNK])
+        for g1, g2 in BRACKET_PAIRS:
+            bra = taylor_bracket(gens[GENERATORS.index(g1)], gens[GENERATORS.index(g2)]).v
+            rhs = np.zeros_like(bra)
+            for g, c in BRACKET_RELATIONS[(g1, g2)].items():
+                rhs = rhs + c * gens.v[GENERATORS.index(g)]
+            d_plus[(g1, g2)] = np.maximum(d_plus[(g1, g2)], np.max(np.abs(bra - rhs)))
+            d_minus[(g1, g2)] = np.maximum(d_minus[(g1, g2)], np.max(np.abs(bra + rhs)))
     ledger = SignLedger(realization=realization_key(realization))
     worst = 0.0
     for g1, g2 in BRACKET_PAIRS:
-        bra = field_values(bracket(gens[g1], gens[g2]), points)
-        rhs = np.zeros_like(bra)
-        for g, c in BRACKET_RELATIONS[(g1, g2)].items():
-            rhs = rhs + c * gen_vals[g]
         sign, defect = match_sign(
             f"{pair_label(g1, g2)} in {ledger.realization}",
-            float(np.max(np.abs(bra - rhs))),
-            float(np.max(np.abs(bra + rhs))),
+            float(d_plus[(g1, g2)]),
+            float(d_minus[(g1, g2)]),
             match_tol,
         )
         ledger.signs[pair_label(g1, g2)] = sign
@@ -466,7 +584,21 @@ def eigenaction_expected(g: GeneratorId, alpha: complex, p: ChartPoint) -> compl
 
 # --- rotation packaging in R^{3,1} -------------------------------------------
 
-SO31_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the rotation operators s_ab, a < b in 0..3, as combinations of generators:
+# s_a2 = (q_a - p_a)/2, s_a3 = -(q_a + p_a)/2, s_23 = b, s_01 unchanged
+SO31_PACKING = {
+    (0, 1): {S01: 1.0},
+    (0, 2): {Q0: 0.5, P0: -0.5},
+    (0, 3): {Q0: -0.5, P0: -0.5},
+    (1, 2): {Q1: 0.5, P1: -0.5},
+    (1, 3): {Q1: -0.5, P1: -0.5},
+    (2, 3): {B: 1.0},
+}
+
+SO31_INDEX_PAIRS = tuple(SO31_PACKING)
+
+# SO31_PACKING as a 6x6 matrix: rows s_ab, columns GENERATORS
+SO31_PACK_MATRIX = np.array([[row.get(g, 0.0) for g in GENERATORS] for row in SO31_PACKING.values()])
 
 MINKOWSKI_METRIC = (1.0, 1.0, 1.0, -1.0)
 
@@ -480,24 +612,16 @@ MINKOWSKI_FIELD_SIGNS = {
 
 
 def so31_pack(realization) -> dict:
-    """The six rotation operators s_ab, a < b in 0..3, as vector fields.
-
-    s_a2 = (q_a - p_a)/2, s_a3 = -(q_a + p_a)/2, s_23 = b, s_01 unchanged.
-    """
-    g = {gid: generator(gid, realization) for gid in GENERATORS}
-    r = realization
-
-    def lc(terms, label):
-        return lincomb(terms, r, label)
-
-    return {
-        (0, 1): g[S01],
-        (0, 2): lc([(0.5, g[Q0]), (-0.5, g[P0])], "s02"),
-        (0, 3): lc([(-0.5, g[Q0]), (-0.5, g[P0])], "s03"),
-        (1, 2): lc([(0.5, g[Q1]), (-0.5, g[P1])], "s12"),
-        (1, 3): lc([(-0.5, g[Q1]), (-0.5, g[P1])], "s13"),
-        (2, 3): g[B],
-    }
+    """The six rotation operators s_ab of SO31_PACKING as vector fields; a
+    single generator is returned as it is."""
+    out = {}
+    for (a, b), row in SO31_PACKING.items():
+        terms = [(c, generator(g, realization)) for g, c in row.items()]
+        if len(terms) == 1 and terms[0][0] == 1.0:
+            out[(a, b)] = terms[0][1]
+        else:
+            out[(a, b)] = lincomb(terms, realization, f"s{a}{b}")
+    return out
 
 
 def _so31_rhs_terms(a: tuple, b: tuple, metric) -> list:
@@ -541,12 +665,12 @@ def minkowski_check(
     other diagonal sign pattern must break at least one bracket."""
     if points is None:
         points = default_points(realization)
-    pack = so31_pack(realization)
-    pack_vals = {ab: field_values(f, points) for ab, f in pack.items()}
+    pack = generator_tensors(realization, points).combine(SO31_PACK_MATRIX)
+    pack_vals = dict(zip(SO31_INDEX_PAIRS, pack.v))
     bra_vals = {}
     for i, a in enumerate(SO31_INDEX_PAIRS):
-        for b in SO31_INDEX_PAIRS[i + 1 :]:
-            bra_vals[(a, b)] = field_values(bracket(pack[a], pack[b]), points)
+        for j in range(i + 1, len(SO31_INDEX_PAIRS)):
+            bra_vals[(a, SO31_INDEX_PAIRS[j])] = taylor_bracket(pack[i], pack[j]).v
 
     def rhs_values(a, b, metric):
         acc = np.zeros_like(pack_vals[(0, 1)])

@@ -2,10 +2,11 @@
 
 A Jet carries (value, first derivative, second derivative) with respect to a
 single scalar parameter.  Components may be float, complex, or nested Jets,
-so jets of jets work; that is what makes brackets of brackets (Jacobi tests)
-differentiable without symbolic algebra.  Components may also be numpy
-arrays: one jet then carries the derivatives at a whole column of sample
-points, and every elementary function below evaluates them in one call.
+so jets of jets work; that is what makes algebra.bracket's closures of
+brackets differentiable without symbolic algebra.  Components may also be
+numpy arrays: one jet then carries the derivatives at a whole column of
+sample points, and every elementary function below evaluates them in one
+call.
 """
 
 from __future__ import annotations

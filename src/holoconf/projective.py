@@ -334,6 +334,42 @@ def hopf_raw(c1: float, c2: float, c3: float, c4: float) -> tuple:
     )
 
 
+# The norm of a sphere point is the square root of the plain sum of squares,
+# whose rounding the goldens pin.  Only where that sum overflows or
+# underflows are the components first divided by the largest of them (the
+# math.hypot idea), so that finite nonzero input is always accepted.
+
+_NOT_FINITE = "cannot normalize ({}, {}, {}, {}): norm not finite"
+
+
+def _norm_scalar(comps) -> tuple:
+    try:
+        n = math.sqrt(sum(c**2 for c in comps))
+    except OverflowError:  # Python's float power raises where numpy gives inf
+        n = math.inf
+    if 1e-300 <= n < math.inf:
+        return comps, n
+    reject(not all(map(math.isfinite, comps)), ValueError, _NOT_FINITE, *comps)
+    big = max(map(abs, comps))
+    reject(big == 0, ValueError, "cannot normalize the zero vector")
+    comps = [c / big for c in comps]
+    return comps, math.sqrt(sum(c**2 for c in comps))
+
+
+def _norm_array(comps) -> tuple:
+    with np.errstate(over="ignore", under="ignore"):
+        n = np.sqrt(sum(pow2(c) for c in comps))
+        rescale = ~((n >= 1e-300) & (n < math.inf))
+        if not rescale.any():
+            return comps, n
+        stack = np.array(np.broadcast_arrays(*comps))
+        reject(~np.isfinite(stack).all(axis=0), ValueError, _NOT_FINITE, *comps)
+        big = np.abs(stack).max(axis=0)
+        reject(big == 0, ValueError, "cannot normalize the zero vector")
+        comps = [np.where(rescale, c / big, c) for c in stack]
+        return comps, np.where(rescale, np.sqrt(sum(pow2(c) for c in comps)), n)
+
+
 @dataclass(frozen=True)
 class S3Point:
     """Unit 4-vector; the constructor normalizes and rejects zero and
@@ -346,15 +382,8 @@ class S3Point:
 
     def __post_init__(self):
         comps = self.components()
-        sq = pow2(self.s1) + pow2(self.s2) + pow2(self.s3) + pow2(self.s4)
-        if isinstance(sq, np.ndarray):
-            n = np.sqrt(sq)
-            bad = ~np.isfinite(n)
-        else:
-            n = math.sqrt(sq)
-            bad = not math.isfinite(n)
-        reject(bad, ValueError, "cannot normalize ({}, {}, {}, {}): norm not finite", *comps)
-        reject(n < 1e-300, ValueError, "cannot normalize the zero vector")
+        norm = _norm_array if any(isinstance(c, np.ndarray) for c in comps) else _norm_scalar
+        comps, n = norm(comps)
         for name, v in zip(("s1", "s2", "s3", "s4"), comps):
             object.__setattr__(self, name, v / n)
 

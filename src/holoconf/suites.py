@@ -524,18 +524,10 @@ def algebra_checks(cfg: SuiteConfig):
         def _():
             rng = _rng(cfg, f"alg.jacobi.{name}")
             pts = algebra.default_points(r, n=5, seed=cfg.seed + 1)
-            gens = {g: algebra.generator(g, r) for g in GENERATORS}
+            gens = algebra.generator_tensors(r, pts, hessian=True)
             for _ in range(10):
-                x, y, z = (gens[g] for g in rng.sample(GENERATORS, 3))
-                total = algebra.lincomb(
-                    [
-                        (1.0, algebra.bracket(algebra.bracket(x, y), z)),
-                        (1.0, algebra.bracket(algebra.bracket(y, z), x)),
-                        (1.0, algebra.bracket(algebra.bracket(z, x), y)),
-                    ],
-                    r,
-                )
-                yield np.abs(algebra.field_values(total, pts))
+                x, y, z = (gens[GENERATORS.index(g)] for g in rng.sample(GENERATORS, 3))
+                yield np.abs(algebra.jacobiator(x, y, z))
 
     for r in FIELD_REALIZATIONS:
 
@@ -567,11 +559,11 @@ def algebra_checks(cfg: SuiteConfig):
     )
     def _():
         u = np.array(sampling.upsilon_points(cfg.samples, _rng(cfg, "alg.tensor")))
-        pack = algebra.so31_pack(UPSILON_LINE)
+        pack = algebra.generator_tensors(UPSILON_LINE, u).combine(algebra.SO31_PACK_MATRIX)
         m = algebra.angular_tensor(u)
         yield np.abs(m + m.swapaxes(0, 1))
-        for (a, b), fld in pack.items():
-            yield np.abs(m[a, b] * u - dual.value(fld.coeffs[0](u)))
+        for (a, b), coeff in zip(algebra.SO31_INDEX_PAIRS, pack.v):
+            yield np.abs(m[a, b] * u - coeff[0])
 
     @run.check(
         "paravector_substitution",

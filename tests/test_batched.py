@@ -57,6 +57,60 @@ def test_field_values_match_per_point_evaluation(realization):
         assert_close(algebra.field_values(field, pts), scalar_field_values(field, pts))
 
 
+def closure_gradient(x, pts):
+    """d_j of each coefficient of x by jet-lifting the stacked arguments,
+    shape (arity, arity, npts) as TaylorField.g."""
+    args = algebra.point_args(x.realization, algebra.stack_points(x.realization, pts))
+    return np.array(
+        [
+            [
+                np.broadcast_to(
+                    dual.d1(c(*(dual.Jet(a, float(i == j), 0.0) for i, a in enumerate(args)))),
+                    np.shape(args[0]),
+                )
+                for j in range(x.arity)
+            ]
+            for c in x.coeffs
+        ]
+    )
+
+
+@pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
+def test_taylor_brackets_match_the_closure_path(realization):
+    pts = algebra.default_points(realization, n=30, seed=7)
+    g = {gid: algebra.generator(gid, realization) for gid in GENERATORS}
+    tensors = algebra.generator_tensors(realization, pts, hessian=True)
+    t = {gid: tensors[i] for i, gid in enumerate(GENERATORS)}
+    for gid in GENERATORS:
+        assert_close(t[gid].v.T, algebra.field_values(g[gid], pts), tol=1e-13)
+        assert_close(t[gid].g, closure_gradient(g[gid], pts), tol=1e-13)
+    for g1, g2 in algebra.BRACKET_PAIRS:
+        ref = algebra.bracket(g[g1], g[g2])
+        got = algebra.taylor_bracket(t[g1], t[g2])
+        assert_close(got.v.T, algebra.field_values(ref, pts), tol=1e-13)
+        assert_close(got.g, closure_gradient(ref, pts), tol=1e-13)
+    nested = algebra.bracket(algebra.bracket(g[Q0], g[P0]), g[Q1])
+    got = algebra.taylor_bracket(algebra.taylor_bracket(t[Q0], t[P0]), t[Q1])
+    assert_close(got.v.T, algebra.field_values(nested, pts), tol=1e-13)
+
+
+@pytest.mark.parametrize("realization", (ChartId.HOLOGRAPHIC, UPSILON_LINE), ids=algebra.realization_key)
+def test_structure_table_in_chunks_equals_one_pass(realization, monkeypatch):
+    pts = algebra.default_points(realization, n=50, seed=3)
+    whole = algebra.structure_table(realization, points=pts)
+    monkeypatch.setattr(algebra, "STRUCTURE_CHUNK", 7)
+    chunked = algebra.structure_table(realization, points=pts)
+    assert (chunked.signs, chunked.max_defect) == (whole.signs, whole.max_defect)
+
+
+def test_taylor_structure_table_covers_polar():
+    ledger = algebra.structure_table(ChartId.POLAR, points=algebra.default_points(ChartId.POLAR, n=200))
+    assert ledger.signs == {
+        algebra.pair_label(g1, g2): sign for (g1, g2), sign in algebra.EXPECTED_FIELD_SIGNS.items()
+    }
+    assert ledger.max_defect <= 1e-12
+
+
 @pytest.mark.parametrize("chart", ALL_CHARTS, ids=str)
 def test_act_solve_laplacian_with_array_alpha(chart):
     rng = random.Random(6)

@@ -203,6 +203,18 @@ def test_nan_commutator_fails_matrix_brackets(monkeypatch):
     assert failed["matrix_brackets[real]"].message.startswith("UnmatchedBracketError: ")
 
 
+def test_bracket_checks_stay_off_the_closure_path(monkeypatch):
+    # the brackets are tensor contractions; bracket and lincomb remain only
+    # as the independent reference the tests compare against
+    def closure(*args, **kwargs):
+        raise AssertionError("closure path used")
+
+    monkeypatch.setattr(algebra, "bracket", closure)
+    monkeypatch.setattr(algebra, "lincomb", closure)
+    report = run_suite(SuiteConfig(seed=7, suites=("algebra", "projective")))
+    assert [c.name for c in report.checks if not c.passed] == []
+
+
 def test_real_ledger_negation_draws_points_from_the_seed(monkeypatch):
     seen = []
     structure_table = algebra.structure_table

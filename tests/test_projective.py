@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from holoconf import bicomplex as bc
@@ -220,6 +221,35 @@ def test_sphere_point_rejects_non_finite_input(parts):
     # normalizing would give an all-NaN point, or NaN beside zeros
     with pytest.raises(ValueError, match="norm not finite"):
         S3Point(*parts)
+
+
+@pytest.mark.parametrize(
+    "parts, unit",
+    [
+        ((1e200, 0, 0, 0), (1, 0, 0, 0)),  # the squares overflow
+        ((0, -1e300, 0, 1e300), (0, -math.sqrt(0.5), 0, math.sqrt(0.5))),
+        ((1e-200, 0, 0, 0), (1, 0, 0, 0)),  # the squares underflow to 0
+        ((0, 3e-170, 4e-170, 0), (0, 0.6, 0.8, 0)),
+    ],
+)
+def test_sphere_point_accepts_finite_input_beyond_the_squares_range(parts, unit):
+    s = S3Point(*parts)
+    assert s.components() == pytest.approx(unit, abs=1e-15)
+    # the same sample among ordinary ones in an array, which keep their value
+    arr = S3Point(*(np.array([c, 1.0]) for c in parts))
+    assert [c[0] for c in arr.components()] == pytest.approx(unit, abs=1e-15)
+    assert [c[1] for c in arr.components()] == [0.5, 0.5, 0.5, 0.5]
+
+
+def test_sphere_point_rescaling_leaves_ordinary_input_unchanged():
+    # bitwise the plain normalization, for scalars and for arrays
+    rng = random.Random(54)
+    raw = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(200)]
+    arr = S3Point(*np.array(raw).T)
+    for k, parts in enumerate(raw):
+        n = math.sqrt(sum(c**2 for c in parts))
+        assert S3Point(*parts).components() == tuple(c / n for c in parts)
+        assert [float(c[k]) for c in arr.components()] == [c / n for c in parts]
 
 
 @pytest.mark.parametrize("v1, v2", [(complex(math.nan, 0), 1 + 0j), (1 + 0j, complex(0, math.inf))])
