@@ -77,13 +77,9 @@ class ChartPoint:
 def _require(ok, value, message: str) -> None:
     """Raise DomainError(message.format(v)) for the first value v where ok
     fails; ok and value are scalars or arrays of one sample shape."""
-    if isinstance(ok, np.ndarray):
-        if ok.all():
-            return
-        value = np.broadcast_to(value, ok.shape)[~ok][0]
-    elif ok:
-        return
-    raise DomainError(message.format(float(value)))
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise DomainError(message.format(float(np.broadcast_to(value, ok.shape)[~ok][0])))
 
 
 def validate(p: ChartPoint) -> None:
@@ -107,8 +103,6 @@ def _tensor(rows, p: ChartPoint) -> np.ndarray:
     """Nested rows as one array, scalar entries broadcast to p's samples
     (sample axis last)."""
     shape = np.broadcast_shapes(np.shape(p.y0), np.shape(p.y1))
-    if not shape:
-        return np.array(rows)
 
     def fill(r):
         if isinstance(r, list):
@@ -143,8 +137,11 @@ embed_coords = _embed
 
 
 def normalize_angle(phi: float) -> float:
+    """phi folded into [0, 2*pi).  A tiny negative angle whose shift by 2*pi
+    rounds up to 2*pi becomes the largest float below it, on the same side of
+    the branch cut as the unfolded angle."""
     phi = np.fmod(phi, TWO_PI)
-    return phi + TWO_PI * (phi < 0.0)
+    return np.minimum(phi + TWO_PI * (phi < 0.0), np.nextafter(TWO_PI, 0.0))
 
 
 def invert(chart: ChartId, x0: float, x1: float) -> ChartPoint:

@@ -15,12 +15,12 @@ bicomplex involutions, which is checked in the verification suites.
 Matrix entries, Mobius arguments, sphere points and projective points may be
 1-D numpy arrays over samples (ring elements of arrays, for the bicomplex
 ring); every function then acts sample by sample, and a bad sample raises
-the function's error naming the first one.
+the function's error naming the first one.  A single point goes through the
+same code and leaves as Python numbers.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -53,6 +53,7 @@ from .bicomplex import (
     modulus,
     nan_max,
     null_plane_units,
+    plain,
     pow2,
     quotient,
     reject,
@@ -96,16 +97,12 @@ def _ring_one(ring: Ring):
 
 
 def _ring_exp(x):
-    if isinstance(x, Bicomplex):
-        return x.exp()
-    if isinstance(x, np.ndarray):
-        return np.exp(x)
-    if isinstance(x, complex):
-        return cmath.exp(x)
-    return math.exp(x)
+    return x.exp() if isinstance(x, Bicomplex) else plain(np.exp(x))
 
 
-def _absval(x) -> float:
+def absval(x) -> float:
+    """Size of a ring element: the largest component modulus of a bicomplex
+    number, abs of a real or complex one."""
     return x.max_abs() if isinstance(x, Bicomplex) else abs(x)
 
 
@@ -168,7 +165,7 @@ class SpinMatrix:
 
     def max_abs_diff(self, other: "SpinMatrix") -> float:
         return nan_max(
-            tuple(_absval(x - y) for x, y in zip(self.entries(), other.entries()))
+            tuple(absval(x - y) for x, y in zip(self.entries(), other.entries()))
         )
 
 
@@ -288,12 +285,9 @@ def mobius_apply(m: SpinMatrix, v):
         )
         return (m.a * v + m.b) * den.inverse()
     den = m.c * v + m.d
-    if isinstance(den, np.ndarray):
-        reject(modulus(den) <= POLE_TOL, PoleError, "denominator vanished")
-        return quotient(m.a * v + m.b, den)
-    if abs(den) <= POLE_TOL:
-        raise PoleError("denominator vanished")
-    return (m.a * v + m.b) / den
+    reject(modulus(den) <= POLE_TOL, PoleError, "denominator vanished")
+    out = quotient(m.a * v + m.b, den)
+    return plain(out.real if m.ring is Ring.REAL else out)
 
 
 def exp_one_param(g: GeneratorId, eps: float, ring: Ring) -> SpinMatrix:
@@ -317,10 +311,12 @@ def exp_one_param(g: GeneratorId, eps: float, ring: Ring) -> SpinMatrix:
 def flow_consistency(g: GeneratorId, v0: complex, eps: float) -> float:
     """Defect between the exponentiated matrix action and the first-order
     field step v0 + eps * X_g(v0) on the upsilon line; O(eps^2) by
-    construction (identically zero for the translation generators)."""
-    moved = mobius_apply(exp_one_param(g, eps, Ring.COMPLEX), complex(v0))
-    x = generator(g, UPSILON_LINE).coeffs[0](complex(v0))
-    return abs(moved - (v0 + eps * x))
+    construction (identically zero for the translation generators).  v0 may
+    be an array of start points."""
+    v0 = np.asarray(v0, dtype=complex)
+    moved = mobius_apply(exp_one_param(g, eps, Ring.COMPLEX), v0)
+    x = generator(g, UPSILON_LINE).coeffs[0](v0)
+    return plain(modulus(moved - (v0 + eps * x)))
 
 
 # --- the sphere map -----------------------------------------------------------
@@ -342,21 +338,7 @@ def hopf_raw(c1: float, c2: float, c3: float, c4: float) -> tuple:
 _NOT_FINITE = "cannot normalize ({}, {}, {}, {}): norm not finite"
 
 
-def _norm_scalar(comps) -> tuple:
-    try:
-        n = math.sqrt(sum(c**2 for c in comps))
-    except OverflowError:  # Python's float power raises where numpy gives inf
-        n = math.inf
-    if 1e-300 <= n < math.inf:
-        return comps, n
-    reject(not all(map(math.isfinite, comps)), ValueError, _NOT_FINITE, *comps)
-    big = max(map(abs, comps))
-    reject(big == 0, ValueError, "cannot normalize the zero vector")
-    comps = [c / big for c in comps]
-    return comps, math.sqrt(sum(c**2 for c in comps))
-
-
-def _norm_array(comps) -> tuple:
+def _norm(comps) -> tuple:
     with np.errstate(over="ignore", under="ignore"):
         n = np.sqrt(sum(pow2(c) for c in comps))
         rescale = ~((n >= 1e-300) & (n < math.inf))
@@ -381,31 +363,24 @@ class S3Point:
     s4: float
 
     def __post_init__(self):
-        comps = self.components()
-        norm = _norm_array if any(isinstance(c, np.ndarray) for c in comps) else _norm_scalar
-        comps, n = norm(comps)
+        comps, n = _norm(self.components())
         for name, v in zip(("s1", "s2", "s3", "s4"), comps):
-            object.__setattr__(self, name, v / n)
+            object.__setattr__(self, name, plain(v / n))
 
     def components(self) -> tuple:
         return (self.s1, self.s2, self.s3, self.s4)
 
     def phase_rotated(self, lam: float) -> "S3Point":
         """Joint phase action on (s1 + i s2, s3 + i s4): the fiber circle."""
-        if isinstance(lam, np.ndarray) or isinstance(self.s1, np.ndarray):
-            # the products by exp(i lam) = cos + i sin, rounded as Python's
-            # complex product below rounds them
-            c, s = np.cos(lam), np.sin(lam)
-            return S3Point(
-                self.s1 * c - self.s2 * s,
-                self.s1 * s + self.s2 * c,
-                self.s3 * c - self.s4 * s,
-                self.s3 * s + self.s4 * c,
-            )
-        w = cmath.exp(1j * lam)
-        v1 = complex(self.s1, self.s2) * w
-        v2 = complex(self.s3, self.s4) * w
-        return S3Point(v1.real, v1.imag, v2.real, v2.imag)
+        # the products by exp(i lam) = cos + i sin, written out as Python's
+        # complex product rounds them
+        c, s = np.cos(lam), np.sin(lam)
+        return S3Point(
+            self.s1 * c - self.s2 * s,
+            self.s1 * s + self.s2 * c,
+            self.s3 * c - self.s4 * s,
+            self.s3 * s + self.s4 * c,
+        )
 
 
 def hopf(s: S3Point) -> HopfTriple:
@@ -438,18 +413,12 @@ class ProjectivePoint:
             "(0, 0) is not a projective point",
         )
 
-    def _is_array(self) -> bool:
-        return isinstance(self.v1, np.ndarray) or isinstance(self.v2, np.ndarray)
-
 
 def projectively_equal(p: ProjectivePoint, q: ProjectivePoint, tol: float = 1e-12) -> bool:
     """Cross-multiplication test v1*w2 == v2*w1 (no normalization needed);
     one bool per sample for array points."""
-    if p._is_array() or q._is_array():
-        scale = np.maximum(modulus(p.v1), modulus(p.v2)) * np.maximum(modulus(q.v1), modulus(q.v2))
-        return modulus(p.v1 * q.v2 - p.v2 * q.v1) <= tol * np.maximum(scale, 1e-300)
-    scale = max(abs(p.v1), abs(p.v2)) * max(abs(q.v1), abs(q.v2))
-    return abs(p.v1 * q.v2 - p.v2 * q.v1) <= tol * max(scale, 1e-300)
+    scale = np.maximum(modulus(p.v1), modulus(p.v2)) * np.maximum(modulus(q.v1), modulus(q.v2))
+    return plain(modulus(p.v1 * q.v2 - p.v2 * q.v1) <= tol * np.maximum(scale, 1e-300))
 
 
 @dataclass(frozen=True)
@@ -468,35 +437,25 @@ class ChartTransition:
 
     @property
     def in_overlap(self) -> bool:
-        if isinstance(self.transition, np.ndarray):
-            return ~np.isnan(self.transition)
-        return self.transition is not None
+        # None, a single point's missing transition, reads as NaN here
+        return plain(~np.isnan(np.asarray(self.transition, dtype=complex)))
 
 
-def _chart_transition_array(p: ProjectivePoint, tol: float) -> ChartTransition:
+def chart_transition(p: ProjectivePoint, tol: float = 1e-14) -> ChartTransition:
     v1, v2 = np.broadcast_arrays(np.asarray(p.v1, dtype=complex), np.asarray(p.v2, dtype=complex))
     scale = np.maximum(modulus(v1), modulus(v2))
     have0 = modulus(v2) > tol * scale
     have1 = modulus(v1) > tol * scale
     missing = complex(math.nan, math.nan)
     w = np.where(have0, quotient(v1, v2), missing)
+    affine0 = (w, np.where(have0, 1.0 + 0j, missing))
+    affine1 = (np.where(have1, 1.0 + 0j, missing), np.where(have1, quotient(v2, v1), missing))
+    transition = np.where(have0 & have1, quotient(w, modulus(w)), missing)
+    if v1.ndim:
+        return ChartTransition(affine0, affine1, transition)
+    # a single point: Python numbers, and None for what does not exist
     return ChartTransition(
-        (w, np.where(have0, 1.0 + 0j, missing)),
-        (np.where(have1, 1.0 + 0j, missing), np.where(have1, quotient(v2, v1), missing)),
-        np.where(have0 & have1, quotient(w, modulus(w)), missing),
+        tuple(map(plain, affine0)) if have0 else None,
+        tuple(map(plain, affine1)) if have1 else None,
+        plain(transition) if have0 & have1 else None,
     )
-
-
-def chart_transition(p: ProjectivePoint, tol: float = 1e-14) -> ChartTransition:
-    if p._is_array():
-        return _chart_transition_array(p, tol)
-    scale = max(abs(p.v1), abs(p.v2))
-    have0 = abs(p.v2) > tol * scale
-    have1 = abs(p.v1) > tol * scale
-    affine0 = (p.v1 / p.v2, 1.0 + 0j) if have0 else None
-    affine1 = (1.0 + 0j, p.v2 / p.v1) if have1 else None
-    transition = None
-    if have0 and have1:
-        w = p.v1 / p.v2
-        transition = w / abs(w)
-    return ChartTransition(affine0, affine1, transition)

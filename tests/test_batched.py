@@ -1,11 +1,13 @@
-"""Array evaluation against the per-point scalar path it replaces.
+"""Array evaluation against per-point references.
 
 Every function that accepts an array point (coordinates stacked over the
 samples) must give, sample by sample, what the same function gives at each
-plain point.  The scalar references below are the per-point loops the
-suites used before they were batched.
+plain point.  A plain point goes through the same code as an array, so where
+a comparison with the function itself would check nothing, the reference is
+computed here with Python's float and complex arithmetic, cmath and math.
 """
 
+import cmath
 import math
 import random
 
@@ -193,9 +195,40 @@ def test_stack_rejects_mixed_charts():
 
 
 def assert_bitwise(batched: Bicomplex, scalars: list):
-    """Every component of every sample equals the scalar path's, bit for bit."""
+    """Every component of every sample equals the reference, bit for bit."""
     for k, x in enumerate(scalars):
         assert batched[k] == x, (k, batched[k], x)
+
+
+def ref_idempotent_parts(x: Bicomplex) -> tuple:
+    w1, w2 = complex(x.re, x.im_i), complex(x.im_j, x.im_ij)
+    return w1 - 1j * w2, w1 + 1j * w2
+
+
+def ref_from_idempotent_parts(zp: complex, zm: complex) -> Bicomplex:
+    w1, w2 = (zp + zm) / 2, 1j * (zp - zm) / 2
+    return Bicomplex(w1.real, w1.imag, w2.real, w2.imag)
+
+
+def ref_exp(x: Bicomplex) -> Bicomplex:
+    return ref_from_idempotent_parts(*map(cmath.exp, ref_idempotent_parts(x)))
+
+
+def ref_inverse(x: Bicomplex) -> Bicomplex:
+    return ref_from_idempotent_parts(*(1 / z for z in ref_idempotent_parts(x)))
+
+
+def test_modulus_and_quotient_round_as_python():
+    rng = random.Random(8)
+    a = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(500)]
+    b = [complex(rng.uniform(-3, 3), rng.uniform(-1e-3, 1e-3)) for _ in range(250)]
+    b += [complex(rng.uniform(-1e-3, 1e-3), rng.uniform(-3, 3)) for _ in range(250)]
+    assert list(bc.modulus(np.array(a))) == [abs(z) for z in a]
+    assert list(bc.quotient(np.array(a), np.array(b))) == [x / y for x, y in zip(a, b)]
+    assert list(bc.quotient(1, np.array(b))) == [1 / y for y in b]
+    # one Python number each, including a real divisor
+    assert [bc.quotient(x, y) for x, y in zip(a, b)] == [x / y for x, y in zip(a, b)]
+    assert bc.quotient(3.0, 2.0) == 1.5 and bc.modulus(3.0 - 4.0j) == 5.0
 
 
 def test_bicomplex_batch_makes_the_draws_of_bicomplex_values():
@@ -217,11 +250,17 @@ def test_bicomplex_arithmetic_is_bitwise_the_scalar_path():
     assert_bitwise(a * b, [x * y for x, y in pairs])
     assert_bitwise(a + b - a * 2.5, [x + y - x * 2.5 for x, y in pairs])
     assert_bitwise(a.conjugate() * b.reverse(), [x.conjugate() * y.reverse() for x, y in pairs])
-    assert_bitwise(b.exp(), [y.exp() for y in b_list])
-    assert_bitwise(a.inverse(), [x.inverse() for x in a_list])
-    assert_bitwise(b / a, [y / x for x, y in pairs])
-    assert np.array_equal(a.max_abs(), [x.max_abs() for x in a_list])
-    assert np.array_equal(a.squared_length(), [x.squared_length() for x in a_list])
+    assert_bitwise(b.exp(), [ref_exp(y) for y in b_list])
+    assert_bitwise(a.inverse(), [ref_inverse(x) for x in a_list])
+    assert_bitwise(b / a, [y * ref_inverse(x) for x, y in pairs])
+    # one number goes through the same code and leaves as Python floats
+    assert [y.exp() for y in b_list[:20]] == [ref_exp(y) for y in b_list[:20]]
+    assert [x.inverse() for x in a_list[:20]] == [ref_inverse(x) for x in a_list[:20]]
+    assert all(type(c) is float for c in a_list[0].inverse().components())
+    assert np.array_equal(a.max_abs(), [max(map(abs, x.components())) for x in a_list])
+    assert np.array_equal(
+        a.squared_length(), [x.re**2 + x.im_i**2 + x.im_j**2 + x.im_ij**2 for x in a_list]
+    )
 
 
 def test_involution_projections_on_arrays():
@@ -239,20 +278,37 @@ def test_max_abs_keeps_nan_per_sample():
     assert got[0] == 1.0 and math.isnan(got[1]) and got[2] == 2.0
 
 
+def ref_exp_one_param(g, eps: float, ring: Ring) -> tuple:
+    """Entries of exp(eps * matrix_rep(g, ring)): entrywise exponentials of
+    the diagonal generators, identity + eps * m for the nilpotent ones."""
+    m = projective.matrix_rep(g, ring)
+    if g in (algebra.B, algebra.S01):
+        exp = {Ring.REAL: math.exp, Ring.COMPLEX: cmath.exp, Ring.BICOMPLEX: ref_exp}[ring]
+        zero = m.b
+        return (exp(eps * m.a), zero, zero, exp(eps * m.d))
+    return (1.0 + eps * m.a, eps * m.b, eps * m.c, 1.0 + eps * m.d)
+
+
 @pytest.mark.parametrize("ring", list(Ring), ids=str)
 def test_exp_one_param_on_array_eps(ring):
     eps = np.array([0.3, -0.7, 1e-3, 0.0, 0.55])
     for g in projective.supported_generators(ring):
         batched = projective.exp_one_param(g, eps, ring)
         for k, e in enumerate(eps):
-            scalar = projective.exp_one_param(g, float(e), ring)
-            for got, want in zip(batched.entries(), scalar.entries()):
-                if isinstance(want, Bicomplex):
-                    got = got[k] if np.ndim(got.re) else got
-                    assert (got - want).max_abs() <= 1e-15 * (1.0 + want.max_abs())
-                else:
-                    got = got[k] if np.ndim(got) else got
-                    assert abs(got - want) <= 1e-15 * (1.0 + abs(want))
+            for m in (batched, projective.exp_one_param(g, float(e), ring)):
+                for got, want in zip(m.entries(), ref_exp_one_param(g, float(e), ring)):
+                    if isinstance(want, Bicomplex):
+                        got = got[k] if np.ndim(got.re) else got
+                        assert (got - want).max_abs() <= 1e-15 * (1.0 + want.max_abs())
+                    else:
+                        got = got[k] if np.ndim(got) else got
+                        assert abs(got - want) <= 1e-15 * (1.0 + abs(want))
+
+
+def ref_mobius(entries, v):
+    """(a v + b) / (c v + d) in Python's complex arithmetic."""
+    a, b, c, d = (complex(e) for e in entries)
+    return (a * v + b) / (c * v + d)
 
 
 def test_mobius_apply_complex_on_arrays():
@@ -262,11 +318,11 @@ def test_mobius_apply_complex_on_arrays():
     for g in GENERATORS:
         m = projective.exp_one_param(g, eps, Ring.COMPLEX)
         m0 = projective.exp_one_param(g, 0.4, Ring.COMPLEX)
-        assert_close(
-            projective.mobius_apply(m, v),
-            [projective.mobius_apply(projective.exp_one_param(g, e, Ring.COMPLEX), z) for e, z in zip(eps, v)],
-        )
-        assert_close(projective.mobius_apply(m0, v), [projective.mobius_apply(m0, z) for z in v])
+        want = [ref_mobius(ref_exp_one_param(g, e, Ring.COMPLEX), complex(z)) for e, z in zip(eps, v)]
+        assert_close(projective.mobius_apply(m, v), want)
+        want0 = [ref_mobius(m0.entries(), complex(z)) for z in v]
+        assert_close(projective.mobius_apply(m0, v), want0)
+        assert_close([projective.mobius_apply(m0, complex(z)) for z in v], want0)
 
 
 def test_mobius_apply_bicomplex_on_arrays():
@@ -278,8 +334,22 @@ def test_mobius_apply_bicomplex_on_arrays():
         m = projective.exp_one_param(g, eps, Ring.BICOMPLEX)
         got = projective.mobius_apply(m, v)
         for k, (e, z) in enumerate(zip(eps, v_list)):
-            want = projective.mobius_apply(projective.exp_one_param(g, float(e), Ring.BICOMPLEX), z)
+            a, b, c, d = ref_exp_one_param(g, float(e), Ring.BICOMPLEX)
+            want = (a * z + b) * ref_inverse(c * z + d)
             assert (got[k] - want).max_abs() <= 1e-14 * (1.0 + want.max_abs())
+            one = projective.mobius_apply(projective.SpinMatrix(Ring.BICOMPLEX, a, b, c, d), z)
+            assert (one - want).max_abs() <= 1e-14 * (1.0 + want.max_abs())
+
+
+def ref_unit(c) -> list:
+    n = math.sqrt(sum(x**2 for x in c))
+    return [x / n for x in c]
+
+
+def ref_phase_rotated(c, lam: float) -> list:
+    w = cmath.exp(1j * lam)
+    v1, v2 = complex(c[0], c[1]) * w, complex(c[2], c[3]) * w
+    return ref_unit([v1.real, v1.imag, v2.real, v2.imag])
 
 
 def test_sphere_map_on_arrays():
@@ -290,13 +360,34 @@ def test_sphere_map_on_arrays():
     rot = s.phase_rotated(np.array(lam))
     base, moved = projective.hopf(s), projective.hopf(rot)
     for k, (c, angle) in enumerate(zip(raw, lam)):
+        unit = ref_unit(c)
+        turned = ref_phase_rotated(unit, angle)
+        assert [x[k] for x in s.components()] == unit
+        assert [x[k] for x in rot.components()] == turned
         p = S3Point(*c)
-        assert_close([x[k] for x in s.components()], p.components())
-        assert_close([x[k] for x in rot.components()], p.phase_rotated(angle).components())
-        want_base, want_moved = projective.hopf(p), projective.hopf(p.phase_rotated(angle))
-        for name in ("xi1", "xi2", "xi3", "len_sq"):
-            assert_close(getattr(base, name)[k], getattr(want_base, name))
-            assert_close(getattr(moved, name)[k], getattr(want_moved, name))
+        assert list(p.components()) == unit
+        assert list(p.phase_rotated(angle).components()) == turned
+        for got, comps in ((base, unit), (moved, turned)):
+            want = projective.hopf_raw(*comps)
+            assert_close([got.xi1[k], got.xi2[k], got.xi3[k]], want)
+            assert_close(got.len_sq[k], sum(x * x for x in comps))
+
+
+def ref_chart_transition(v1: complex, v2: complex, tol: float = 1e-14) -> tuple:
+    """(affine0, affine1, transition) with None where one does not exist."""
+    scale = max(abs(v1), abs(v2))
+    have0, have1 = abs(v2) > tol * scale, abs(v1) > tol * scale
+    w = v1 / v2 if have0 else None
+    return (
+        (w, 1.0 + 0j) if have0 else None,
+        (1.0 + 0j, v2 / v1) if have1 else None,
+        w / abs(w) if have0 and have1 else None,
+    )
+
+
+def ref_projectively_equal(p: tuple, q: tuple, tol: float = 1e-12) -> bool:
+    scale = max(abs(p[0]), abs(p[1])) * max(abs(q[0]), abs(q[1]))
+    return abs(p[0] * q[1] - p[1] * q[0]) <= tol * max(scale, 1e-300)
 
 
 def test_chart_transition_on_arrays():
@@ -308,24 +399,27 @@ def test_chart_transition_on_arrays():
     assert list(overlap) == [True] * 30 + [False, False]
 
     def entries(t):
-        # the scalar path's None becomes NaN in the array fields
-        nan2 = (complex(math.nan, math.nan),) * 2
-        return [*(t.affine0 or nan2), *(t.affine1 or nan2), complex(math.nan, math.nan) if t.transition is None else t.transition]
+        # a missing field is None for one point, NaN in the array fields
+        nan = complex(math.nan, math.nan)
+        return [*(t[0] or (nan, nan)), *(t[1] or (nan, nan)), nan if t[2] is None else t[2]]
 
     for k, (a, b) in enumerate(zip(v1, v2)):
-        want = np.array(entries(projective.chart_transition(ProjectivePoint(a, b))))
-        got = np.array([tr.affine0[0][k], tr.affine0[1][k], tr.affine1[0][k], tr.affine1[1][k], tr.transition[k]])
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        ok = ~np.isnan(want)
-        assert_close(got[ok], want[ok])
+        want = ref_chart_transition(a, b)
+        one = projective.chart_transition(ProjectivePoint(a, b))
+        assert (one.affine0, one.affine1, one.transition) == want
+        assert one.in_overlap is (want[2] is not None)
+        got = [tr.affine0[0][k], tr.affine0[1][k], tr.affine1[0][k], tr.affine1[1][k], tr.transition[k]]
+        assert np.array_equal(got, entries(want), equal_nan=True)
     p = ProjectivePoint(np.array(v1[:30]), np.array(v2[:30]))
     scaled = ProjectivePoint(1.7j * p.v1, 1.7j * p.v2)
     assert projective.projectively_equal(p, scaled).all()
     other = ProjectivePoint(p.v1, p.v2[::-1])
-    assert list(projective.projectively_equal(p, other)) == [
+    want = [ref_projectively_equal((a, b), (a, c)) for a, b, c in zip(v1[:30], v2[:30], v2[:30][::-1])]
+    assert list(projective.projectively_equal(p, other)) == want
+    assert [
         projective.projectively_equal(ProjectivePoint(a, b), ProjectivePoint(a, c))
         for a, b, c in zip(v1[:30], v2[:30], v2[:30][::-1])
-    ]
+    ] == want
 
 
 @pytest.mark.parametrize(

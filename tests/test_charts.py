@@ -114,6 +114,26 @@ def test_embed_invert_roundtrip():
         invert(ChartId.POLAR, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("chart", (ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL), ids=str)
+def test_invert_just_below_the_cut_stays_in_the_domain(chart):
+    # -1e-17 + 2*pi rounds to 2*pi, which validate rejects; the angle must
+    # stay below 2*pi, on the lower side of the positive x0 axis
+    q = invert(chart, 0.5, -1e-17)
+    assert q.y1 < charts.TWO_PI
+    assert q.y1 == np.nextafter(charts.TWO_PI, 0.0)
+    x0, x1 = embed(q)
+    assert x0 == pytest.approx(0.5) and x1 <= 0.0
+
+
+@pytest.mark.parametrize("chart", (ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL), ids=str)
+def test_invert_array_just_below_the_cut_stays_in_the_domain(chart):
+    q = invert(chart, np.array([0.5, 0.5, 0.5]), np.array([-1e-17, 0.0, -0.25]))
+    assert list(q.y1[:2]) == [np.nextafter(charts.TWO_PI, 0.0), 0.0]
+    assert q.y1[2] == pytest.approx(charts.TWO_PI - math.atan2(0.25, 0.5))
+    x0, x1 = embed(q)
+    assert np.all(x1 <= 0.0)
+
+
 def test_compactify_examples():
     u = compactify(0.0, 0.0)
     assert u.as_array() == pytest.approx([0.0, 0.0, 0.5, 0.5])
