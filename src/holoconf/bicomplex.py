@@ -268,9 +268,12 @@ def involution_projections(s: Bicomplex, tol: float = 1e-9) -> HopfTriple:
 
     s*conjugate(s) must land in span{1, j} and s*reverse(s) in span{1, ij};
     any leakage into other components beyond tol (scaled) signals a broken
-    product and raises StructureError.
+    product and raises StructureError.  A number whose squared length
+    overflows raises OverflowError, as Python's float power does.
     """
-    scale = 1.0 + s.squared_length()
+    with np.errstate(over="ignore"):
+        scale = 1.0 + s.squared_length()
+    reject(np.isinf(scale), OverflowError, "squared length of {} overflows", s)
     pc = s * s.conjugate()
     reject(
         (abs(pc.im_i) > tol * scale) | (abs(pc.im_ij) > tol * scale),

@@ -11,7 +11,9 @@ call.
 Plain values go through numpy whatever their shape: a Python float or
 complex leaves as the numpy scalar of the same value type.  numpy's exp,
 log, tan and arctan2 differ from math's in the last bit for up to a few
-percent of the arguments.
+percent of the arguments.  Where math raised (an overflow, a log or sqrt
+outside its domain), numpy warns with a RuntimeWarning and returns inf or
+NaN, for one value as for an array.
 """
 
 from __future__ import annotations

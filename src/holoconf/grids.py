@@ -6,6 +6,8 @@ import cmath
 import csv
 import math
 
+import numpy as np
+
 from .algebra import B, S01, cn, sn
 from .projective import Ring, S3Point, exp_one_param, hopf, mobius_apply
 
@@ -32,24 +34,24 @@ def _fiber_seed(xi1: float, xi2: float, xi3: float) -> S3Point:
 def _hopf_rows(resolution: int):
     yield ("xi1", "xi2", "xi3", "lam", "s1", "s2", "s3", "s4")
     bases = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.6, 0.0, 0.8), (0.0, 0.8, 0.6))
+    lam = 2.0 * math.pi * np.arange(resolution) / resolution
     for base in bases:
-        seeded = _fiber_seed(*base)
-        for k in range(resolution):
-            lam = 2.0 * math.pi * k / resolution
-            pt = seeded.phase_rotated(lam)
-            mapped = hopf(pt)
-            yield (mapped.xi1, mapped.xi2, mapped.xi3, lam) + pt.components()
+        pt = _fiber_seed(*base).phase_rotated(lam)
+        mapped = hopf(pt)
+        columns = (mapped.xi1, mapped.xi2, mapped.xi3, lam) + pt.components()
+        yield from zip(*(c.tolist() for c in columns))
 
 
 def _conformal_flow_rows(resolution: int):
     yield ("generator", "eps", "u0_re", "u0_im", "u_re", "u_im")
     starts = (0.5 + 0j, 0.3 + 0.4j, -0.6 + 0.2j, 1j)
+    eps = -1.0 + 2.0 * np.arange(resolution) / (resolution - 1)
     for g in (B, S01):
+        m = exp_one_param(g, eps, Ring.COMPLEX)
         for u0 in starts:
-            for k in range(resolution):
-                eps = -1.0 + 2.0 * k / (resolution - 1)
-                u = mobius_apply(exp_one_param(g, eps, Ring.COMPLEX), u0)
-                yield (g.value, eps, u0.real, u0.imag, u.real, u.imag)
+            u = mobius_apply(m, u0)
+            for e, re, im in zip(eps.tolist(), u.real.tolist(), u.imag.tolist()):
+                yield (g.value, e, u0.real, u0.imag, re, im)
 
 
 def emit_grid(kind: str, resolution: int, path: str) -> int:

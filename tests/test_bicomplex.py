@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,16 @@ def test_projection_structure_error_path():
     # forcing a negative threshold flags any nonzero component as leakage
     with pytest.raises(bc.StructureError):
         bc.involution_projections(bc.ONE, tol=-1.0)
+
+
+@pytest.mark.parametrize("big", [1e200, np.array([1.0, 1e200, 2.0])])
+def test_projection_rejects_overflowing_squares(big):
+    # numpy returns inf here where Python's float power raised; the explicit
+    # check keeps the OverflowError whatever the warning filters say
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(OverflowError, match="sample 1" if np.ndim(big) else "overflows$"):
+            bc.involution_projections(Bicomplex(big, 1.0, 1.0, 1.0))
 
 
 def _exp_series(a: Bicomplex, terms: int = 20) -> Bicomplex:

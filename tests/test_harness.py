@@ -23,6 +23,7 @@ from holoconf.suites import run_suite
 GOLDEN = Path(__file__).parent / "data" / "verify_seed7_golden.json"
 TABLE_GOLDEN = Path(__file__).parent / "data" / "table_golden.txt"
 RINGS_GOLDEN = Path(__file__).parent / "data" / "rings_seed7_golden.json"
+GRID_GOLDEN = Path(__file__).parent / "data" / "grids"
 
 
 def test_default_run_passes():
@@ -301,6 +302,25 @@ def test_emit_grid_conformal_flow(tmp_path):
         u = complex(float(r["u_re"]), float(r["u_im"]))
         # dilation flow scales radially
         assert u == pytest.approx(math.exp(float(r["eps"])) * u0, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["joukowski", "hopf-fibers", "conformal-flow"])
+def test_emit_grid_matches_golden(kind, tmp_path):
+    # the goldens were written point by point; in conformal-flow numpy's
+    # complex product may move the last bit of the image u
+    path = tmp_path / "g.csv"
+    emit_grid(kind, 9, str(path))
+    got = path.read_text().splitlines()
+    want = (GRID_GOLDEN / f"{kind}.csv").read_text().splitlines()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if kind != "conformal-flow" or g == w:
+            assert g == w
+            continue
+        g, w = g.split(","), w.split(",")
+        assert g[:4] == w[:4]
+        u, v = complex(float(g[4]), float(g[5])), complex(float(w[4]), float(w[5]))
+        assert abs(u - v) <= 1e-15 * abs(v)
 
 
 def test_emit_grid_errors(tmp_path):
