@@ -22,7 +22,7 @@ both the relation and the uniqueness of that metric among diagonal sign
 patterns.
 
 The checks evaluate each generator once per realization, as value, gradient
-and Hessian tensors at the stacked sample points (generator_tensors), and
+and Hessian tensors at the sample points (generator_tensors), and
 compute brackets as contractions of them (taylor_bracket).  bracket() and
 lincomb() build the same fields as closures over nested jets; they are the
 independent reference the tests compare the tensors against.
@@ -172,25 +172,20 @@ def lincomb(terms, realization, label: str = "") -> VectorField:
 
 def point_args(realization, p):
     """Coefficient arguments of a point: (u,) on the upsilon line, (y0, y1)
-    in a chart.  An array point (see stack_points) gives array arguments."""
+    in a chart.  An array point (as the samplers draw) gives array
+    arguments."""
     if realization_key(realization) == UPSILON_LINE:
         return (p,)
     return (p.y0, p.y1)
 
 
-def stack_points(realization, pts):
-    """One array point holding a sequence of sample points."""
-    if realization_key(realization) == UPSILON_LINE:
-        return np.array(pts, dtype=complex)
-    return ChartPoint.stack(pts)
-
-
 def field_values(x: VectorField, pts) -> np.ndarray:
-    """Coefficient values at the sample points, shape (npts, arity).
+    """Coefficient values at the sample points (an array point, or an array
+    on the upsilon line), shape (npts, arity).
 
-    Each coefficient is evaluated once, on the stacked coordinates of all
-    points; constant coefficients are broadcast."""
-    args = point_args(x.realization, stack_points(x.realization, pts))
+    Each coefficient is evaluated once, on the coordinates of all points;
+    constant coefficients are broadcast."""
+    args = point_args(x.realization, pts)
     out = np.empty((len(pts), x.arity), dtype=complex)
     for k, c in enumerate(x.coeffs):
         out[:, k] = dual.value(c(*args))
@@ -200,8 +195,7 @@ def field_values(x: VectorField, pts) -> np.ndarray:
 def apply_to_function(x: VectorField, f: Callable, p) -> complex:
     """Evaluate (x f) at p by differentiating f along each coordinate.
 
-    p may be an array point (see stack_points); the result then has its
-    sample shape."""
+    p may be an array point; the result then has its sample shape."""
     args = point_args(x.realization, p)
     acc = 0j
     for k in range(x.arity):
@@ -330,7 +324,7 @@ def generator_by_transport(g: GeneratorId, chart: ChartId) -> VectorField:
 
 @dataclass(frozen=True)
 class TaylorField:
-    """Coefficients of a vector field at stacked sample points, with their
+    """Coefficients of a vector field at the sample points, with their
     derivatives; the sample axis comes last.
 
     v[k] is coefficient k, g[k, j] its derivative along coordinate j and
@@ -360,7 +354,7 @@ def generator_tensors(realization, points, hessian: bool = False) -> TaylorField
     """The six generators at the sample points, as one stack of fields in
     GENERATORS order with values and gradients (and Hessians on request).
 
-    Each compiled coefficient is evaluated once per direction on the stacked
+    Each compiled coefficient is evaluated once per direction on the array
     points, as a 2-jet: along each coordinate axis (the gradient and the
     diagonal of the Hessian) and, for the Hessian, along e0 + e1, whose
     second derivative gives the mixed partial by polarization (Griewank and
@@ -368,7 +362,7 @@ def generator_tensors(realization, points, hessian: bool = False) -> TaylorField
     direction is the complex derivative d/du.
     """
     key = realization_key(realization)
-    args = point_args(realization, stack_points(realization, points))
+    args = point_args(realization, points)
     m, shape = len(args), np.shape(args[0])
     table = [_COMPILED_TABLES[key][g] for g in GENERATORS]
 

@@ -20,7 +20,8 @@ embedding; closed forms are kept alongside as an independent cross-check.
 A ChartPoint may carry 1-D arrays of coordinates, one entry per sample
 point; every function below then evaluates all samples at once.  The sample
 axis comes last: a vector has shape (2, n) and a matrix (2, 2, n), where a
-single point gives (2,) and (2, 2).
+single point gives (2,) and (2, 2).  len(p) counts the samples and p[k] is
+one of them (a slice gives an array point).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
+from .bicomplex import reject
 
 GUARD = 1e-8
 TWO_PI = 2.0 * math.pi
@@ -61,25 +63,18 @@ class ChartPoint:
     y0: float
     y1: float
 
-    @staticmethod
-    def stack(pts) -> "ChartPoint":
-        """One point whose coordinates are arrays over the given points."""
-        if not pts:
-            raise ValueError("no points to stack")
-        kinds = {p.chart for p in pts}
-        if len(kinds) != 1:
-            raise ValueError(f"points to stack must share one chart, got {kinds}")
-        return ChartPoint(
-            kinds.pop(), np.array([p.y0 for p in pts]), np.array([p.y1 for p in pts])
-        )
+    def __len__(self) -> int:
+        return len(self.y0)
+
+    def __getitem__(self, index) -> "ChartPoint":
+        """The samples at index of an array point."""
+        return ChartPoint(self.chart, self.y0[index], self.y1[index])
 
 
 def _require(ok, value, message: str) -> None:
     """Raise DomainError(message.format(v)) for the first value v where ok
     fails; ok and value are scalars or arrays of one sample shape."""
-    ok = np.asarray(ok)
-    if not ok.all():
-        raise DomainError(message.format(float(np.broadcast_to(value, ok.shape)[~ok][0])))
+    reject(np.logical_not(ok), DomainError, message, value)
 
 
 def validate(p: ChartPoint) -> None:
@@ -260,10 +255,10 @@ def compactify(x0: float, x1: float, rescaled: bool = False) -> ConformalVector:
 
 
 def invert_point(x: tuple[float, float]) -> tuple[float, float]:
-    """Inversion x -> x/|x|^2; the origin maps to infinity (pole)."""
+    """Inversion x -> x/|x|^2; the origin maps to infinity (pole).  The
+    coordinates may be arrays over samples."""
     nsq = x[0] * x[0] + x[1] * x[1]
-    if nsq < GUARD * GUARD:
-        raise PoleCrossingError("inversion pole at the origin")
+    reject(nsq < GUARD * GUARD, PoleCrossingError, "inversion pole at the origin")
     return (x[0] / nsq, x[1] / nsq)
 
 
@@ -274,7 +269,8 @@ def special_conformal(
 
     Infinitesimally this is the flow of minus the quadratic generator
     fields: the first-order change in x is -(c0*q0 + c1*q1) evaluated at x.
-    Points driven to a pole raise PoleCrossingError instead of overflowing.
+    Points driven to a pole raise PoleCrossingError instead of overflowing;
+    for arrays over samples the message names the first such sample.
     """
     y = invert_point(x)
     y = (y[0] + c[0], y[1] + c[1])

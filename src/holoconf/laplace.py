@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import dual
+from .bicomplex import _complex
 from .charts import TWO_PI, ChartId, ChartPoint, validate
 
 
@@ -118,9 +119,13 @@ def conjugate_derivative(f: Callable, x0: float, x1: float) -> complex:
 def legendre(l: int, m: int, x: float) -> float:
     """Associated Legendre function P_l^m(x) for 0 <= m <= l and |x| <= 1,
     with the Condon-Shortley phase, by the upward recurrence in l from
-    P_m^m = (-1)^m (2m-1)!! (1 - x^2)^(m/2)."""
-    somx2 = math.sqrt((1.0 - x) * (1.0 + x))
-    p_prev, p = 0.0, 1.0
+    P_m^m = (-1)^m (2m-1)!! (1 - x^2)^(m/2).  x may be an array."""
+    if not 0 <= m <= l:
+        raise ValueError(f"order (l, m) = ({l}, {m}) outside 0 <= m <= l")
+    if not np.all(np.abs(x) <= 1.0):
+        raise ValueError("argument outside [-1, 1]")
+    somx2 = np.sqrt((1.0 - x) * (1.0 + x))
+    p_prev, p = 0.0, 1.0 + 0.0 * x  # P_0^0, shaped as x
     for k in range(1, m + 1):
         p = -(2 * k - 1) * somx2 * p
     for k in range(m + 1, l + 1):
@@ -128,44 +133,43 @@ def legendre(l: int, m: int, x: float) -> float:
     return p
 
 
+def _phase(angle):
+    """e^{i angle} as cos + i sin, exactly those parts."""
+    return _complex(np.cos(angle), np.sin(angle))
+
+
 def ylm(l: int, m: int, theta: float, phi: float) -> complex:
-    """Spherical harmonic, unit L2 norm, Condon-Shortley phase."""
+    """Spherical harmonic, unit L2 norm, Condon-Shortley phase.  theta and
+    phi may be arrays of one sample shape."""
     if abs(m) > l:
         raise ValueError(f"|m| = {abs(m)} exceeds l = {l}")
     if m < 0:
-        return (-1) ** (-m) * ylm(l, -m, theta, phi).conjugate()
+        return (-1) ** (-m) * np.conj(ylm(l, -m, theta, phi))
     norm = math.sqrt(
         (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
     )
-    return norm * legendre(l, m, math.cos(theta)) * complex(
-        math.cos(m * phi), math.sin(m * phi)
-    )
+    return norm * legendre(l, m, np.cos(theta)) * _phase(m * phi)
 
 
-def ylm_ratio(
-    l: int, grid: list[ChartPoint], negative_branch: bool = False
-) -> complex:
-    """Common ratio Y_l^{+-l} / solution^l over a holographic grid.
+def ylm_ratio(l: int, grid: ChartPoint, negative_branch: bool = False) -> complex:
+    """Common ratio Y_l^{+-l} / solution^l over a holographic array point.
 
     The ratio of the extremal harmonic to the l-th power solution (or its
     conjugate branch for m = -l) is a constant; a relative spread above
-    1e-10 across the grid raises ArithmeticError.
+    1e-10 across the grid raises ArithmeticError.  The mean is Python's
+    sequential sum over the samples in order, not numpy's pairwise one.
     """
     if l < 1:
         raise ValueError("ratio is defined for l >= 1")
-    if not grid:
+    if not len(grid):
         raise ValueError("empty evaluation grid")
-    ratios = []
+    if grid.chart is not ChartId.HOLOGRAPHIC:
+        raise ValueError("grid must consist of holographic points")
+    validate(grid)
     m = -l if negative_branch else l
-    for p in grid:
-        if p.chart is not ChartId.HOLOGRAPHIC:
-            raise ValueError("grid must consist of holographic points")
-        validate(p)
-        theta, phi = p.y0, p.y1
-        u = math.sin(theta) ** l * complex(math.cos(m * phi), math.sin(m * phi))
-        ratios.append(ylm(l, m, theta, phi) / u)
-    mean = sum(ratios) / len(ratios)
-    spread = math.sqrt(sum(abs(r - mean) ** 2 for r in ratios) / len(ratios))
+    ratios = ylm(l, m, grid.y0, grid.y1) / (np.sin(grid.y0) ** l * _phase(m * grid.y1))
+    mean = sum(ratios.tolist()) / len(ratios)
+    spread = math.sqrt(np.mean(np.abs(ratios - mean) ** 2))
     if spread > 1e-10 * abs(mean):
         raise ArithmeticError(
             f"Y ratio not constant: spread {spread} vs mean {mean}"

@@ -243,7 +243,7 @@ def charts_checks(cfg: SuiteConfig):
 
     for chart in ALL_CHARTS:
         # one draw shared by the five checks of the chart
-        p = ChartPoint.stack(sampling.chart_points(chart, n, _rng(cfg, f"ch.{chart.value}")))
+        p = sampling.chart_points(chart, n, _rng(cfg, f"ch.{chart.value}"))
 
         @run.check(
             f"basis_dual_vs_closed[{chart.value}]",
@@ -300,18 +300,15 @@ def charts_checks(cfg: SuiteConfig):
         "exact",
     )
     def _():
-        rng = _rng(cfg, "ch.null")
-        for _ in range(max(1000, cfg.samples)):
-            x0 = rng.uniform(-2.5, 2.5)
-            x1 = rng.uniform(-2.5, 2.5)
-            u = charts.compactify(x0, x1)
-            v = charts.compactify(x0, x1, rescaled=True)
-            yield from (
-                abs(u.null_defect()) / (1.0 + u.u3 * u.u3),
-                abs(v.null_defect()),
-                abs(v.u0**2 + v.u1**2 + v.u2**2 - 1.0),
-                abs(v.u3 - 1.0),
-            )
+        x = sampling.uniform(max(1000, cfg.samples), _rng(cfg, "ch.null"), (-2.5, 2.5), (-2.5, 2.5))
+        u = charts.compactify(*x)
+        v = charts.compactify(*x, rescaled=True)
+        yield from (
+            abs(u.null_defect()) / (1.0 + u.u3 * u.u3),
+            abs(v.null_defect()),
+            abs(v.u0**2 + v.u1**2 + v.u2**2 - 1.0),
+            abs(v.u3 - 1.0),
+        )
 
     @run.check(
         "special_conformal_values",
@@ -332,27 +329,22 @@ def charts_checks(cfg: SuiteConfig):
         inf_message=RATIO_UNDEFINED,
     )
     def _():
-        rng = _rng(cfg, "ch.sct")
+        ang, r, cang = sampling.uniform(
+            cfg.samples, _rng(cfg, "ch.sct"), (0, 2 * math.pi), (0.5, 2.0), (0, 2 * math.pi)
+        )
+        x = (r * np.cos(ang), r * np.sin(ang))
         q0 = algebra.generator(Q0, ChartId.CARTESIAN)
         q1 = algebra.generator(Q1, ChartId.CARTESIAN)
-        eps = 1e-3
-        coarse, fine = np.empty(cfg.samples), np.empty(cfg.samples)
-        for k in range(cfg.samples):
-            ang = rng.uniform(0, 2 * math.pi)
-            r = rng.uniform(0.5, 2.0)
-            x = (r * math.cos(ang), r * math.sin(ang))
-            cang = rng.uniform(0, 2 * math.pi)
 
-            def defect(scale):
-                c = (scale * math.cos(cang), scale * math.sin(cang))
-                y = charts.special_conformal(x, c)
-                # first-order step is minus the quadratic fields
-                dx0 = -(c[0] * q0.coeffs[0](*x) + c[1] * q1.coeffs[0](*x))
-                dx1 = -(c[0] * q0.coeffs[1](*x) + c[1] * q1.coeffs[1](*x))
-                return math.hypot(y[0] - (x[0] + dx0), y[1] - (x[1] + dx1))
+        def defect(scale):
+            c = (scale * np.cos(cang), scale * np.sin(cang))
+            y = charts.special_conformal(x, c)
+            # first-order step is minus the quadratic fields
+            dx0 = -(c[0] * q0.coeffs[0](*x) + c[1] * q1.coeffs[0](*x))
+            dx1 = -(c[0] * q0.coeffs[1](*x) + c[1] * q1.coeffs[1](*x))
+            return np.hypot(y[0] - (x[0] + dx0), y[1] - (x[1] + dx1))
 
-            coarse[k], fine[k] = defect(eps), defect(eps / 2)
-        yield _ratio_defect(coarse, fine)
+        yield _ratio_defect(defect(1e-3), defect(5e-4))
 
     return run.results
 
@@ -389,7 +381,7 @@ def laplace_checks(cfg: SuiteConfig):
             pts = sampling.chart_points(chart, 3, rng)
             # the alpha x point grid, flattened: every point for each alpha
             alpha = np.repeat(alphas, len(pts))
-            grid = ChartPoint.stack(pts * len(alphas))
+            grid = ChartPoint(chart, np.tile(pts.y0, len(alphas)), np.tile(pts.y1, len(alphas)))
             u = laplace.solve(alpha, chart, grid)
             yield laplace.residual(alpha, chart, grid) / (1.0 + np.abs(u))
 
@@ -403,7 +395,7 @@ def laplace_checks(cfg: SuiteConfig):
         )
         def _():
             rng = _rng(cfg, f"lap.scale.{chart.value}")
-            p = ChartPoint.stack(sampling.chart_points(chart, 10, rng))
+            p = sampling.chart_points(chart, 10, rng)
             flat_p = ChartPoint(ChartId.CARTESIAN, *charts.embed(p))
             for _ in range(3):
                 poly = _random_polynomial(rng)
@@ -424,8 +416,8 @@ def laplace_checks(cfg: SuiteConfig):
     )
     def _():
         rng = _rng(cfg, "lap.consist")
-        p = ChartPoint.stack(sampling.chart_points(ChartId.HOLOGRAPHIC, cfg.samples, rng))
-        alpha = np.array(sampling.scale_dimensions(cfg.samples, rng))
+        p = sampling.chart_points(ChartId.HOLOGRAPHIC, cfg.samples, rng)
+        alpha = sampling.scale_dimensions(cfg.samples, rng)
         x0, x1 = charts.embed(p)
         ref = laplace.solve(alpha, ChartId.HOLOGRAPHIC, p)
         for chart in (ChartId.CARTESIAN, ChartId.POLAR, ChartId.CONFORMAL):
@@ -456,8 +448,8 @@ def laplace_checks(cfg: SuiteConfig):
     )
     def _():
         rng = _rng(cfg, "lap.holo")
-        p = ChartPoint.stack(sampling.chart_points(ChartId.CARTESIAN, cfg.samples, rng))
-        alpha = np.array(sampling.scale_dimensions(cfg.samples, rng))
+        p = sampling.chart_points(ChartId.CARTESIAN, cfg.samples, rng)
+        alpha = sampling.scale_dimensions(cfg.samples, rng)
         f = laplace.SolutionFamily(alpha, ChartId.CARTESIAN)
         d = laplace.conjugate_derivative(f, p.y0, p.y1)
         yield np.abs(d) / (1.0 + np.abs(alpha) * np.abs(f(p.y0, p.y1)))
@@ -498,8 +490,8 @@ def algebra_checks(cfg: SuiteConfig):
         )
         def _():
             rng = _rng(cfg, f"alg.eig.{chart.value}")
-            p = ChartPoint.stack(sampling.chart_points(chart, cfg.samples, rng))
-            alpha = np.array(sampling.scale_dimensions(cfg.samples, rng))
+            p = sampling.chart_points(chart, cfg.samples, rng)
+            alpha = sampling.scale_dimensions(cfg.samples, rng)
             for g in GENERATORS:
                 expected = algebra.eigenaction_expected(g, alpha, p)
                 yield np.abs(algebra.act(g, alpha, p) - expected) / (1.0 + np.abs(expected))
@@ -511,15 +503,14 @@ def algebra_checks(cfg: SuiteConfig):
         "tol",
     )
     def _():
-        us = sampling.upsilon_points(10, _rng(cfg, "alg.degree"))
+        u = sampling.upsilon_points(10, _rng(cfg, "alg.degree"))
         p0 = algebra.generator(P0, UPSILON_LINE)
         q0 = algebra.generator(Q0, UPSILON_LINE)
         for n in range(9):
             mono = lambda u, n=n: u**n
-            for u in us:
-                expected_p = n * u ** (n - 1) if n else 0.0
-                yield abs(algebra.apply_to_function(p0, mono, u) - expected_p)
-                yield abs(algebra.apply_to_function(q0, mono, u) - n * u ** (n + 1))
+            expected_p = n * u ** (n - 1) if n else 0.0
+            yield abs(algebra.apply_to_function(p0, mono, u) - expected_p)
+            yield abs(algebra.apply_to_function(q0, mono, u) - n * u ** (n + 1))
 
     for r in FIELD_REALIZATIONS:
         name = algebra.realization_key(r)
@@ -562,7 +553,7 @@ def algebra_checks(cfg: SuiteConfig):
         "tol",
     )
     def _():
-        u = np.array(sampling.upsilon_points(cfg.samples, _rng(cfg, "alg.tensor")))
+        u = sampling.upsilon_points(cfg.samples, _rng(cfg, "alg.tensor"))
         pack = algebra.generator_tensors(UPSILON_LINE, u).combine(algebra.SO31_PACK_MATRIX)
         m = algebra.angular_tensor(u)
         yield np.abs(m + m.swapaxes(0, 1))
@@ -588,8 +579,8 @@ def algebra_checks(cfg: SuiteConfig):
             ref = algebra.generator(target, ChartId.HOLOGRAPHIC)
             yield np.abs(algebra.field_values(sub, pts) - algebra.field_values(ref, pts))
 
-    def curve_points():
-        return sampling.chart_points(ChartId.HOLOGRAPHIC, 10, _rng(cfg, "alg.curve"))
+    # one draw shared by the two tangent-curve checks
+    curve = sampling.chart_points(ChartId.HOLOGRAPHIC, 10, _rng(cfg, "alg.curve"))
 
     @run.check(
         "tangent_curve_derivative",
@@ -598,14 +589,13 @@ def algebra_checks(cfg: SuiteConfig):
         "tol",
     )
     def _():
-        for p in curve_points():
-            u = laplace.solve(1.0, ChartId.HOLOGRAPHIC, p)
-            flow_derivative = algebra.apply_to_function(
-                algebra.generator(B, ChartId.HOLOGRAPHIC),
-                laplace.SolutionFamily(1.0, ChartId.HOLOGRAPHIC),
-                p,
-            )
-            yield abs(flow_derivative - u)
+        u = laplace.solve(1.0, ChartId.HOLOGRAPHIC, curve)
+        flow_derivative = algebra.apply_to_function(
+            algebra.generator(B, ChartId.HOLOGRAPHIC),
+            laplace.SolutionFamily(1.0, ChartId.HOLOGRAPHIC),
+            curve,
+        )
+        yield abs(flow_derivative - u)
 
     @run.check(
         "tangent_curve_order",
@@ -615,15 +605,13 @@ def algebra_checks(cfg: SuiteConfig):
         inf_message=RATIO_UNDEFINED,
     )
     def _():
-        for p in curve_points():
+        theta, phi = curve.y0, curve.y1
 
-            def sine_defect(eps):
-                approx = math.sin(p.y0 + eps * math.tan(p.y0)) * complex(
-                    math.cos(p.y1), math.sin(p.y1)
-                )
-                return abs(algebra.tangent_curve(eps, p) - approx)
+        def sine_defect(eps):
+            approx = np.sin(theta + eps * np.tan(theta)) * (np.cos(phi) + 1j * np.sin(phi))
+            return abs(algebra.tangent_curve(eps, curve) - approx)
 
-            yield _ratio_defect(sine_defect(1e-3), sine_defect(5e-4)) / 0.4
+        yield _ratio_defect(sine_defect(1e-3), sine_defect(5e-4)) / 0.4
         quarter = ChartPoint(ChartId.HOLOGRAPHIC, math.pi / 4, 0.0)
         yield abs(algebra.tangent_curve(1e-3, quarter) - math.sin(math.pi / 4 + 1e-3)) / 1e-5
 
@@ -735,10 +723,10 @@ def projective_checks(cfg: SuiteConfig):
         "exact",
     )
     def _():
+        eps = np.array([0.3, -0.7, 1e-3])
         for ring in projective.Ring:
             for g in projective.supported_generators(ring):
-                for eps in (0.3, -0.7, 1e-3):
-                    yield projective.absval(projective.exp_one_param(g, eps, ring).det() - 1.0)
+                yield projective.absval(projective.exp_one_param(g, eps, ring).det() - 1.0)
         eps = 0.37
         m = projective.exp_one_param(S01, eps, projective.Ring.COMPLEX)
         yield from (
@@ -765,11 +753,7 @@ def projective_checks(cfg: SuiteConfig):
         exact_floor = 1e-13
         eps = 1e-3
         for g in GENERATORS:
-            v0 = np.empty(10, dtype=complex)
-            for k in range(10):
-                r = rng.uniform(0.3, 1.2)
-                ang = rng.uniform(0, 2 * math.pi)
-                v0[k] = complex(r * math.cos(ang), r * math.sin(ang))
+            v0 = sampling.upsilon_points(10, rng, radii=(0.3, 1.2))
             d1 = projective.flow_consistency(g, v0, eps)
             d2 = projective.flow_consistency(g, v0, eps / 2)
             # translation flows are exact; a NaN defect stays in
@@ -810,17 +794,11 @@ def projective_checks(cfg: SuiteConfig):
         "exact",
     )
     def _():
-        rng = _rng(cfg, "proj.hopf")
-        raw, lam = np.empty((4, cfg.samples)), np.empty(cfg.samples)
-        kept = 0
-        for _ in range(cfg.samples):
-            c = [rng.uniform(-2, 2) for _ in range(4)]
-            if all(abs(x) < 1e-3 for x in c):
-                continue  # no fiber angle is drawn for a skipped sample
-            raw[:, kept] = c
-            lam[kept] = rng.uniform(0, 2 * math.pi)
-            kept += 1
-        raw, lam = raw[:, :kept], lam[:kept]
+        *raw, lam = sampling.uniform(cfg.samples, _rng(cfg, "proj.hopf"), *[(-2, 2)] * 4, (0, 2 * math.pi))
+        raw = np.array(raw)
+        # skip the samples whose four components all lie near 0
+        keep = ~np.all(np.abs(raw) < 1e-3, axis=0)
+        raw, lam = raw[:, keep], lam[keep]
         xi = projective.hopf_raw(*raw)
         nsq = sum(c * c for c in raw)
         # agreement with the bicomplex involution projections
@@ -848,10 +826,9 @@ def projective_checks(cfg: SuiteConfig):
         "exact",
     )
     def _():
-        # per sample: re v1, im v1, re v2, im v2
-        c = sampling.uniform_array(4 * cfg.samples, _rng(cfg, "proj.charts"), -2, 2)
-        v1 = c[0::4] + 1j * c[1::4]
-        v2 = c[2::4] + 1j * c[3::4]
+        re1, im1, re2, im2 = sampling.uniform(cfg.samples, _rng(cfg, "proj.charts"), *[(-2, 2)] * 4)
+        v1 = re1 + 1j * im1
+        v2 = re2 + 1j * im2
         keep = (bc.modulus(v1) >= 1e-3) & (bc.modulus(v2) >= 1e-3)
         p = projective.ProjectivePoint(v1[keep], v2[keep])
         tr = projective.chart_transition(p)

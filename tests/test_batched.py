@@ -20,7 +20,7 @@ from holoconf.algebra import GENERATORS, P0, Q0, Q1, UPSILON_LINE
 from holoconf.bicomplex import Bicomplex
 from holoconf.charts import ChartId, ChartPoint, DomainError
 from holoconf.projective import ProjectivePoint, Ring, S3Point, SpinMatrix
-from holoconf.sampling import bicomplex_batch, bicomplex_values, chart_points, scale_dimensions
+from holoconf.sampling import bicomplex_batch, chart_points, scale_dimensions, upsilon_points
 
 ALL_CHARTS = (ChartId.CARTESIAN, ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL)
 REALIZATIONS = ALL_CHARTS + (UPSILON_LINE,)
@@ -62,7 +62,7 @@ def test_field_values_match_per_point_evaluation(realization):
 def closure_gradient(x, pts):
     """d_j of each coefficient of x by jet-lifting the stacked arguments,
     shape (arity, arity, npts) as TaylorField.g."""
-    args = algebra.point_args(x.realization, algebra.stack_points(x.realization, pts))
+    args = algebra.point_args(x.realization, pts)
     return np.array(
         [
             [
@@ -116,38 +116,39 @@ def test_taylor_structure_table_covers_polar():
 @pytest.mark.parametrize("chart", ALL_CHARTS, ids=str)
 def test_act_solve_laplacian_with_array_alpha(chart):
     rng = random.Random(6)
-    pts = chart_points(chart, 20, rng)
-    alphas = scale_dimensions(20, rng)
-    p, alpha = ChartPoint.stack(pts), np.array(alphas)
+    p = chart_points(chart, 20, rng)
+    alpha = scale_dimensions(20, rng)
     assert_close(
         laplace.solve(alpha, chart, p),
-        [laplace.solve(a, chart, q) for a, q in zip(alphas, pts)],
+        [laplace.solve(a, chart, q) for a, q in zip(alpha, p)],
     )
     # the solutions' Laplacians vanish to roundoff, so compare on a function
     # whose Laplacian does not
     f = lambda y0, y1: dual.exp(0.3 * y0) * dual.cos(y1) * y0
-    assert_close(laplace.laplacian(chart, f, p), [laplace.laplacian(chart, f, q) for q in pts])
+    assert_close(laplace.laplacian(chart, f, p), [laplace.laplacian(chart, f, q) for q in p])
     u = laplace.solve(alpha, chart, p)
     assert np.all(laplace.residual(alpha, chart, p) <= 1e-10 * (1.0 + np.abs(u)))
     for g in GENERATORS:
         assert_close(
-            algebra.act(g, alpha, p), [algebra.act(g, a, q) for a, q in zip(alphas, pts)]
+            algebra.act(g, alpha, p), [algebra.act(g, a, q) for a, q in zip(alpha, p)]
         )
         assert_close(
             algebra.eigenaction_expected(g, alpha, p),
-            [algebra.eigenaction_expected(g, a, q) for a, q in zip(alphas, pts)],
+            [algebra.eigenaction_expected(g, a, q) for a, q in zip(alpha, p)],
         )
 
 
 @pytest.mark.parametrize("chart", ALL_CHARTS, ids=str)
 def test_chart_tensors_on_array_points(chart):
-    pts = chart_points(chart, 25, random.Random(7))
-    p = ChartPoint.stack(pts)
+    p = chart_points(chart, 25, random.Random(7))
+    # len and indexing of an array point; iterating it gives the single points
+    assert len(p) == 25 and p[3].chart is chart
+    assert np.array_equal(p[3:9:2].y0, p.y0[3:9:2]) and np.array_equal(p[3:9:2].y1, p.y1[3:9:2])
     for fn in (charts.basis, charts.basis_closed_form):
         batched = fn(p)
         for k in (0, 1):
-            assert batched[k].shape == (2, len(pts))
-            assert_close(batched[k], np.stack([fn(q)[k] for q in pts], axis=-1))
+            assert batched[k].shape == (2, len(p))
+            assert_close(batched[k], np.stack([fn(q)[k] for q in p], axis=-1))
     for fn in (
         charts.metric,
         charts.jacobian_lower,
@@ -155,12 +156,62 @@ def test_chart_tensors_on_array_points(chart):
         charts.jacobian_mixed_closed_form,
     ):
         batched = fn(p)
-        assert batched.shape == (2, 2, len(pts))
-        assert_close(batched, np.stack([fn(q) for q in pts], axis=-1))
+        assert batched.shape == (2, 2, len(p))
+        assert_close(batched, np.stack([fn(q) for q in p], axis=-1))
     q = charts.invert(chart, *charts.embed(p))
-    scalar = [charts.invert(chart, *charts.embed(r)) for r in pts]
+    scalar = [charts.invert(chart, *charts.embed(r)) for r in p]
     assert_close(q.y0, [r.y0 for r in scalar])
     assert_close(q.y1, [r.y1 for r in scalar])
+
+
+CHART_RANGES = {
+    ChartId.POLAR: (0.3, 2.2),
+    ChartId.HOLOGRAPHIC: (0.15, math.pi / 2 - 0.15),
+    ChartId.CONFORMAL: (-1.0, 1.0),
+}
+SAMPLED = (*(str(c) for c in ALL_CHARTS), UPSILON_LINE, "scale-dimensions")
+
+
+def sampler_draws(name: str, n: int, rng: random.Random) -> tuple:
+    """The arrays the sampler of name returns."""
+    if name == UPSILON_LINE:
+        return (upsilon_points(n, rng),)
+    if name == "scale-dimensions":
+        return (scale_dimensions(n, rng),)
+    p = chart_points(ChartId(name), n, rng)
+    return (p.y0, p.y1)
+
+
+def ref_draws(name: str, n: int, rng: random.Random) -> tuple:
+    """The same values as lists, drawn one sample at a time."""
+    rows = []
+    for _ in range(n):
+        if name == UPSILON_LINE:
+            r = rng.uniform(0.4, 1.6)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            rows.append((complex(r * math.cos(phi), r * math.sin(phi)),))
+        elif name == "scale-dimensions":
+            rows.append((complex(rng.uniform(-3, 3), rng.uniform(-1, 1)),))
+        elif name == "cartesian":
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            r = rng.uniform(0.3, 2.2)
+            rows.append((r * math.cos(phi), r * math.sin(phi)))
+        else:
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            rows.append((rng.uniform(*CHART_RANGES[ChartId(name)]), phi))
+    return tuple(map(list, zip(*rows)))
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+@pytest.mark.parametrize("n", (0, 1, 257))
+def test_samplers_make_the_per_point_draws(name, n):
+    rng, rng_ref = random.Random(18), random.Random(18)
+    got, want = sampler_draws(name, n, rng), ref_draws(name, n, rng_ref)
+    assert rng.getstate() == rng_ref.getstate()
+    dtype = float if name in map(str, ALL_CHARTS) else complex
+    for k, g in enumerate(got):
+        assert g.dtype == dtype and g.shape == (n,)
+        assert g.tobytes() == np.array(want[k] if n else [], dtype=dtype).tobytes()
 
 
 def test_scalar_points_keep_their_shapes():
@@ -186,9 +237,38 @@ def test_validate_rejects_one_bad_sample(chart, y0, y1, fragment):
         charts.basis(ChartPoint(chart, np.array(y0), np.array(y1)))
 
 
-def test_stack_rejects_mixed_charts():
-    with pytest.raises(ValueError):
-        ChartPoint.stack([ChartPoint(ChartId.POLAR, 1.0, 0.0), ChartPoint(ChartId.CONFORMAL, 1.0, 0.0)])
+def test_plane_maps_and_harmonics_on_arrays():
+    rng = random.Random(17)
+    x0 = np.array([rng.uniform(-2.5, 2.5) for _ in range(40)])
+    x1 = np.array([rng.uniform(-2.5, 2.5) for _ in range(40)])
+    c = (np.array([rng.uniform(-0.5, 0.5) for _ in range(40)]), -0.25)
+    for rescaled in (False, True):
+        got = charts.compactify(x0, x1, rescaled).as_array()
+        want = [charts.compactify(float(a), float(b), rescaled).as_array() for a, b in zip(x0, x1)]
+        assert np.array_equal(got, np.array(want).T)
+    got = charts.special_conformal((x0, x1), c)
+    want = [
+        charts.special_conformal((float(a), float(b)), (float(ca), c[1])) for a, b, ca in zip(x0, x1, c[0])
+    ]
+    assert np.array_equal(np.array(got), np.array(want).T)
+    grid = chart_points(ChartId.HOLOGRAPHIC, 20, rng)
+    for l in range(5):
+        for m in range(-l, l + 1):
+            want = [complex(laplace.ylm(l, m, float(q.y0), float(q.y1))) for q in grid]
+            assert np.array_equal(laplace.ylm(l, m, grid.y0, grid.y1), want)
+            if m >= 0:
+                x = np.cos(grid.y0)
+                want = [laplace.legendre(l, m, float(t)) for t in x]
+                assert np.array_equal(laplace.legendre(l, m, x), want)
+        if l:
+            for m in (l, -l):
+                ratios = [
+                    complex(laplace.ylm(l, m, q.y0, q.y1))
+                    / (math.sin(q.y0) ** l * complex(math.cos(m * q.y1), math.sin(m * q.y1)))
+                    for q in grid
+                ]
+                got = laplace.ylm_ratio(l, grid, negative_branch=m < 0)
+                assert_close(got, sum(ratios) / len(ratios))
 
 
 # --- bicomplex and projective -------------------------------------------------
@@ -231,10 +311,16 @@ def test_modulus_and_quotient_round_as_python():
     assert bc.quotient(3.0, 2.0) == 1.5 and bc.modulus(3.0 - 4.0j) == 5.0
 
 
+def ref_bicomplex_values(n: int, rng: random.Random, scale: float = 2.0) -> list:
+    """n numbers of four rng.uniform(-scale, scale) components each, drawn
+    one number at a time."""
+    return [Bicomplex(*(rng.uniform(-scale, scale) for _ in range(4))) for _ in range(n)]
+
+
 def test_bicomplex_batch_makes_the_draws_of_bicomplex_values():
     for n, scale in ((0, 2.0), (1, 2.0), (257, 0.8)):
         rng_values, rng_batch = random.Random(9), random.Random(9)
-        values = bicomplex_values(n, rng_values, scale)
+        values = ref_bicomplex_values(n, rng_values, scale)
         batch = bicomplex_batch(n, rng_batch, scale)
         assert rng_batch.getstate() == rng_values.getstate()
         assert batch.re.shape == (n,)
@@ -243,7 +329,7 @@ def test_bicomplex_batch_makes_the_draws_of_bicomplex_values():
 
 def test_bicomplex_arithmetic_is_bitwise_the_scalar_path():
     rng = random.Random(10)
-    a_list, b_list = bicomplex_values(300, rng), bicomplex_values(300, rng, scale=0.8)
+    a_list, b_list = ref_bicomplex_values(300, rng), ref_bicomplex_values(300, rng, scale=0.8)
     rng = random.Random(10)
     a, b = bicomplex_batch(300, rng), bicomplex_batch(300, rng, scale=0.8)
     pairs = list(zip(a_list, b_list))
@@ -265,7 +351,7 @@ def test_bicomplex_arithmetic_is_bitwise_the_scalar_path():
 
 def test_involution_projections_on_arrays():
     rng = random.Random(11)
-    values = bicomplex_values(200, rng)
+    values = ref_bicomplex_values(200, rng)
     t = bc.involution_projections(bicomplex_batch(200, random.Random(11)))
     for name in ("xi1", "xi2", "xi3", "len_sq"):
         want = [getattr(bc.involution_projections(s), name) for s in values]
@@ -327,7 +413,7 @@ def test_mobius_apply_complex_on_arrays():
 
 def test_mobius_apply_bicomplex_on_arrays():
     rng = random.Random(13)
-    v_list = bicomplex_values(40, rng, scale=0.5)
+    v_list = ref_bicomplex_values(40, rng, scale=0.5)
     v = bicomplex_batch(40, random.Random(13), scale=0.5)
     eps = np.linspace(-0.6, 0.6, 40)
     for g in GENERATORS:
@@ -429,6 +515,11 @@ def test_chart_transition_on_arrays():
         (lambda: S3Point(np.array([1.0, 0.0]), np.array([0.0, 0.0]), 0.0, 0.0), ValueError, "zero vector at sample 1"),
         (lambda: ProjectivePoint(np.array([1j, math.inf, 1.0]), np.ones(3)), ValueError, "sample 1"),
         (lambda: ProjectivePoint(np.array([1j, 0j]), np.array([0j, 0j])), ValueError, "sample 1"),
+        (
+            lambda: charts.special_conformal((np.array([1.0, 1.0, 0.5]), 0.0), (np.array([0.3, -1.0, 0.0]), 0.0)),
+            charts.PoleCrossingError,
+            "pole at the origin at sample 1",
+        ),
         (
             lambda: Bicomplex(np.array([1.0, 2.0, 0.5, 1.0]), 0.0, 0.0, np.array([0.0, 0.0, 0.5, 1.0])).inverse(),
             bc.ZeroDivisorError,

@@ -9,7 +9,7 @@ import pytest
 
 from holoconf import bicomplex as bc
 from holoconf.bicomplex import Bicomplex
-from holoconf.sampling import bicomplex_values
+from holoconf.sampling import bicomplex_batch
 
 TOL = 1e-12
 
@@ -44,13 +44,13 @@ def test_null_unit_products():
 
 def test_multiplicative_identity_random():
     rng = random.Random(11)
-    for x in bicomplex_values(50, rng):
+    for x in bicomplex_batch(50, rng):
         assert max_abs(bc.ONE * x - x) == 0.0
 
 
 def test_ring_axioms_random():
     rng = random.Random(12)
-    vals = bicomplex_values(300, rng)
+    vals = bicomplex_batch(300, rng)
     for a, b, c in zip(vals[0::3], vals[1::3], vals[2::3]):
         assert max_abs((a * b) * c - a * (b * c)) <= TOL
         assert max_abs(a * b - b * a) <= TOL
@@ -72,7 +72,7 @@ def test_involution_unit_signs():
 
 def test_involutions_random():
     rng = random.Random(13)
-    vals = bicomplex_values(200, rng)
+    vals = bicomplex_batch(200, rng)
     for a, b in zip(vals[0::2], vals[1::2]):
         assert max_abs(a.conjugate().conjugate() - a) == 0.0
         assert max_abs(a.reverse().reverse() - a) == 0.0
@@ -117,7 +117,7 @@ def test_projection_examples():
 
 def test_projection_norm_identity_random():
     rng = random.Random(14)
-    for s in bicomplex_values(200, rng):
+    for s in bicomplex_batch(200, rng):
         t = bc.involution_projections(s)
         nsq = s.squared_length()
         assert t.len_sq == pytest.approx(nsq, abs=TOL * (1 + nsq))
@@ -165,13 +165,13 @@ def test_exp_against_series_oracle():
     assert max_abs(b.exp() - _exp_series(b, terms=35)) <= 1e-12
     assert max_abs(b.exp() + bc.ONE) <= 1e-14
     rng = random.Random(15)
-    for a in bicomplex_values(20, rng, scale=0.6):
+    for a in bicomplex_batch(20, rng, scale=0.6):
         assert max_abs(a.exp() - _exp_series(a, terms=25)) <= 1e-12
 
 
 def test_exp_addition_random():
     rng = random.Random(16)
-    vals = bicomplex_values(100, rng, scale=0.8)
+    vals = bicomplex_batch(100, rng, scale=0.8)
     for a, b in zip(vals[0::2], vals[1::2]):
         lhs = a.exp() * b.exp()
         rhs = (a + b).exp()
@@ -190,7 +190,7 @@ def test_inverse_and_zero_divisors():
 
 def test_idempotent_split_roundtrip():
     rng = random.Random(17)
-    for x in bicomplex_values(50, rng):
+    for x in bicomplex_batch(50, rng):
         zp, zm = x.idempotent_parts()
         assert max_abs(Bicomplex.from_idempotent_parts(zp, zm) - x) <= 1e-15
     # the split diagonalizes multiplication

@@ -136,9 +136,7 @@ def test_zero_richardson_denominator_fails_with_message(monkeypatch):
         )
 
     def sine_curve(eps, p):
-        return math.sin(p.y0 + eps * math.tan(p.y0)) * complex(
-            math.cos(p.y1), math.sin(p.y1)
-        )
+        return np.sin(p.y0 + eps * np.tan(p.y0)) * (np.cos(p.y1) + 1j * np.sin(p.y1))
 
     monkeypatch.setattr(charts, "special_conformal", first_order_step)
     monkeypatch.setattr(algebra, "tangent_curve", sine_curve)

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from holoconf import laplace
@@ -137,7 +138,7 @@ def test_ylm_ratio_errors():
     with pytest.raises(ValueError):
         ylm_ratio(1, [])
     with pytest.raises(ValueError):
-        ylm_ratio(1, [ChartPoint(ChartId.POLAR, 1.0, 0.0)])
+        ylm_ratio(1, ChartPoint(ChartId.POLAR, np.array([1.0]), np.array([0.0])))
 
 
 def test_ylm_values():
@@ -194,6 +195,15 @@ def test_legendre_no_further_from_mpmath_than_scipy():
     special = pytest.importorskip("scipy.special")
     scipy_error = _legendre_error(mpmath, lambda l, m, x: float(special.lpmv(m, l, x)))
     assert _legendre_error(mpmath, laplace.legendre) <= scipy_error
+
+
+@pytest.mark.parametrize(
+    "l, m, x",
+    [(1, 2, 0.3), (2, -1, 0.3), (-1, 0, 0.3), (2, 1, 1.5), (3, 0, np.array([0.2, -1.2])), (1, 1, math.nan)],
+)
+def test_legendre_rejects_orders_and_arguments_outside_its_domain(l, m, x):
+    with pytest.raises(ValueError):
+        laplace.legendre(l, m, x)
 
 
 def test_holomorphy_annihilation():
