@@ -766,17 +766,10 @@ def projective_checks(cfg: SuiteConfig):
         "tol",
     )
     def _():
-        rng = _rng(cfg, "proj.mobius")
-        count = cfg.samples
-        first, second = np.empty(count, dtype=int), np.empty(count, dtype=int)
-        eps_m, eps_n, v = np.empty(count), np.empty(count), np.empty(count, dtype=complex)
-        for k in range(count):
-            g0, g1 = rng.sample(GENERATORS, 2)
-            first[k], second[k] = GENERATORS.index(g0), GENERATORS.index(g1)
-            eps_m[k] = rng.uniform(-0.8, 0.8)
-            eps_n[k] = rng.uniform(-0.8, 0.8)
-            v[k] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        m, n = _exp_per_sample(first, eps_m), _exp_per_sample(second, eps_n)
+        first, second, eps_m, eps_n, *v = sampling.index_pairs(
+            cfg.samples, _rng(cfg, "proj.mobius"), len(GENERATORS), *[(-0.8, 0.8)] * 2, *[(-1, 1)] * 2
+        )
+        m, n, v = _exp_per_sample(first, eps_m), _exp_per_sample(second, eps_n), bc._complex(*v)
         mn = m @ n
         # skip the samples that sit on a pole of any of the three maps
         keep = _off_pole(mn, v) & _off_pole(n, v)

@@ -14,13 +14,21 @@ import random
 import numpy as np
 import pytest
 
-from holoconf import algebra, charts, dual, laplace, projective
+from holoconf import algebra, charts, dual, grids, laplace, projective
 from holoconf import bicomplex as bc
 from holoconf.algebra import GENERATORS, P0, Q0, Q1, UPSILON_LINE
 from holoconf.bicomplex import Bicomplex
 from holoconf.charts import ChartId, ChartPoint, DomainError
 from holoconf.projective import ProjectivePoint, Ring, S3Point, SpinMatrix
-from holoconf.sampling import bicomplex_batch, chart_points, scale_dimensions, upsilon_points
+from holoconf.sampling import (
+    bicomplex_batch,
+    chart_points,
+    index_pairs,
+    scale_dimensions,
+    uniform,
+    upsilon_points,
+    words,
+)
 
 ALL_CHARTS = (ChartId.CARTESIAN, ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL)
 REALIZATIONS = ALL_CHARTS + (UPSILON_LINE,)
@@ -214,6 +222,103 @@ def test_samplers_make_the_per_point_draws(name, n):
         assert g.tobytes() == np.array(want[k] if n else [], dtype=dtype).tobytes()
 
 
+@pytest.mark.parametrize("n", (0, 1, 3, 4095, 4096, 4097))
+def test_uniform_and_words_make_the_per_call_draws(n):
+    # uniform draws 8192 values a block: 4096 samples of two ranges fill one
+    rng, rng_ref = random.Random(n), random.Random(n)
+    got = uniform(n, rng, (-2, 2), (0.5, 7.0))
+    want = [[rng_ref.uniform(-2, 2), rng_ref.uniform(0.5, 7.0)] for _ in range(n)]
+    assert rng.getstate() == rng_ref.getstate()
+    for k, g in enumerate(got):
+        assert g.dtype == float and g.tobytes() == np.array([w[k] for w in want], float).tobytes()
+    raw = words(rng, 2 * n + 1)
+    assert raw.dtype == np.uint32
+    assert raw.tolist() == [rng_ref.getrandbits(32) for _ in range(2 * n + 1)]
+    assert rng.getstate() == rng_ref.getstate()
+
+
+MOBIUS_RANGES = ((-0.8, 0.8), (-0.8, 0.8), (-1, 1), (-1, 1))
+
+
+def ref_index_pairs(n: int, rng: random.Random) -> tuple:
+    """mobius_group_action's former draw loop: a generator pair, then one
+    uniform draw per range, one sample at a time."""
+    rows = []
+    for _ in range(n):
+        g0, g1 = rng.sample(GENERATORS, 2)
+        rows.append((GENERATORS.index(g0), GENERATORS.index(g1), *(rng.uniform(*r) for r in MOBIUS_RANGES)))
+    return tuple(zip(*rows)) if n else ((),) * 6
+
+
+def assert_same_index_pairs(got: tuple, want: tuple, n: int):
+    assert len(got) == 6
+    for g, w, dtype in zip(got, want, (int, int, float, float, float, float)):
+        assert g.dtype == dtype and g.shape == (n,)
+        assert g.tobytes() == np.array(w, dtype).tobytes()
+
+
+# index_pairs parses up to 1024 samples a block
+@pytest.mark.parametrize("n", (0, 1, 2, 1023, 1024, 1025, 10000))
+def test_index_pairs_make_the_sample_and_uniform_draws(n):
+    for seed in range(30):
+        rng, rng_ref = random.Random(seed), random.Random(seed)
+        got = index_pairs(n, rng, len(GENERATORS), *MOBIUS_RANGES)
+        want = ref_index_pairs(n, rng_ref)
+        assert rng.getstate() == rng_ref.getstate()
+        assert_same_index_pairs(got, want, n)
+
+
+class WordStream(random.Random):
+    """A Random that serves a fixed list of 32-bit words as MT19937's methods
+    consume theirs: getrandbits(k) takes the top k bits of one word for
+    0 < k <= 32 and k // 32 whole words (first word lowest) for larger k, and
+    random() takes two words."""
+
+    def __init__(self, stream):
+        super().__init__(0)
+        self.stream, self.pos = stream, 0
+
+    def take(self, n: int) -> list:
+        self.pos += n
+        assert self.pos <= len(self.stream)
+        return self.stream[self.pos - n : self.pos]
+
+    def getrandbits(self, k: int) -> int:
+        if k <= 32:
+            return self.take(1)[0] >> (32 - k) if k else 0
+        assert k % 32 == 0
+        return int.from_bytes(np.array(self.take(k // 32), "<u4").tobytes(), "little")
+
+    def random(self) -> float:
+        w0, w1 = self.take(2)
+        return ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0)
+
+    def getstate(self):
+        return self.pos
+
+    def setstate(self, pos):
+        self.pos = pos
+
+
+@pytest.mark.parametrize("size", (2, 6, 21))
+def test_index_pairs_outlast_long_rejection_runs(size):
+    # 20000 rejected words open the stream, more than a block of words holds,
+    # and rejection runs of every length follow
+    base = random.Random(size)
+    reject = 0xFFFFFFFF  # its top bits reject for every size in 2..21
+    stream = [reject] * 20000
+    for _ in range(60000):
+        stream += [reject] * min(int(base.expovariate(0.5)), 40) + [base.getrandbits(32)]
+    rng, rng_ref = WordStream(stream), WordStream(stream)
+    got = index_pairs(1500, rng, size, *MOBIUS_RANGES)
+    rows = []
+    for _ in range(1500):
+        i, j = rng_ref.sample(range(size), 2)
+        rows.append((i, j, *(rng_ref.uniform(*r) for r in MOBIUS_RANGES)))
+    assert rng.pos == rng_ref.pos
+    assert_same_index_pairs(got, tuple(zip(*rows)), 1500)
+
+
 def test_scalar_points_keep_their_shapes():
     p = ChartPoint(ChartId.POLAR, 1.5, 0.4)
     assert charts.basis(p)[0].shape == (2,)
@@ -235,6 +340,21 @@ def test_validate_rejects_one_bad_sample(chart, y0, y1, fragment):
         charts.validate(ChartPoint(chart, np.array(y0), np.array(y1)))
     with pytest.raises(DomainError):
         charts.basis(ChartPoint(chart, np.array(y0), np.array(y1)))
+
+
+@pytest.mark.parametrize("res", (37, 2000))
+def test_joukowski_rows_are_the_per_point_rows(res):
+    want = []
+    for radius in (1.0, 1.1, 1.3, 1.6, 2.0):
+        for k in range(res):
+            phi = 2.0 * math.pi * k / res
+            u = radius * cmath.exp(1j * phi)
+            c, s = algebra.cn(u), algebra.sn(u)
+            want.append((radius, phi, u.real, u.imag, c.real, c.imag, s.real, s.imag))
+    header, *rows = grids._joukowski_rows(res)
+    assert header[0] == "radius" and len(rows) == len(want)
+    # repr tells -0.0 from 0.0 and round-trips every float
+    assert [list(map(repr, r)) for r in rows] == [list(map(repr, r)) for r in want]
 
 
 def test_plane_maps_and_harmonics_on_arrays():
