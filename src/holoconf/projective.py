@@ -119,11 +119,18 @@ class SpinMatrix:
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
-    def __matmul__(self, other: "SpinMatrix") -> "SpinMatrix":
+    def __getitem__(self, index) -> "SpinMatrix":
+        """The samples at index of a matrix of entry arrays."""
+        return SpinMatrix(self.ring, *(e[index] for e in self.entries()))
+
+    def _ring_with(self, other: "SpinMatrix") -> Ring:
         if self.ring is not other.ring:
             raise ValueError("ring mismatch")
+        return self.ring
+
+    def __matmul__(self, other: "SpinMatrix") -> "SpinMatrix":
         return SpinMatrix(
-            self.ring,
+            self._ring_with(other),
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -131,22 +138,10 @@ class SpinMatrix:
         )
 
     def __add__(self, other: "SpinMatrix") -> "SpinMatrix":
-        return SpinMatrix(
-            self.ring,
-            self.a + other.a,
-            self.b + other.b,
-            self.c + other.c,
-            self.d + other.d,
-        )
+        return SpinMatrix(self._ring_with(other), *(x + y for x, y in zip(self.entries(), other.entries())))
 
     def __sub__(self, other: "SpinMatrix") -> "SpinMatrix":
-        return SpinMatrix(
-            self.ring,
-            self.a - other.a,
-            self.b - other.b,
-            self.c - other.c,
-            self.d - other.d,
-        )
+        return SpinMatrix(self._ring_with(other), *(x - y for x, y in zip(self.entries(), other.entries())))
 
     def scaled(self, factor) -> "SpinMatrix":
         return SpinMatrix(
@@ -268,10 +263,13 @@ POLE_TOL = 1e-14
 def mobius_apply(m: SpinMatrix, v):
     """Fractional-linear action (a v + b) / (c v + d) in the matrix's ring.
 
-    On arrays of samples, a sample on a pole raises PoleError; over the
-    bicomplex ring a full pole is reported before a null-line one."""
+    A non-finite argument, or over the real ring one with a nonzero
+    imaginary part, raises ValueError.  On arrays of samples, a sample on a
+    pole raises PoleError; over the bicomplex ring a full pole is reported
+    before a null-line one."""
     if m.ring is Ring.BICOMPLEX:
         v = _coerce(v)
+        reject(~np.isfinite(v.max_abs()), ValueError, "Mobius argument {} is not finite", v)
         den = m.c * v + m.d
         zp, zm = den.idempotent_parts()
         dead_p, dead_m = modulus(zp) <= POLE_TOL, modulus(zm) <= POLE_TOL
@@ -284,6 +282,9 @@ def mobius_apply(m: SpinMatrix, v):
             zm,
         )
         return (m.a * v + m.b) * den.inverse()
+    reject(~np.isfinite(v), ValueError, "Mobius argument {} is not finite", v)
+    if m.ring is Ring.REAL:
+        reject(np.imag(v) != 0, ValueError, "the real ring acts on real arguments, not {}", v)
     den = m.c * v + m.d
     reject(modulus(den) <= POLE_TOL, PoleError, "denominator vanished")
     out = quotient(m.a * v + m.b, den)

@@ -352,7 +352,7 @@ def charts_checks(cfg: SuiteConfig):
 # --- laplace -----------------------------------------------------------------
 
 def _random_polynomial(rng: random.Random):
-    coeffs = [[rng.uniform(-1, 1) for _ in range(4)] for _ in range(4)]
+    coeffs = np.transpose(sampling.uniform(4, rng, *[(-1, 1)] * 4)).tolist()
 
     def f(x0, x1):
         acc = 0.0
@@ -620,24 +620,34 @@ def algebra_checks(cfg: SuiteConfig):
 
 # --- projective ---------------------------------------------------------------
 
+def _mobius_draws(n: int, rng: random.Random) -> tuple:
+    """n samples of an ordered pair of distinct generator indices (first,
+    second, as floats), uniform as rng.sample(GENERATORS, 2) is, then eps_m,
+    eps_n and a Mobius argument v."""
+    size = len(GENERATORS)
+    u0, u1, eps_m, eps_n, re, im = sampling.uniform(
+        n, rng, (0, size), (0, size - 1), *[(-0.8, 0.8)] * 2, *[(-1, 1)] * 2
+    )
+    first, s = np.floor(u0), np.floor(u1)
+    return first, np.where(s >= first, s + 1, s), eps_m, eps_n, bc._complex(re, im)
+
+
 def _exp_per_sample(gens: np.ndarray, eps: np.ndarray) -> projective.SpinMatrix:
     """exp_one_param(GENERATORS[gens[k]], eps[k], COMPLEX) at every sample k,
-    as one matrix of entry arrays."""
-    mats = [projective.exp_one_param(g, eps, projective.Ring.COMPLEX) for g in GENERATORS]
-    entries = zip(*(m.entries() for m in mats))
-    return projective.SpinMatrix(
-        projective.Ring.COMPLEX,
-        *(np.choose(gens, [np.broadcast_to(e, eps.shape) for e in entry]) for entry in entries),
-    )
+    as one matrix of entry arrays; each exponential is taken only on the
+    samples that picked its generator."""
+    entries = [np.empty(eps.shape, complex) for _ in range(4)]
+    for k, g in enumerate(GENERATORS):
+        picked = gens == k
+        m = projective.exp_one_param(g, eps[picked], projective.Ring.COMPLEX)
+        for out, e in zip(entries, m.entries()):
+            out[picked] = e
+    return projective.SpinMatrix(projective.Ring.COMPLEX, *entries)
 
 
 def _off_pole(m: projective.SpinMatrix, v: np.ndarray) -> np.ndarray:
     """Per sample, whether mobius_apply(m, v) is defined (complex ring)."""
     return bc.modulus(m.c * v + m.d) > projective.POLE_TOL
-
-
-def _take(m: projective.SpinMatrix, keep: np.ndarray) -> projective.SpinMatrix:
-    return projective.SpinMatrix(m.ring, *(e[keep] for e in m.entries()))
 
 
 def projective_checks(cfg: SuiteConfig):
@@ -766,18 +776,16 @@ def projective_checks(cfg: SuiteConfig):
         "tol",
     )
     def _():
-        first, second, eps_m, eps_n, *v = sampling.index_pairs(
-            cfg.samples, _rng(cfg, "proj.mobius"), len(GENERATORS), *[(-0.8, 0.8)] * 2, *[(-1, 1)] * 2
-        )
-        m, n, v = _exp_per_sample(first, eps_m), _exp_per_sample(second, eps_n), bc._complex(*v)
+        first, second, eps_m, eps_n, v = _mobius_draws(cfg.samples, _rng(cfg, "proj.mobius"))
+        m, n = _exp_per_sample(first, eps_m), _exp_per_sample(second, eps_n)
         mn = m @ n
         # skip the samples that sit on a pole of any of the three maps
         keep = _off_pole(mn, v) & _off_pole(n, v)
-        m, n, mn, v = _take(m, keep), _take(n, keep), _take(mn, keep), v[keep]
+        m, n, mn, v = m[keep], n[keep], mn[keep], v[keep]
         inner = projective.mobius_apply(n, v)
         keep = _off_pole(m, inner)
-        lhs = projective.mobius_apply(_take(mn, keep), v[keep])
-        rhs = projective.mobius_apply(_take(m, keep), inner[keep])
+        lhs = projective.mobius_apply(mn[keep], v[keep])
+        rhs = projective.mobius_apply(m[keep], inner[keep])
         yield bc.modulus(lhs - rhs) / (1.0 + bc.modulus(lhs))
 
     @run.check(

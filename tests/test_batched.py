@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from holoconf import algebra, charts, dual, grids, laplace, projective
+from holoconf import algebra, charts, dual, grids, laplace, projective, suites
 from holoconf import bicomplex as bc
 from holoconf.algebra import GENERATORS, P0, Q0, Q1, UPSILON_LINE
 from holoconf.bicomplex import Bicomplex
@@ -23,7 +23,6 @@ from holoconf.projective import ProjectivePoint, Ring, S3Point, SpinMatrix
 from holoconf.sampling import (
     bicomplex_batch,
     chart_points,
-    index_pairs,
     scale_dimensions,
     uniform,
     upsilon_points,
@@ -237,86 +236,51 @@ def test_uniform_and_words_make_the_per_call_draws(n):
     assert rng.getstate() == rng_ref.getstate()
 
 
-MOBIUS_RANGES = ((-0.8, 0.8), (-0.8, 0.8), (-1, 1), (-1, 1))
-
-
-def ref_index_pairs(n: int, rng: random.Random) -> tuple:
-    """mobius_group_action's former draw loop: a generator pair, then one
-    uniform draw per range, one sample at a time."""
+def ref_mobius_draws(n: int, rng: random.Random) -> list:
+    """mobius_group_action's draws made one rng.uniform call at a time: the
+    second index skips the first, so the pair is distinct."""
     rows = []
     for _ in range(n):
-        g0, g1 = rng.sample(GENERATORS, 2)
-        rows.append((GENERATORS.index(g0), GENERATORS.index(g1), *(rng.uniform(*r) for r in MOBIUS_RANGES)))
-    return tuple(zip(*rows)) if n else ((),) * 6
+        first, s = math.floor(rng.uniform(0, 6)), math.floor(rng.uniform(0, 5))
+        eps_m, eps_n = rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)
+        v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        rows.append((first, s + 1 if s >= first else s, eps_m, eps_n, v))
+    return rows
 
 
-def assert_same_index_pairs(got: tuple, want: tuple, n: int):
-    assert len(got) == 6
-    for g, w, dtype in zip(got, want, (int, int, float, float, float, float)):
-        assert g.dtype == dtype and g.shape == (n,)
-        assert g.tobytes() == np.array(w, dtype).tobytes()
-
-
-# index_pairs parses up to 1024 samples a block
-@pytest.mark.parametrize("n", (0, 1, 2, 1023, 1024, 1025, 10000))
-def test_index_pairs_make_the_sample_and_uniform_draws(n):
-    for seed in range(30):
+@pytest.mark.parametrize("n", (0, 1, 2, 1365, 1366, 1367))
+def test_mobius_draws_make_the_per_call_draws(n):
+    # six values a sample: 1366 samples cross uniform's 8192-value block
+    for seed in range(10):
         rng, rng_ref = random.Random(seed), random.Random(seed)
-        got = index_pairs(n, rng, len(GENERATORS), *MOBIUS_RANGES)
-        want = ref_index_pairs(n, rng_ref)
+        got = suites._mobius_draws(n, rng)
+        want = ref_mobius_draws(n, rng_ref)
         assert rng.getstate() == rng_ref.getstate()
-        assert_same_index_pairs(got, want, n)
+        for k, dtype in enumerate((float, float, float, float, complex)):
+            assert got[k].dtype == dtype and got[k].shape == (n,)
+            assert got[k].tobytes() == np.array([w[k] for w in want], dtype).tobytes()
 
 
-class WordStream(random.Random):
-    """A Random that serves a fixed list of 32-bit words as MT19937's methods
-    consume theirs: getrandbits(k) takes the top k bits of one word for
-    0 < k <= 32 and k // 32 whole words (first word lowest) for larger k, and
-    random() takes two words."""
-
-    def __init__(self, stream):
-        super().__init__(0)
-        self.stream, self.pos = stream, 0
-
-    def take(self, n: int) -> list:
-        self.pos += n
-        assert self.pos <= len(self.stream)
-        return self.stream[self.pos - n : self.pos]
-
-    def getrandbits(self, k: int) -> int:
-        if k <= 32:
-            return self.take(1)[0] >> (32 - k) if k else 0
-        assert k % 32 == 0
-        return int.from_bytes(np.array(self.take(k // 32), "<u4").tobytes(), "little")
-
-    def random(self) -> float:
-        w0, w1 = self.take(2)
-        return ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0)
-
-    def getstate(self):
-        return self.pos
-
-    def setstate(self, pos):
-        self.pos = pos
+def test_mobius_draws_are_distinct_generator_pairs():
+    first, second, *_ = suites._mobius_draws(10000, random.Random(4))
+    assert np.all(first != second)
+    pairs = set(zip(first.tolist(), second.tolist()))
+    assert pairs == {(i, j) for i in range(6) for j in range(6) if i != j}
 
 
-@pytest.mark.parametrize("size", (2, 6, 21))
-def test_index_pairs_outlast_long_rejection_runs(size):
-    # 20000 rejected words open the stream, more than a block of words holds,
-    # and rejection runs of every length follow
-    base = random.Random(size)
-    reject = 0xFFFFFFFF  # its top bits reject for every size in 2..21
-    stream = [reject] * 20000
-    for _ in range(60000):
-        stream += [reject] * min(int(base.expovariate(0.5)), 40) + [base.getrandbits(32)]
-    rng, rng_ref = WordStream(stream), WordStream(stream)
-    got = index_pairs(1500, rng, size, *MOBIUS_RANGES)
-    rows = []
-    for _ in range(1500):
-        i, j = rng_ref.sample(range(size), 2)
-        rows.append((i, j, *(rng_ref.uniform(*r) for r in MOBIUS_RANGES)))
-    assert rng.pos == rng_ref.pos
-    assert_same_index_pairs(got, tuple(zip(*rows)), 1500)
+def test_random_polynomial_makes_the_per_call_draws():
+    for seed in range(50):
+        rng, rng_ref = random.Random(seed), random.Random(seed)
+        poly = suites._random_polynomial(rng)
+        c = [[rng_ref.uniform(-1, 1) for _ in range(4)] for _ in range(4)]
+        assert rng.getstate() == rng_ref.getstate()
+        for x0, x1 in ((0.7, -1.3), (2.1, 0.4), (-0.9, 1.7)):
+            want = 0.0
+            for i in range(4):
+                for j in range(4 - i):
+                    want = want + c[i][j] * x0**i * x1**j
+            got = poly(x0, x1)
+            assert type(got) is float and got == want
 
 
 def test_scalar_points_keep_their_shapes():
@@ -509,6 +473,21 @@ def test_exp_one_param_on_array_eps(ring):
                     else:
                         got = got[k] if np.ndim(got) else got
                         assert abs(got - want) <= 1e-15 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("unpicked", (None, 0, 5))
+def test_exp_per_sample_is_each_samples_exponential(unpicked):
+    rng = random.Random(6)
+    gens = np.array([float(rng.choice([k for k in range(6) if k != unpicked])) for _ in range(300)])
+    eps = np.array([rng.uniform(-0.8, 0.8) for _ in range(300)])
+    got = suites._exp_per_sample(gens, eps)
+    assert got.ring is Ring.COMPLEX
+    want = [projective.exp_one_param(GENERATORS[int(g)], float(e), Ring.COMPLEX) for g, e in zip(gens, eps)]
+    for k, entry in enumerate(got.entries()):
+        assert entry.dtype == complex and entry.shape == (300,)
+        assert entry.tobytes() == np.array([w.entries()[k] for w in want], complex).tobytes()
+    picked = got[gens == 2]
+    assert all(np.array_equal(e, f[gens == 2]) for e, f in zip(picked.entries(), got.entries()))
 
 
 def ref_mobius(entries, v):

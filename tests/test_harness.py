@@ -104,6 +104,15 @@ def test_rings_seed7_matches_golden():
     assert got == want
 
 
+def test_rings_pass_for_every_seed():
+    # the re-drawn mobius_group_action, and no argument rejection of
+    # mobius_apply firing inside the suites
+    for seed in range(50):
+        report = run_suite(SuiteConfig(seed=seed, samples=20, suites=("bicomplex", "projective")))
+        data = json.loads(report.to_json())
+        assert data["summary"]["failed"] == 0, [c for c in data["checks"] if c["status"] == "fail"]
+
+
 def test_worst_skips_empty_arrays():
     assert suites._worst([np.array([])]) == 0.0
     assert suites._worst([np.array([]), np.array([0.5, 0.25]), 0.75]) == 0.75

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 import random
 
 import numpy as np
@@ -126,6 +127,45 @@ def test_mobius_pole():
     m = SpinMatrix(Ring.COMPLEX, 1 + 0j, 0j, 1 + 0j, -2 + 0j)
     with pytest.raises(PoleError):
         mobius_apply(m, 2.0 + 0j)
+
+
+@pytest.mark.parametrize(
+    "ring, bad, fragment",
+    [
+        (Ring.REAL, 0.5 + 0.3j, "real arguments"),
+        (Ring.REAL, complex(math.inf, 0), "not finite"),
+        (Ring.COMPLEX, complex(math.inf, 0), "not finite"),
+        (Ring.COMPLEX, complex(0, math.nan), "not finite"),
+        (Ring.BICOMPLEX, Bicomplex(math.nan, 0, 0, 0), "not finite"),
+        (Ring.BICOMPLEX, Bicomplex(0.1, 0, -math.inf, 0), "not finite"),
+    ],
+)
+def test_mobius_rejects_bad_arguments(ring, bad, fragment):
+    # the real ring would drop the imaginary part, every ring returned NaN
+    m = exp_one_param(P0, 1.0, ring)
+    with pytest.raises(ValueError, match=fragment):
+        mobius_apply(m, bad)
+    if ring is Ring.BICOMPLEX:
+        arr = Bicomplex(*(np.array([0.5, c]) for c in bad.components()))
+    else:
+        arr = np.array([0.5 + 0j, bad])
+    with pytest.raises(ValueError, match=fragment + ".* at sample 1"):
+        mobius_apply(m, arr)
+
+
+def test_mobius_real_ring_accepts_zero_imaginary_parts():
+    m = exp_one_param(P0, 1.0, Ring.REAL)
+    assert mobius_apply(m, 0.5 + 0j) == mobius_apply(m, 0.5) == 1.5
+    assert mobius_apply(m, np.array([0.5 + 0j, complex(-1.0, -0.0)])).tolist() == [1.5, 0.0]
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.matmul])
+def test_spin_matrices_of_two_rings_do_not_combine(op):
+    with pytest.raises(ValueError, match="ring mismatch"):
+        op(matrix_rep(B, Ring.REAL), matrix_rep(B, Ring.COMPLEX))
+    eps = np.array([0.3, -0.2])
+    with pytest.raises(ValueError, match="ring mismatch"):
+        op(exp_one_param(P0, eps, Ring.COMPLEX), exp_one_param(P0, eps, Ring.REAL))
 
 
 def test_mobius_bicomplex_and_null_pole():
