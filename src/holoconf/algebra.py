@@ -23,9 +23,14 @@ patterns.
 
 The checks evaluate each generator once per realization, as value, gradient
 and Hessian tensors at the sample points (generator_tensors), and
-compute brackets as contractions of them (taylor_bracket).  bracket() and
-lincomb() build the same fields as closures over nested jets; they are the
-independent reference the tests compare the tensors against.
+compute brackets as contractions of them (taylor_bracket).  The tensors of
+several fields stack along leading axes, and one contraction then brackets
+every pair of the two stacks at once, elementwise in the same order as one
+pair at a time: the Jacobi check evaluates all its triples in one call.
+Stacking pays only where the operands are tiny; at hundreds of sample
+points the per-pair loop of structure_table and minkowski_check is faster.
+bracket() and lincomb() build the same fields as closures over nested jets;
+they are the independent reference the tests compare the tensors against.
 """
 
 from __future__ import annotations
@@ -120,11 +125,11 @@ class VectorField:
 
 
 def _partial(fn: Callable, var: int, args) -> object:
-    # lift every argument into a fresh jet level (non-seeded ones as
-    # constants) so that jets from an enclosing differentiation never share
-    # a level with this one
+    # lift every argument into a fresh first-order jet level (non-seeded
+    # ones as constants) so that jets from an enclosing differentiation never
+    # share a level with this one
     seeded = [
-        dual.Jet(a, 1.0 if i == var else 0.0, 0.0) for i, a in enumerate(args)
+        dual.Jet(a, 1.0 if i == var else 0.0, None) for i, a in enumerate(args)
     ]
     return dual.d1(fn(*seeded))
 
@@ -325,12 +330,12 @@ def generator_by_transport(g: GeneratorId, chart: ChartId) -> VectorField:
 @dataclass(frozen=True)
 class TaylorField:
     """Coefficients of a vector field at the sample points, with their
-    derivatives; the sample axis comes last.
+    derivatives; the one sample axis comes last.
 
     v[k] is coefficient k, g[k, j] its derivative along coordinate j and
     h[k, j, l] its second derivative along j and l (None where not
-    computed).  A stack of fields carries one more leading axis, which
-    indexing and combine act on.
+    computed).  A stack of fields carries leading axes before these;
+    indexing and combine act on the first of them.
     """
 
     v: np.ndarray
@@ -351,70 +356,76 @@ class TaylorField:
 
 
 def generator_tensors(realization, points, hessian: bool = False) -> TaylorField:
-    """The six generators at the sample points, as one stack of fields in
-    GENERATORS order with values and gradients (and Hessians on request).
+    """The six generators at the sample points (a 1-D array point, or a 1-D
+    array on the upsilon line; a single point is one sample), as one stack
+    of fields in GENERATORS order with values and gradients (and Hessians on
+    request).
 
-    Each compiled coefficient is evaluated once per direction on the array
-    points, as a 2-jet: along each coordinate axis (the gradient and the
-    diagonal of the Hessian) and, for the Hessian, along e0 + e1, whose
-    second derivative gives the mixed partial by polarization (Griewank and
-    Walther, Evaluating Derivatives, ch. 13).  On the upsilon line the one
-    direction is the complex derivative d/du.
+    Each compiled coefficient is evaluated once, as one jet whose derivative
+    parts carry every direction on a leading axis: the coordinate axes (the
+    gradient and the diagonal of the Hessian) and, for the Hessian, e_j + e_l
+    for j < l, whose second derivative gives the mixed partial by
+    polarization (Griewank and Walther, Evaluating Derivatives, ch. 13).
+    Without the Hessian the jets are first order.  On the upsilon line the
+    one direction is the complex derivative d/du.
     """
     key = realization_key(realization)
-    args = point_args(realization, points)
+    args = [np.atleast_1d(a) for a in point_args(realization, points)]
     m, shape = len(args), np.shape(args[0])
     table = [_COMPILED_TABLES[key][g] for g in GENERATORS]
+    mixed = [(j, l) for j in range(m) for l in range(j + 1, m)] if hessian else []
+    # one row per direction: the coordinate axes, then e_j + e_l
+    directions = np.array([[float(j in d) for j in range(m)] for d in [(j,) for j in range(m)] + mixed])
+    stacked = (len(directions), *shape)
+    # each argument in one fresh jet level, as _partial lifts them, with the
+    # direction axis before the sample axis
+    jets = [dual.Jet(a, directions[:, j, None], 0.0 if hessian else None) for j, a in enumerate(args)]
 
     dtype = np.result_type(*args)
     v = np.empty((len(table), m, *shape), dtype)
     g = np.empty((len(table), m, m, *shape), dtype)
-    h = np.zeros((len(table), m, m, m, *shape), dtype) if hessian else None
-
-    def along(*axes):
-        # each argument in one fresh jet level, as _partial lifts them; one
-        # coefficient's jet at a time, so that only its parts are kept
-        jets = [dual.Jet(a, float(j in axes), 0.0) for j, a in enumerate(args)]
-        for i, row in enumerate(table):
-            for k, c in enumerate(row):
-                yield i, k, c(*jets)
-
-    for j in range(m):
-        for i, k, jet in along(j):
+    h = np.empty((len(table), m, m, m, *shape), dtype) if hessian else None
+    for i, row in enumerate(table):
+        for k, c in enumerate(row):
+            jet = c(*jets)
             v[i, k] = dual.value(jet)
-            g[i, k, j] = dual.d1(jet)
+            g[i, k] = np.broadcast_to(dual.d1(jet), stacked)[:m]
             if hessian:
-                h[i, k, j, j] = dual.d2(jet)
-    mixed = [(j, l) for j in range(m) for l in range(j + 1, m)] if hessian else []
-    for j, l in mixed:
-        for i, k, jet in along(j, l):
-            h[i, k, j, l] = h[i, k, l, j] = (dual.d2(jet) - h[i, k, j, j] - h[i, k, l, l]) / 2
+                d2 = np.broadcast_to(dual.d2(jet), stacked)
+                for j in range(m):
+                    h[i, k, j, j] = d2[j]
+                for n, (j, l) in enumerate(mixed):
+                    h[i, k, j, l] = h[i, k, l, j] = (d2[m + n] - h[i, k, j, j] - h[i, k, l, l]) / 2
     return TaylorField(v, g, h)
 
 
 def taylor_bracket(x: TaylorField, y: TaylorField) -> TaylorField:
     """[x, y]_k = x_j d_j y_k - y_j d_j x_k, contracted from the tensors.
 
-    The bracket carries its gradient when both operands carry Hessians, so
-    a bracket of it needs no further differentiation; else its values only.
-    The sums run in the order of bracket() and of the jet product rule; the
-    bracket of two generators equals bracket()'s values bitwise.
+    x and y may be stacks of fields (leading axes that broadcast); the
+    bracket then stacks the brackets of the pairs.  It carries its gradient
+    when both operands carry Hessians, so a bracket of it needs no further
+    differentiation; else its values only.  The sums run in the order of
+    bracket() and of the jet product rule; the bracket of two generators
+    equals bracket()'s values bitwise, and a stacked bracket equals the
+    brackets of its pairs bitwise.
     """
+    # axes from the end: v (k, n), g (k, j, n), h (k, j, l, n)
     v = g = 0.0
-    for j in range(len(x.v)):
-        v = v + x.v[j] * y.g[:, j]
-        v = v - y.v[j] * x.g[:, j]
+    for j in range(x.v.shape[-2]):
+        v = v + x.v[..., j, None, :] * y.g[..., j, :]
+        v = v - y.v[..., j, None, :] * x.g[..., j, :]
     if x.h is None or y.h is None:
         return TaylorField(v)
-    for j in range(len(x.v)):
-        g = g + (x.v[j] * y.h[:, j] + x.g[j][None] * y.g[:, j][:, None])
-        g = g - (y.v[j] * x.h[:, j] + y.g[j][None] * x.g[:, j][:, None])
+    for j in range(x.v.shape[-2]):
+        g = g + (x.v[..., j, None, None, :] * y.h[..., j, :, :] + x.g[..., None, j, :, :] * y.g[..., j, None, :])
+        g = g - (y.v[..., j, None, None, :] * x.h[..., j, :, :] + y.g[..., None, j, :, :] * x.g[..., j, None, :])
     return TaylorField(v, g)
 
 
 def jacobiator(x: TaylorField, y: TaylorField, z: TaylorField) -> np.ndarray:
     """Values of [[x, y], z] + [[y, z], x] + [[z, x], y]; the fields must
-    carry Hessians."""
+    carry Hessians, and may be stacks of triples."""
     outer = [taylor_bracket(taylor_bracket(a, b), c) for a, b, c in ((x, y, z), (y, z, x), (z, x, y))]
     return outer[0].v + outer[1].v + outer[2].v
 

@@ -205,6 +205,9 @@ class Bicomplex:
         return Bicomplex(*map(plain, (w1.real, w1.imag, w2.real, w2.imag)))
 
     def inverse(self, tol: float = 1e-14) -> "Bicomplex":
+        """1 / self; ValueError for a non-finite number, ZeroDivisorError on
+        the null cone."""
+        reject(~np.isfinite(self.max_abs()), ValueError, "cannot invert {}: not finite", self)
         zp, zm = self.idempotent_parts()
         reject(
             (modulus(zp) <= tol) | (modulus(zm) <= tol),

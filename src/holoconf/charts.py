@@ -157,12 +157,13 @@ def invert(chart: ChartId, x0: float, x1: float) -> ChartPoint:
 
 
 def basis(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate basis vectors d(embed)/dy_alpha, via dual numbers."""
+    """Coordinate basis vectors d(embed)/dy_alpha, via first-order dual
+    numbers."""
     validate(p)
     cols = []
     for var in (0, 1):
         args = [p.y0, p.y1]
-        args[var] = dual.seed(args[var])
+        args[var] = dual.Jet(args[var], 1.0, None)
         x0, x1 = _embed(p.chart, *args)
         cols.append(_tensor([dual.d1(x0), dual.d1(x1)], p))
     return cols[0], cols[1]

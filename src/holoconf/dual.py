@@ -6,7 +6,16 @@ so jets of jets work; that is what makes algebra.bracket's closures of
 brackets differentiable without symbolic algebra.  Components may also be
 numpy arrays: one jet then carries the derivatives at a whole column of
 sample points, and every elementary function below evaluates them in one
-call.
+call.  The derivative parts may carry more leading axes than the value, one
+per direction: a jet then differentiates along several directions at once,
+and the value is computed once for all of them.
+
+A jet whose d2 is None is first order: it carries the value and the first
+derivative only, and every operation skips its second-order terms, so its f
+and d1 are bitwise those of the full jet.  An operation with one first-order
+operand gives a first-order jet.  Seed first-order jets where only d1 is
+read; d2() of a first-order jet raises ValueError rather than return a value
+that was never computed.
 
 Plain values go through numpy whatever their shape: a Python float or
 complex leaves as the numpy scalar of the same value type.  numpy's exp,
@@ -22,7 +31,8 @@ import numpy as np
 
 
 class Jet:
-    """f, f', f'' propagated through arithmetic via the chain rule."""
+    """f, f', f'' propagated through arithmetic via the chain rule (d2 None
+    in a first-order jet)."""
 
     __slots__ = ("f", "d1", "d2")
 
@@ -39,14 +49,17 @@ class Jet:
         return f"Jet({self.f!r}, {self.d1!r}, {self.d2!r})"
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.f + other.f, self.d1 + other.d1, self.d2 + other.d2)
-        return Jet(self.f + other, self.d1, self.d2)
+        if not isinstance(other, Jet):
+            return Jet(self.f + other, self.d1, self.d2)
+        f, d1 = self.f + other.f, self.d1 + other.d1
+        if self.d2 is None or other.d2 is None:
+            return Jet(f, d1, None)
+        return Jet(f, d1, self.d2 + other.d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.f, -self.d1, -self.d2)
+        return Jet(-self.f, -self.d1, None if self.d2 is None else -self.d2)
 
     def __sub__(self, other):
         return self + (-other)
@@ -55,22 +68,23 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Jet):
-            return Jet(
-                self.f * other.f,
-                self.f * other.d1 + self.d1 * other.f,
-                self.f * other.d2 + 2 * self.d1 * other.d1 + self.d2 * other.f,
-            )
-        return Jet(self.f * other, self.d1 * other, self.d2 * other)
+        if not isinstance(other, Jet):
+            return Jet(self.f * other, self.d1 * other, None if self.d2 is None else self.d2 * other)
+        f, d1 = self.f * other.f, self.f * other.d1 + self.d1 * other.f
+        if self.d2 is None or other.d2 is None:
+            return Jet(f, d1, None)
+        return Jet(f, d1, self.f * other.d2 + 2 * self.d1 * other.d1 + self.d2 * other.f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
             inv = 1.0 / other
-            return Jet(self.f * inv, self.d1 * inv, self.d2 * inv)
+            return Jet(self.f * inv, self.d1 * inv, None if self.d2 is None else self.d2 * inv)
         w = self.f / other.f
         w1 = (self.d1 - w * other.d1) / other.f
+        if self.d2 is None or other.d2 is None:
+            return Jet(w, w1, None)
         w2 = (self.d2 - 2 * w1 * other.d1 - w * other.d2) / other.f
         return Jet(w, w1, w2)
 
@@ -80,7 +94,7 @@ class Jet:
     def __pow__(self, n):
         if isinstance(n, int):
             if n == 0:
-                return Jet(1.0 * (self.f * 0 + 1))
+                return Jet(1.0 * (self.f * 0 + 1), 0.0, None if self.d2 is None else 0.0)
             if n < 0:
                 return 1.0 / (self ** (-n))
             out = self
@@ -99,7 +113,11 @@ def d1(x):
 
 
 def d2(x):
-    return x.d2 if isinstance(x, Jet) else 0.0
+    if not isinstance(x, Jet):
+        return 0.0
+    if x.d2 is None:
+        raise ValueError("a first-order jet carries no second derivative")
+    return x.d2
 
 
 def seed(x):
@@ -108,21 +126,24 @@ def seed(x):
 
 
 def _chain(x, f0, f1, f2):
-    # f(u) for u = (u0, u1, u2):  (f0, f1*u1, f1*u2 + f2*u1^2)
+    # f(u) for u = (u0, u1, u2):  (f0, f1*u1, f1*u2 + f2*u1^2); f2 is None
+    # for a first-order u
+    if x.d2 is None:
+        return Jet(f0, f1 * x.d1, None)
     return Jet(f0, f1 * x.d1, f1 * x.d2 + f2 * x.d1 * x.d1)
 
 
 def sin(x):
     if isinstance(x, Jet):
         s, c = sin(x.f), cos(x.f)
-        return _chain(x, s, c, -s)
+        return _chain(x, s, c, None if x.d2 is None else -s)
     return np.sin(x)
 
 
 def cos(x):
     if isinstance(x, Jet):
         s, c = sin(x.f), cos(x.f)
-        return _chain(x, c, -s, -c)
+        return _chain(x, c, -s, None if x.d2 is None else -c)
     return np.cos(x)
 
 
@@ -141,7 +162,7 @@ def log(x):
     if isinstance(x, Jet):
         u = x.f
         inv = 1.0 / u
-        return _chain(x, log(u), inv, -inv * inv)
+        return _chain(x, log(u), inv, None if x.d2 is None else -inv * inv)
     return np.log(x)
 
 
@@ -149,7 +170,7 @@ def sqrt(x):
     if isinstance(x, Jet):
         r = sqrt(x.f)
         inv = 0.5 / r
-        return _chain(x, r, inv, -0.5 * inv / x.f)
+        return _chain(x, r, inv, None if x.d2 is None else -0.5 * inv / x.f)
     return np.sqrt(x)
 
 
@@ -167,6 +188,8 @@ def atan2(y, x):
     den = xj.f * xj.f + yj.f * yj.f
     num = xj.f * yj.d1 - yj.f * xj.d1
     g1 = num / den
+    if xj.d2 is None or yj.d2 is None:
+        return Jet(f, g1, None)
     num_d = xj.f * yj.d2 - yj.f * xj.d2
     den_d = 2 * (xj.f * xj.d1 + yj.f * yj.d1)
     g2 = (num_d * den - num * den_d) / (den * den)

@@ -110,9 +110,9 @@ def rescale_factor(chart: ChartId, p: ChartPoint) -> float:
 
 
 def conjugate_derivative(f: Callable, x0: float, x1: float) -> complex:
-    """(d/dx0 + i d/dx1) f in cartesian coordinates."""
-    g0 = f(dual.seed(x0), x1)
-    g1 = f(x0, dual.seed(x1))
+    """(d/dx0 + i d/dx1) f in cartesian coordinates, from first-order jets."""
+    g0 = f(dual.Jet(x0, 1.0, None), x1)
+    g1 = f(x0, dual.Jet(x1, 1.0, None))
     return dual.d1(g0) + 1j * dual.d1(g1)
 
 

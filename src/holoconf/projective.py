@@ -100,6 +100,11 @@ def _ring_exp(x):
     return x.exp() if isinstance(x, Bicomplex) else plain(np.exp(x))
 
 
+def _finite(x):
+    """Whether a ring element (per sample, for arrays) is finite."""
+    return np.isfinite(x.max_abs() if isinstance(x, Bicomplex) else x)
+
+
 def absval(x) -> float:
     """Size of a ring element: the largest component modulus of a bicomplex
     number, abs of a real or complex one."""
@@ -216,25 +221,35 @@ def supported_generators(ring: Ring) -> tuple:
     return REAL_GENERATORS if ring is Ring.REAL else GENERATORS
 
 
+def _stack(matrices: list) -> SpinMatrix:
+    """The matrices as one matrix whose entries are arrays over them (ring
+    elements of component arrays, for the bicomplex ring)."""
+
+    def entry(values):
+        if isinstance(values[0], Bicomplex):
+            return Bicomplex(*map(np.array, zip(*(e.components() for e in values))))
+        return np.array(values)
+
+    return SpinMatrix(matrices[0].ring, *map(entry, zip(*(m.entries() for m in matrices))))
+
+
 def matrix_bracket_table(ring: Ring, tol: float = 1e-12) -> SignLedger:
-    """All pairwise commutators over the ring, signed against the table."""
+    """All pairwise commutators over the ring, signed against the table.
+
+    The pairs' commutators are taken at once, as one commutator of two
+    stacked matrices, entry by entry in the order of one pair at a time."""
     gens = {g: matrix_rep(g, ring) for g in supported_generators(ring)}
+    pairs = [(g1, g2) for g1, g2 in BRACKET_PAIRS if g1 in gens and g2 in gens]
+    zero = SpinMatrix(ring, *[_ring_zero(ring)] * 4)
+    bra = commutator(_stack([gens[g1] for g1, _ in pairs]), _stack([gens[g2] for _, g2 in pairs]))
+    # every right-hand side is one term coeff * g, or none (0 * zero)
+    terms = [next(iter(BRACKET_RELATIONS[pair].items()), (None, 0.0)) for pair in pairs]
+    rhs = zero + _stack([gens.get(g, zero) for g, _ in terms]).scaled(np.array([c for _, c in terms]))
+    d_plus, d_minus = bra.max_abs_diff(rhs), bra.max_abs_diff(rhs.scaled(-1.0))
     ledger = SignLedger(realization=f"matrix/{ring.value}")
     worst = 0.0
-    zero = identity(ring).scaled(_ring_zero(ring))
-    for g1, g2 in BRACKET_PAIRS:
-        if g1 not in gens or g2 not in gens:
-            continue
-        bra = commutator(gens[g1], gens[g2])
-        rhs = zero
-        for g, coeff in BRACKET_RELATIONS[(g1, g2)].items():
-            rhs = rhs + gens[g].scaled(coeff)
-        sign, defect = match_sign(
-            f"{pair_label(g1, g2)} over {ring}",
-            bra.max_abs_diff(rhs),
-            bra.max_abs_diff(rhs.scaled(-1.0)),
-            tol,
-        )
+    for (g1, g2), dp, dm in zip(pairs, d_plus.tolist(), d_minus.tolist()):
+        sign, defect = match_sign(f"{pair_label(g1, g2)} over {ring}", dp, dm, tol)
         ledger.signs[pair_label(g1, g2)] = sign
         worst = max(worst, defect)
     ledger.max_defect = worst
@@ -264,9 +279,15 @@ def mobius_apply(m: SpinMatrix, v):
     """Fractional-linear action (a v + b) / (c v + d) in the matrix's ring.
 
     A non-finite argument, or over the real ring one with a nonzero
-    imaginary part, raises ValueError.  On arrays of samples, a sample on a
-    pole raises PoleError; over the bicomplex ring a full pole is reported
-    before a null-line one."""
+    imaginary part, raises ValueError, as does a non-finite matrix entry.
+    On arrays of samples, a sample on a pole raises PoleError; over the
+    bicomplex ring a full pole is reported before a null-line one."""
+    reject(
+        ~(_finite(m.a) & _finite(m.b) & _finite(m.c) & _finite(m.d)),
+        ValueError,
+        "Mobius matrix entries ({}, {}, {}, {}) are not finite",
+        *m.entries(),
+    )
     if m.ring is Ring.BICOMPLEX:
         v = _coerce(v)
         reject(~np.isfinite(v.max_abs()), ValueError, "Mobius argument {} is not finite", v)
@@ -293,10 +314,12 @@ def mobius_apply(m: SpinMatrix, v):
 
 def exp_one_param(g: GeneratorId, eps: float, ring: Ring) -> SpinMatrix:
     """Matrix exponential of eps * matrix_rep(g, ring); eps may be an array.
+    A non-finite eps raises ValueError.
 
     Diagonal generators exponentiate entrywise in the ring; the translation
     and special-conformal matrices square to zero, so their series stops
     at first order."""
+    reject(~np.isfinite(eps), ValueError, "flow parameter {} is not finite", eps)
     m = matrix_rep(g, ring)
     if g in (B, S01):
         return SpinMatrix(

@@ -355,11 +355,12 @@ def _random_polynomial(rng: random.Random):
     coeffs = np.transpose(sampling.uniform(4, rng, *[(-1, 1)] * 4)).tolist()
 
     def f(x0, x1):
+        pow0, pow1 = [x0**i for i in range(4)], [x1**j for j in range(4)]
         acc = 0.0
         for i in range(4):
             for j in range(4):
                 if i + j <= 3:
-                    acc = acc + coeffs[i][j] * x0**i * x1**j
+                    acc = acc + coeffs[i][j] * pow0[i] * pow1[j]
         return acc
 
     return f
@@ -520,9 +521,9 @@ def algebra_checks(cfg: SuiteConfig):
             rng = _rng(cfg, f"alg.jacobi.{name}")
             pts = algebra.default_points(r, n=5, seed=cfg.seed + 1)
             gens = algebra.generator_tensors(r, pts, hessian=True)
-            for _ in range(10):
-                x, y, z = (gens[GENERATORS.index(g)] for g in rng.sample(GENERATORS, 3))
-                yield np.abs(algebra.jacobiator(x, y, z))
+            # ten drawn triples, bracketed as one stack per slot
+            triples = [[GENERATORS.index(g) for g in rng.sample(GENERATORS, 3)] for _ in range(10)]
+            yield np.abs(algebra.jacobiator(*(gens[t] for t in np.transpose(triples))))
 
     for r in FIELD_REALIZATIONS:
 

@@ -8,6 +8,7 @@ computed here with Python's float and complex arithmetic, cmath and math.
 """
 
 import cmath
+import itertools
 import math
 import random
 
@@ -118,6 +119,175 @@ def test_taylor_structure_table_covers_polar():
         algebra.pair_label(g1, g2): sign for (g1, g2), sign in algebra.EXPECTED_FIELD_SIGNS.items()
     }
     assert ledger.max_defect <= 1e-12
+
+
+def per_direction_tensors(realization, points, hessian):
+    """generator_tensors as one 2-jet pass per direction, one coefficient at
+    a time: the reference for its single all-directions pass."""
+    args = algebra.point_args(realization, points)
+    m, shape = len(args), np.shape(args[0])
+    table = [algebra.generator(gid, realization).coeffs for gid in GENERATORS]
+    dtype = np.result_type(*args)
+    v = np.empty((6, m, *shape), dtype)
+    g = np.empty((6, m, m, *shape), dtype)
+    h = np.zeros((6, m, m, m, *shape), dtype)
+
+    def along(*axes):
+        jets = [dual.Jet(a, float(j in axes), 0.0) for j, a in enumerate(args)]
+        for i, row in enumerate(table):
+            for k, c in enumerate(row):
+                yield i, k, c(*jets)
+
+    for j in range(m):
+        for i, k, jet in along(j):
+            v[i, k] = dual.value(jet)
+            g[i, k, j] = dual.d1(jet)
+            h[i, k, j, j] = dual.d2(jet)
+    for j in range(m):
+        for l in range(j + 1, m):
+            for i, k, jet in along(j, l):
+                h[i, k, j, l] = h[i, k, l, j] = (dual.d2(jet) - h[i, k, j, j] - h[i, k, l, l]) / 2
+    return v, g, h
+
+
+@pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
+def test_generator_tensors_are_the_per_direction_jets(realization):
+    pts = algebra.default_points(realization, n=40, seed=9)
+    v, g, h = per_direction_tensors(realization, pts, hessian=True)
+    first = algebra.generator_tensors(realization, pts)
+    full = algebra.generator_tensors(realization, pts, hessian=True)
+    assert first.h is None
+    for got in (first, full):
+        assert np.array_equal(got.v, v) and np.array_equal(got.g, g)
+    assert np.array_equal(full.h, h)
+    # a single point is one sample
+    one = algebra.generator_tensors(realization, pts[3], hessian=True)
+    bra = algebra.taylor_bracket(one[:, None], one[None])
+    assert one.v.shape == (6, *full.v.shape[1:-1], 1) and bra.g.shape[-1] == 1
+    for got, want in ((one.v, v), (one.g, g), (one.h, h)):
+        assert_close(got[..., 0], want[..., 3])
+
+
+@pytest.mark.parametrize("hessian", (False, True), ids=("values", "hessians"))
+@pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
+def test_stacked_brackets_are_the_per_pair_brackets(realization, hessian):
+    pts = algebra.default_points(realization, n=9, seed=11)
+    gens = algebra.generator_tensors(realization, pts, hessian=hessian)
+    # every ordered pair at once: a (6, 1) stack against a (1, 6) stack
+    table = algebra.taylor_bracket(gens[:, None], gens[None])
+    # index stacks, as the Jacobi check draws its triples
+    first, second = np.transpose([[GENERATORS.index(g) for g in pair] for pair in algebra.BRACKET_PAIRS])
+    drawn = algebra.taylor_bracket(gens[first], gens[second])
+    for i, j, got in [(i, j, table[i, j]) for i in range(6) for j in range(6)] + [
+        (i, j, drawn[n]) for n, (i, j) in enumerate(zip(first, second))
+    ]:
+        want = algebra.taylor_bracket(gens[i], gens[j])
+        assert np.array_equal(got.v, want.v)
+        assert (got.g is None) is (want.g is None) is (not hessian)
+        assert not hessian or np.array_equal(got.g, want.g)
+
+
+@pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
+def test_stacked_jacobiator_is_the_per_triple_jacobiator(realization):
+    pts = algebra.default_points(realization, n=7, seed=13)
+    gens = algebra.generator_tensors(realization, pts, hessian=True)
+    triples = list(itertools.combinations(range(6), 3)) + [(5, 0, 2), (1, 1, 4)]
+    got = algebra.jacobiator(*(gens[list(t)] for t in zip(*triples)))
+    assert got.shape == (len(triples), *gens.v.shape[1:])
+    for row, (x, y, z) in zip(got, triples):
+        assert np.array_equal(row, algebra.jacobiator(gens[x], gens[y], gens[z]))
+
+
+def per_pair_matrix_table(ring):
+    """matrix_bracket_table as one commutator per pair, in Python numbers."""
+    gens = {g: projective.matrix_rep(g, ring) for g in projective.supported_generators(ring)}
+    zero = projective.identity(ring).scaled(projective._ring_zero(ring))
+    signs, worst = {}, 0.0
+    for g1, g2 in algebra.BRACKET_PAIRS:
+        if g1 not in gens or g2 not in gens:
+            continue
+        bra = projective.commutator(gens[g1], gens[g2])
+        rhs = zero
+        for g, coeff in algebra.BRACKET_RELATIONS[(g1, g2)].items():
+            rhs = rhs + gens[g].scaled(coeff)
+        sign, defect = algebra.match_sign(
+            "", bra.max_abs_diff(rhs), bra.max_abs_diff(rhs.scaled(-1.0)), 1e-12
+        )
+        signs[algebra.pair_label(g1, g2)] = sign
+        worst = max(worst, defect)
+    return signs, worst
+
+
+@pytest.mark.parametrize("ring", list(Ring), ids=str)
+def test_stacked_matrix_table_is_the_per_pair_table(ring):
+    ledger = projective.matrix_bracket_table(ring)
+    signs, worst = per_pair_matrix_table(ring)
+    assert ledger.signs == signs == projective.EXPECTED_MATRIX_SIGNS[ring]
+    assert type(ledger.max_defect) is float and ledger.max_defect == worst
+
+
+def _jet_operations():
+    c = 0.7
+    binary = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+        "hypot": dual.hypot,
+        "atan2": dual.atan2,
+    }
+    unary = {
+        "add-const": lambda a: a + c,
+        "radd": lambda a: c + a,
+        "sub-const": lambda a: a - c,
+        "rsub": lambda a: c - a,
+        "neg": lambda a: -a,
+        "mul-const": lambda a: a * c,
+        "rmul": lambda a: c * a,
+        "div-const": lambda a: a / c,
+        "rdiv": lambda a: c / a,
+        "pow3": lambda a: a**3,
+        "pow0": lambda a: a**0,
+        "pow-2": lambda a: a ** (-2),
+        "pow-half": lambda a: a**0.5,
+        "sin": dual.sin,
+        "cos": dual.cos,
+        "tan": dual.tan,
+        "exp": dual.exp,
+        "log": dual.log,
+        "sqrt": dual.sqrt,
+        "atan2-x-const": lambda a: dual.atan2(a, c),
+        "atan2-y-const": lambda a: dual.atan2(c, a),
+    }
+    return binary, unary
+
+
+def test_first_order_jets_keep_the_value_and_first_derivative():
+    rng = np.random.default_rng(3)
+    f, d1, d2 = (rng.uniform(0.5, 2.0, (3, 50)) * [[1], [-1], [1]] for _ in range(3))
+    full = [dual.Jet(f[k], d1[k], d2[k]) for k in range(3)]
+    first = [dual.Jet(f[k], d1[k], None) for k in range(3)]
+    binary, unary = _jet_operations()
+    cases = [(op, (0,)) for op in unary.values()] + [(op, (0, 1)) for op in binary.values()]
+    cases += [(lambda a, b, c: a * b / c + dual.sin(a) * c, (0, 1, 2))]
+    for op, slots in cases:
+        want = op(*(full[k] for k in slots))
+        # every operand first order, and one first-order operand among full ones
+        for mixed in [[first[k] for k in slots]] + [
+            [first[k] if k == n else full[k] for k in slots] for n in slots
+        ]:
+            got = op(*mixed)
+            assert got.d2 is None
+            assert np.array_equal(got.f, want.f) and np.array_equal(got.d1, want.d1)
+            with pytest.raises(ValueError, match="first-order"):
+                dual.d2(got)
+
+
+def test_laplacian_of_a_first_order_jet_fails():
+    p = chart_points(ChartId.POLAR, 5, random.Random(2))
+    with pytest.raises(ValueError, match="first-order jet carries no second derivative"):
+        laplace.laplacian(ChartId.POLAR, lambda y0, y1: y0 * dual.Jet(y1, 0.0, None), p)
+    assert dual.d2(0.5) == 0.0 and dual.d2(dual.seed(0.5)) == 0.0
 
 
 @pytest.mark.parametrize("chart", ALL_CHARTS, ids=str)

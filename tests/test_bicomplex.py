@@ -188,6 +188,20 @@ def test_inverse_and_zero_divisors():
         obar.inverse()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("k", range(4))
+def test_inverse_rejects_non_finite_numbers(bad, k):
+    # all-NaN components came back without an error
+    comps = [0.5, 0.25, 0.0, 0.0]
+    comps[k] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        Bicomplex(*comps).inverse()
+    arr = Bicomplex(*(np.array([c0, c]) for c0, c in zip([0.5, 0.25, 0.0, 0.0], comps)))
+    with pytest.raises(ValueError, match="not finite at sample 1"):
+        arr.inverse()
+    assert arr[:1].inverse().re.tolist() == [Bicomplex(0.5, 0.25).inverse().re]
+
+
 def test_idempotent_split_roundtrip():
     rng = random.Random(17)
     for x in bicomplex_batch(50, rng):

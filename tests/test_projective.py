@@ -41,6 +41,7 @@ from holoconf.projective import (
     matrix_rep,
     mobius_apply,
     projectively_equal,
+    supported_generators,
 )
 
 
@@ -151,6 +152,40 @@ def test_mobius_rejects_bad_arguments(ring, bad, fragment):
         arr = np.array([0.5 + 0j, bad])
     with pytest.raises(ValueError, match=fragment + ".* at sample 1"):
         mobius_apply(m, arr)
+
+
+@pytest.mark.parametrize("ring", list(Ring), ids=str)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_exp_one_param_rejects_non_finite_parameters(ring, bad):
+    # a NaN gave NaN entries silently, inf warned first
+    for g in supported_generators(ring):
+        with pytest.raises(ValueError, match="not finite"):
+            exp_one_param(g, bad, ring)
+        with pytest.raises(ValueError, match="not finite at sample 1"):
+            exp_one_param(g, np.array([0.3, bad, 0.2]), ring)
+
+
+def _with_entry(m: SpinMatrix, k: int, value) -> SpinMatrix:
+    entries = list(m.entries())
+    entries[k] = value
+    return SpinMatrix(m.ring, *entries)
+
+
+@pytest.mark.parametrize("ring", list(Ring), ids=str)
+@pytest.mark.parametrize("k", range(4))
+def test_mobius_rejects_non_finite_matrix_entries(ring, k):
+    # mobius_apply returned nan+nanj
+    m = exp_one_param(P0, 0.5, ring)
+    if ring is Ring.BICOMPLEX:
+        bad = Bicomplex(0.0, math.nan, 0.0, 0.0)
+        arr = lambda e: Bicomplex(*(np.array([c, d]) for c, d in zip(e.components(), bad.components())))
+    else:
+        bad = math.nan if ring is Ring.REAL else complex(0.0, math.nan)
+        arr = lambda e: np.array([e, bad])
+    with pytest.raises(ValueError, match="matrix entries .* not finite"):
+        mobius_apply(_with_entry(m, k, bad), 0.25)
+    with pytest.raises(ValueError, match="matrix entries .* not finite at sample 1"):
+        mobius_apply(_with_entry(m, k, arr(m.entries()[k])), 0.25)
 
 
 def test_mobius_real_ring_accepts_zero_imaginary_parts():
