@@ -202,9 +202,14 @@ def apply_to_function(x: VectorField, f: Callable, p) -> complex:
 
     p may be an array point; the result then has its sample shape."""
     args = point_args(x.realization, p)
+    return _apply_with_gradient(x, args, [_partial(f, k, args) for k in range(x.arity)])
+
+
+def _apply_with_gradient(x: VectorField, args, grad) -> complex:
+    """sum_k x_k grad[k], the coefficients of x evaluated at args."""
     acc = 0j
     for k in range(x.arity):
-        acc = acc + dual.value(x.coeffs[k](*args)) * _partial(f, k, args)
+        acc = acc + dual.value(x.coeffs[k](*args)) * grad[k]
     return acc
 
 
@@ -573,18 +578,41 @@ def act(g: GeneratorId, alpha: complex, p: ChartPoint) -> complex:
 def eigenaction_expected(g: GeneratorId, alpha: complex, p: ChartPoint) -> complex:
     """Table value of g acting on the alpha-solution: shifts of the scale
     dimension by -1 (translations) or +1 (special conformal)."""
-    u = lambda beta: solve(beta, p.chart, p)
+    return _expected(g, alpha, lambda shift: solve(_shifted(alpha, shift), p.chart, p))
+
+
+def eigenactions(alpha: complex, p: ChartPoint) -> list:
+    """(act(g, alpha, p), eigenaction_expected(g, alpha, p)) for each g in
+    GENERATORS, from one gradient of the alpha-solution and one solution at
+    each of the dimensions alpha, alpha - 1 and alpha + 1."""
+    validate(p)
+    args = point_args(p.chart, p)
+    f = SolutionFamily(alpha, p.chart)
+    grad = [_partial(f, k, args) for k in range(len(args))]
+    u = {shift: solve(_shifted(alpha, shift), p.chart, p) for shift in (0, -1, 1)}
+    return [
+        (_apply_with_gradient(generator(g, p.chart), args, grad), _expected(g, alpha, u.get))
+        for g in GENERATORS
+    ]
+
+
+def _shifted(alpha: complex, shift: int) -> complex:
+    return alpha - 1 if shift < 0 else alpha + 1 if shift > 0 else alpha
+
+
+def _expected(g: GeneratorId, alpha: complex, u: Callable) -> complex:
+    # u(shift) is the solution of dimension _shifted(alpha, shift) at the point
     if g is B:
-        return alpha * u(alpha)
+        return alpha * u(0)
     if g is S01:
-        return 1j * alpha * u(alpha)
+        return 1j * alpha * u(0)
     if g is P0:
-        return alpha * u(alpha - 1)
+        return alpha * u(-1)
     if g is P1:
-        return 1j * alpha * u(alpha - 1)
+        return 1j * alpha * u(-1)
     if g is Q0:
-        return alpha * u(alpha + 1)
-    return -1j * alpha * u(alpha + 1)
+        return alpha * u(1)
+    return -1j * alpha * u(1)
 
 
 # --- rotation packaging in R^{3,1} -------------------------------------------

@@ -79,37 +79,6 @@ def _complex(re, im):
     return plain(out)
 
 
-# The three functions below round as Python's float and complex arithmetic
-# does, which numpy alone does not; tests/data/rings_seed7_golden.json pins
-# that rounding.
-
-def pow2(x):
-    """x**2 rounded as Python's float power (the C pow).  numpy's ``a**2`` is
-    a*a, which rounds differently about once in a thousand samples."""
-    return plain(np.float_power(x, 2))
-
-
-def modulus(z):
-    """abs(z) rounded as Python's abs of a complex (C hypot); numpy's abs of
-    a complex array rounds differently in about a third of the samples."""
-    return plain(np.hypot(np.real(z), np.imag(z)))
-
-
-def quotient(a, b):
-    """a / b rounded as Python's complex division (Smith's method); numpy
-    multiplies by a reciprocal instead."""
-    a, b = np.asarray(a), np.asarray(b)  # so that b = 0 gives inf or NaN, not ZeroDivisionError
-    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
-    wide = abs(br) >= abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(wide, bi / br, br / bi)
-        denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-        return _complex(
-            np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom,
-            np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom,
-        )
-
-
 class StructureError(ArithmeticError):
     """An algebraic identity that must hold exactly was violated."""
 
@@ -184,7 +153,7 @@ class Bicomplex:
         return Bicomplex(self.re, -self.im_i, -self.im_j, self.im_ij)
 
     def squared_length(self) -> float:
-        return pow2(self.re) + pow2(self.im_i) + pow2(self.im_j) + pow2(self.im_ij)
+        return self.re * self.re + self.im_i * self.im_i + self.im_j * self.im_j + self.im_ij * self.im_ij
 
     def max_abs(self) -> float:
         """Largest component modulus (per sample for arrays); NaN when any
@@ -210,13 +179,14 @@ class Bicomplex:
         reject(~np.isfinite(self.max_abs()), ValueError, "cannot invert {}: not finite", self)
         zp, zm = self.idempotent_parts()
         reject(
-            (modulus(zp) <= tol) | (modulus(zm) <= tol),
+            (np.abs(zp) <= tol) | (np.abs(zm) <= tol),
             ZeroDivisorError,
             "not invertible: idempotent parts ({}, {})",
             zp,
             zm,
         )
-        return Bicomplex.from_idempotent_parts(quotient(1, zp), quotient(1, zm))
+        # np.divide, not /: one number divides as an array does, not as Python does
+        return Bicomplex.from_idempotent_parts(np.divide(1, zp), np.divide(1, zm))
 
     def exp(self) -> "Bicomplex":
         zp, zm = self.idempotent_parts()
@@ -272,7 +242,7 @@ def involution_projections(s: Bicomplex, tol: float = 1e-9) -> HopfTriple:
     s*conjugate(s) must land in span{1, j} and s*reverse(s) in span{1, ij};
     any leakage into other components beyond tol (scaled) signals a broken
     product and raises StructureError.  A number whose squared length
-    overflows raises OverflowError, as Python's float power does.
+    overflows raises OverflowError.
     """
     with np.errstate(over="ignore"):
         scale = 1.0 + s.squared_length()

@@ -187,7 +187,10 @@ def basis_closed_form(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
 
 def metric(p: ChartPoint) -> np.ndarray:
     """Gram matrix of the basis vectors (upper curved-index metric)."""
-    a = jacobian_lower(p)
+    return _gram(jacobian_lower(p))
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
     return np.einsum("ki...,kj...->ij...", a, a)
 
 
@@ -203,12 +206,13 @@ def jacobian_mixed(p: ChartPoint) -> np.ndarray:
     Flat indices are moved with the identity, curved ones with the inverse of
     metric(p); the result satisfies jacobian_lower @ jacobian_mixed.T = id.
     """
-    g = metric(p)
+    a = jacobian_lower(p)
+    g = _gram(a)
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if np.any(np.abs(det) < 1e-30):
         raise DomainError("metric is singular at this point")
     g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
-    return np.einsum("ik...,kj...->ij...", jacobian_lower(p), g_inv)
+    return np.einsum("ik...,kj...->ij...", a, g_inv)
 
 
 def jacobian_mixed_closed_form(p: ChartPoint) -> np.ndarray:

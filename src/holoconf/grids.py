@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 
-from .algebra import B, S01
-from .bicomplex import _complex, quotient
+from .algebra import B, S01, cn, sn
+from .bicomplex import _complex
 from .projective import Ring, S3Point, exp_one_param, hopf, mobius_apply
 
 GRID_KINDS = ("joukowski", "hopf-fibers", "conformal-flow")
@@ -18,9 +18,8 @@ def _joukowski_rows(resolution: int):
     yield ("radius", "phi", "u_re", "u_im", "cn_re", "cn_im", "sn_re", "sn_im")
     phi = 2.0 * math.pi * np.arange(resolution) / resolution
     for radius in (1.0, 1.1, 1.3, 1.6, 2.0):
-        # cn(u) = (u + 1/u)/2 and sn(u) = (u - 1/u)/2i, divided as Python divides
         u = _complex(radius * np.cos(phi), radius * np.sin(phi))
-        c, s = quotient(u + (inv := quotient(1.0, u)), 2.0), quotient(u - inv, 2j)
+        c, s = cn(u), sn(u)
         columns = (np.full(resolution, radius), phi, u.real, u.imag, c.real, c.imag, s.real, s.imag)
         yield from zip(*(x.tolist() for x in columns))
 

@@ -50,12 +50,9 @@ from .bicomplex import (
     UNIT_I,
     UNIT_IJ,
     _coerce,
-    modulus,
     nan_max,
     null_plane_units,
     plain,
-    pow2,
-    quotient,
     reject,
 )
 
@@ -293,7 +290,7 @@ def mobius_apply(m: SpinMatrix, v):
         reject(~np.isfinite(v.max_abs()), ValueError, "Mobius argument {} is not finite", v)
         den = m.c * v + m.d
         zp, zm = den.idempotent_parts()
-        dead_p, dead_m = modulus(zp) <= POLE_TOL, modulus(zm) <= POLE_TOL
+        dead_p, dead_m = np.abs(zp) <= POLE_TOL, np.abs(zm) <= POLE_TOL
         reject(dead_p & dead_m, PoleError, "denominator vanished")
         reject(
             dead_p | dead_m,
@@ -307,8 +304,8 @@ def mobius_apply(m: SpinMatrix, v):
     if m.ring is Ring.REAL:
         reject(np.imag(v) != 0, ValueError, "the real ring acts on real arguments, not {}", v)
     den = m.c * v + m.d
-    reject(modulus(den) <= POLE_TOL, PoleError, "denominator vanished")
-    out = quotient(m.a * v + m.b, den)
+    reject(np.abs(den) <= POLE_TOL, PoleError, "denominator vanished")
+    out = (m.a * v + m.b) / den
     return plain(out.real if m.ring is Ring.REAL else out)
 
 
@@ -340,7 +337,7 @@ def flow_consistency(g: GeneratorId, v0: complex, eps: float) -> float:
     v0 = np.asarray(v0, dtype=complex)
     moved = mobius_apply(exp_one_param(g, eps, Ring.COMPLEX), v0)
     x = generator(g, UPSILON_LINE).coeffs[0](v0)
-    return plain(modulus(moved - (v0 + eps * x)))
+    return plain(np.abs(moved - (v0 + eps * x)))
 
 
 # --- the sphere map -----------------------------------------------------------
@@ -354,17 +351,17 @@ def hopf_raw(c1: float, c2: float, c3: float, c4: float) -> tuple:
     )
 
 
-# The norm of a sphere point is the square root of the plain sum of squares,
-# whose rounding the goldens pin.  Only where that sum overflows or
-# underflows are the components first divided by the largest of them (the
-# math.hypot idea), so that finite nonzero input is always accepted.
+# The norm of a sphere point is the square root of the plain sum of squares.
+# Only where that sum overflows or underflows are the components first
+# divided by the largest of them (the math.hypot idea), so that finite
+# nonzero input is always accepted.
 
 _NOT_FINITE = "cannot normalize ({}, {}, {}, {}): norm not finite"
 
 
 def _norm(comps) -> tuple:
     with np.errstate(over="ignore", under="ignore"):
-        n = np.sqrt(sum(pow2(c) for c in comps))
+        n = np.sqrt(sum(c * c for c in comps))
         rescale = ~((n >= 1e-300) & (n < math.inf))
         if not rescale.any():
             return comps, n
@@ -373,7 +370,7 @@ def _norm(comps) -> tuple:
         big = np.abs(stack).max(axis=0)
         reject(big == 0, ValueError, "cannot normalize the zero vector")
         comps = [np.where(rescale, c / big, c) for c in stack]
-        return comps, np.where(rescale, np.sqrt(sum(pow2(c) for c in comps)), n)
+        return comps, np.where(rescale, np.sqrt(sum(c * c for c in comps)), n)
 
 
 @dataclass(frozen=True)
@@ -396,8 +393,6 @@ class S3Point:
 
     def phase_rotated(self, lam: float) -> "S3Point":
         """Joint phase action on (s1 + i s2, s3 + i s4): the fiber circle."""
-        # the products by exp(i lam) = cos + i sin, written out as Python's
-        # complex product rounds them
         c, s = np.cos(lam), np.sin(lam)
         return S3Point(
             self.s1 * c - self.s2 * s,
@@ -441,8 +436,8 @@ class ProjectivePoint:
 def projectively_equal(p: ProjectivePoint, q: ProjectivePoint, tol: float = 1e-12) -> bool:
     """Cross-multiplication test v1*w2 == v2*w1 (no normalization needed);
     one bool per sample for array points."""
-    scale = np.maximum(modulus(p.v1), modulus(p.v2)) * np.maximum(modulus(q.v1), modulus(q.v2))
-    return plain(modulus(p.v1 * q.v2 - p.v2 * q.v1) <= tol * np.maximum(scale, 1e-300))
+    scale = np.maximum(np.abs(p.v1), np.abs(p.v2)) * np.maximum(np.abs(q.v1), np.abs(q.v2))
+    return plain(np.abs(p.v1 * q.v2 - p.v2 * q.v1) <= tol * np.maximum(scale, 1e-300))
 
 
 @dataclass(frozen=True)
@@ -467,14 +462,16 @@ class ChartTransition:
 
 def chart_transition(p: ProjectivePoint, tol: float = 1e-14) -> ChartTransition:
     v1, v2 = np.broadcast_arrays(np.asarray(p.v1, dtype=complex), np.asarray(p.v2, dtype=complex))
-    scale = np.maximum(modulus(v1), modulus(v2))
-    have0 = modulus(v2) > tol * scale
-    have1 = modulus(v1) > tol * scale
+    scale = np.maximum(np.abs(v1), np.abs(v2))
+    have0 = np.abs(v2) > tol * scale
+    have1 = np.abs(v1) > tol * scale
     missing = complex(math.nan, math.nan)
-    w = np.where(have0, quotient(v1, v2), missing)
+    # off the overlap a divisor may be 0; np.where drops those quotients
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(have0, v1 / v2, missing)
+        affine1 = (np.where(have1, 1.0 + 0j, missing), np.where(have1, v2 / v1, missing))
+        transition = np.where(have0 & have1, w / np.abs(w), missing)
     affine0 = (w, np.where(have0, 1.0 + 0j, missing))
-    affine1 = (np.where(have1, 1.0 + 0j, missing), np.where(have1, quotient(v2, v1), missing))
-    transition = np.where(have0 & have1, quotient(w, modulus(w)), missing)
     if v1.ndim:
         return ChartTransition(affine0, affine1, transition)
     # a single point: Python numbers, and None for what does not exist

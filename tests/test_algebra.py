@@ -159,6 +159,18 @@ def test_eigenactions_all_transported_realizations():
                 assert abs(act(g, alpha, p) - expected) <= 1e-10 * (1 + abs(expected))
 
 
+def test_eigenactions_are_act_and_eigenaction_expected():
+    rng = random.Random(44)
+    for chart in (ChartId.HOLOGRAPHIC, ChartId.CARTESIAN, ChartId.CONFORMAL, ChartId.POLAR):
+        pts = chart_points(chart, 50, rng)
+        alphas = scale_dimensions(50, rng)
+        got = algebra.eigenactions(alphas, pts)
+        assert len(got) == len(GENERATORS)
+        for g, (acted, expected) in zip(GENERATORS, got):
+            assert np.array_equal(acted, act(g, alphas, pts))
+            assert np.array_equal(expected, eigenaction_expected(g, alphas, pts))
+
+
 def test_degree_shift_on_monomials():
     rng = random.Random(43)
     us = upsilon_points(10, rng)

@@ -4,13 +4,16 @@ Every function that accepts an array point (coordinates stacked over the
 samples) must give, sample by sample, what the same function gives at each
 plain point.  A plain point goes through the same code as an array, so where
 a comparison with the function itself would check nothing, the reference is
-computed here with Python's float and complex arithmetic, cmath and math.
+computed here with Python's float and complex arithmetic, cmath and math,
+or, where a function divides complex numbers or takes their modulus, with
+numpy's scalars one point at a time.
 """
 
 import cmath
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -483,7 +486,8 @@ def test_joukowski_rows_are_the_per_point_rows(res):
         for k in range(res):
             phi = 2.0 * math.pi * k / res
             u = radius * cmath.exp(1j * phi)
-            c, s = algebra.cn(u), algebra.sn(u)
+            # numpy's complex division, one point at a time
+            c, s = complex(algebra.cn(np.complex128(u))), complex(algebra.sn(np.complex128(u)))
             want.append((radius, phi, u.real, u.imag, c.real, c.imag, s.real, s.imag))
     header, *rows = grids._joukowski_rows(res)
     assert header[0] == "radius" and len(rows) == len(want)
@@ -549,20 +553,48 @@ def ref_exp(x: Bicomplex) -> Bicomplex:
 
 
 def ref_inverse(x: Bicomplex) -> Bicomplex:
-    return ref_from_idempotent_parts(*(1 / z for z in ref_idempotent_parts(x)))
+    # numpy's complex division, one number at a time
+    return ref_from_idempotent_parts(*(complex(np.divide(1, z)) for z in ref_idempotent_parts(x)))
 
 
-def test_modulus_and_quotient_round_as_python():
+def test_single_points_leave_as_python_numbers_of_the_array_kernels():
+    # one point runs through numpy's kernels as an array does: it leaves as
+    # Python numbers, bitwise the array's sample
     rng = random.Random(8)
-    a = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(500)]
-    b = [complex(rng.uniform(-3, 3), rng.uniform(-1e-3, 1e-3)) for _ in range(250)]
-    b += [complex(rng.uniform(-1e-3, 1e-3), rng.uniform(-3, 3)) for _ in range(250)]
-    assert list(bc.modulus(np.array(a))) == [abs(z) for z in a]
-    assert list(bc.quotient(np.array(a), np.array(b))) == [x / y for x, y in zip(a, b)]
-    assert list(bc.quotient(1, np.array(b))) == [1 / y for y in b]
-    # one Python number each, including a real divisor
-    assert [bc.quotient(x, y) for x, y in zip(a, b)] == [x / y for x, y in zip(a, b)]
-    assert bc.quotient(3.0, 2.0) == 1.5 and bc.modulus(3.0 - 4.0j) == 5.0
+    a_list = ref_bicomplex_values(300, rng)
+    a = bicomplex_batch(300, random.Random(8))
+    inverse = a.inverse()
+    for k, x in enumerate(a_list):
+        one = x.inverse()
+        assert all(type(c) is float for c in one.components()) and inverse[k] == one
+    assert all(type(x.squared_length()) is float for x in a_list)
+    assert np.array_equal(a.squared_length(), [x.squared_length() for x in a_list])
+    v1 = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(300)] + [0j, 2.0 + 0j]
+    v2 = [complex(rng.uniform(-3, 3), rng.uniform(-1e-3, 1e-3)) for _ in range(300)] + [1.5j, 0j]
+    p = ProjectivePoint(np.array(v1), np.array(v2))
+    tr = projective.chart_transition(p)
+    equal = projective.projectively_equal(p, ProjectivePoint(p.v2, p.v1))
+    nan = complex(math.nan, math.nan)
+    for k, (x, y) in enumerate(zip(v1, v2)):
+        one = projective.chart_transition(ProjectivePoint(x, y))
+        fields = [*(one.affine0 or (nan, nan)), *(one.affine1 or (nan, nan)), one.transition]
+        assert all(type(f) is complex for f in fields if f is not None)
+        got = [tr.affine0[0][k], tr.affine0[1][k], tr.affine1[0][k], tr.affine1[1][k], tr.transition[k]]
+        assert np.array_equal(got, [nan if f is None else f for f in fields], equal_nan=True)
+        same = projective.projectively_equal(ProjectivePoint(x, y), ProjectivePoint(y, x))
+        assert type(same) is bool and same == equal[k]
+    v0 = upsilon_points(100, rng, radii=(0.3, 1.2))
+    for g in GENERATORS:
+        defects = projective.flow_consistency(g, v0, 1e-3)
+        ones = [projective.flow_consistency(g, complex(z), 1e-3) for z in v0]
+        assert all(type(d) is float for d in ones) and np.array_equal(defects, ones)
+    # off the overlap one divisor is 0; its quotient is computed and dropped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = projective.chart_transition(ProjectivePoint(np.array([0j, 2.0 + 0j]), np.array([1.5j, 0j])))
+        one = projective.chart_transition(ProjectivePoint(0j, 1.5j))
+    assert not tr.in_overlap.any() and np.isnan(tr.affine1[1][0]) and np.isnan(tr.affine0[0][1])
+    assert one.affine0 == (0j, 1.0 + 0j) and one.affine1 is None and one.transition is None
 
 
 def ref_bicomplex_values(n: int, rng: random.Random, scale: float = 2.0) -> list:
@@ -599,7 +631,7 @@ def test_bicomplex_arithmetic_is_bitwise_the_scalar_path():
     assert all(type(c) is float for c in a_list[0].inverse().components())
     assert np.array_equal(a.max_abs(), [max(map(abs, x.components())) for x in a_list])
     assert np.array_equal(
-        a.squared_length(), [x.re**2 + x.im_i**2 + x.im_j**2 + x.im_ij**2 for x in a_list]
+        a.squared_length(), [x.re * x.re + x.im_i * x.im_i + x.im_j * x.im_j + x.im_ij * x.im_ij for x in a_list]
     )
 
 
@@ -697,7 +729,7 @@ def test_mobius_apply_bicomplex_on_arrays():
 
 
 def ref_unit(c) -> list:
-    n = math.sqrt(sum(x**2 for x in c))
+    n = math.sqrt(sum(x * x for x in c))
     return [x / n for x in c]
 
 
@@ -729,20 +761,22 @@ def test_sphere_map_on_arrays():
 
 
 def ref_chart_transition(v1: complex, v2: complex, tol: float = 1e-14) -> tuple:
-    """(affine0, affine1, transition) with None where one does not exist."""
-    scale = max(abs(v1), abs(v2))
-    have0, have1 = abs(v2) > tol * scale, abs(v1) > tol * scale
+    """(affine0, affine1, transition) with None where one does not exist,
+    in numpy's complex arithmetic, one point at a time."""
+    v1, v2 = np.complex128(v1), np.complex128(v2)
+    scale = max(np.abs(v1), np.abs(v2))
+    have0, have1 = np.abs(v2) > tol * scale, np.abs(v1) > tol * scale
     w = v1 / v2 if have0 else None
     return (
-        (w, 1.0 + 0j) if have0 else None,
-        (1.0 + 0j, v2 / v1) if have1 else None,
-        w / abs(w) if have0 and have1 else None,
+        (complex(w), 1.0 + 0j) if have0 else None,
+        (1.0 + 0j, complex(v2 / v1)) if have1 else None,
+        complex(w / np.abs(w)) if have0 and have1 else None,
     )
 
 
 def ref_projectively_equal(p: tuple, q: tuple, tol: float = 1e-12) -> bool:
-    scale = max(abs(p[0]), abs(p[1])) * max(abs(q[0]), abs(q[1]))
-    return abs(p[0] * q[1] - p[1] * q[0]) <= tol * max(scale, 1e-300)
+    scale = max(np.abs(p[0]), np.abs(p[1])) * max(np.abs(q[0]), np.abs(q[1]))
+    return np.abs(p[0] * q[1] - p[1] * q[0]) <= tol * max(scale, 1e-300)
 
 
 def test_chart_transition_on_arrays():
