@@ -36,6 +36,7 @@ they are the independent reference the tests compare the tensors against.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import random
 import re
@@ -437,25 +438,7 @@ def jacobiator(x: TaylorField, y: TaylorField, z: TaylorField) -> np.ndarray:
 
 # --- the commutation table and sign ledgers ---------------------------------
 
-# ordered bracket pairs and their table right-hand sides (zero when absent)
-BRACKET_PAIRS: tuple = (
-    (B, S01),
-    (B, P0),
-    (B, P1),
-    (B, Q0),
-    (B, Q1),
-    (S01, P0),
-    (S01, P1),
-    (S01, Q0),
-    (S01, Q1),
-    (P0, P1),
-    (Q0, Q1),
-    (Q0, P0),
-    (Q0, P1),
-    (Q1, P0),
-    (Q1, P1),
-)
-
+# the table right-hand side of each ordered bracket pair (zero when absent)
 BRACKET_RELATIONS: dict = {
     (B, S01): {},
     (B, P0): {P0: -1.0},
@@ -473,6 +456,9 @@ BRACKET_RELATIONS: dict = {
     (Q1, P0): {S01: -2.0},
     (Q1, P1): {B: 2.0},
 }
+
+# the ordered bracket pairs, in the table's order
+BRACKET_PAIRS = tuple(BRACKET_RELATIONS)
 
 QP_PAIRS = frozenset({(Q0, P0), (Q0, P1), (Q1, P0), (Q1, P1)})
 
@@ -509,8 +495,19 @@ class SignLedger:
     signs: dict = field(default_factory=dict)
     max_defect: float = 0.0
 
-    def as_dict(self) -> dict:
-        return dict(self.signs)
+    @classmethod
+    def matched(cls, realization: str, labels, d_plus, d_minus, tol: float, where: str = "") -> "SignLedger":
+        """The ledger of the brackets labels[k], whose defects against +RHS
+        and -RHS are d_plus[k] and d_minus[k]: each sign from match_sign at
+        tol, and the worst defect of the matched signs.  tol only decides the
+        sign; the caller judges max_defect against its own tolerance.  An
+        unmatched bracket raises UnmatchedBracketError naming its label
+        followed by where."""
+        ledger = cls(realization)
+        for label, dp, dm in zip(labels, d_plus, d_minus):
+            ledger.signs[label], defect = match_sign(label + where, float(dp), float(dm), tol)
+            ledger.max_defect = max(ledger.max_defect, defect)
+        return ledger
 
 
 def default_points(realization, n: int = 50, seed: int = 0):
@@ -523,17 +520,17 @@ def default_points(realization, n: int = 50, seed: int = 0):
 
 # samples per tensor evaluation in structure_table, which bounds its memory
 STRUCTURE_CHUNK = 4096
+# a field bracket within this defect of +RHS or -RHS takes that sign
+MATCH_TOL = 1e-6
 
 
-def structure_table(realization, points=None, match_tol: float = 1e-6) -> SignLedger:
+def structure_table(realization, points=None) -> SignLedger:
     """Match all 15 generator brackets against the table, recording signs.
 
     The brackets are contractions of the generators' value and gradient
     tensors (generator_tensors), one pair at a time, over at most
-    STRUCTURE_CHUNK points at a time.  match_tol only decides which sign
-    fits (a genuinely wrong bracket raises UnmatchedBracketError); the ledger
-    records the actual worst defect for the caller to judge against its own
-    tolerance.
+    STRUCTURE_CHUNK points at a time.  A genuinely wrong bracket raises
+    UnmatchedBracketError.
     """
     if points is None:
         points = default_points(realization)
@@ -549,19 +546,9 @@ def structure_table(realization, points=None, match_tol: float = 1e-6) -> SignLe
                 rhs = rhs + c * gens.v[GENERATORS.index(g)]
             d_plus[(g1, g2)] = np.maximum(d_plus[(g1, g2)], np.max(np.abs(bra - rhs)))
             d_minus[(g1, g2)] = np.maximum(d_minus[(g1, g2)], np.max(np.abs(bra + rhs)))
-    ledger = SignLedger(realization=realization_key(realization))
-    worst = 0.0
-    for g1, g2 in BRACKET_PAIRS:
-        sign, defect = match_sign(
-            f"{pair_label(g1, g2)} in {ledger.realization}",
-            float(d_plus[(g1, g2)]),
-            float(d_minus[(g1, g2)]),
-            match_tol,
-        )
-        ledger.signs[pair_label(g1, g2)] = sign
-        worst = max(worst, defect)
-    ledger.max_defect = worst
-    return ledger
+    key = realization_key(realization)
+    labels = [pair_label(g1, g2) for g1, g2 in BRACKET_PAIRS]
+    return SignLedger.matched(key, labels, d_plus.values(), d_minus.values(), MATCH_TOL, where=f" in {key}")
 
 
 # --- eigenactions on the solution family -------------------------------------
@@ -634,6 +621,9 @@ SO31_INDEX_PAIRS = tuple(SO31_PACKING)
 SO31_PACK_MATRIX = np.array([[row.get(g, 0.0) for g in GENERATORS] for row in SO31_PACKING.values()])
 
 MINKOWSKI_METRIC = (1.0, 1.0, 1.0, -1.0)
+# a metric under which a packed bracket misses its signed right-hand side by
+# more than this fails minkowski_check's scan
+SCAN_TOL = 1e-8
 
 # brackets that reduce to a [q, p] commutator inherit its negated sign
 MINKOWSKI_FIELD_SIGNS = {
@@ -690,9 +680,7 @@ class MinkowskiResult:
     metric_forced: bool
 
 
-def minkowski_check(
-    realization, points=None, match_tol: float = 1e-6, scan_tol: float = 1e-8
-) -> MinkowskiResult:
+def minkowski_check(realization, points=None) -> MinkowskiResult:
     """Verify the packed relation with metric diag(1,1,1,-1) and show the
     metric is forced: with the recorded per-bracket signs held fixed, every
     other diagonal sign pattern must break at least one bracket."""
@@ -700,42 +688,28 @@ def minkowski_check(
         points = default_points(realization)
     pack = generator_tensors(realization, points).combine(SO31_PACK_MATRIX)
     pack_vals = dict(zip(SO31_INDEX_PAIRS, pack.v))
-    bra_vals = {}
-    for i, a in enumerate(SO31_INDEX_PAIRS):
-        for j in range(i + 1, len(SO31_INDEX_PAIRS)):
-            bra_vals[(a, SO31_INDEX_PAIRS[j])] = taylor_bracket(pack[i], pack[j]).v
+    pairs = list(itertools.combinations(SO31_INDEX_PAIRS, 2))
+    labels = [f"[s{a[0]}{a[1]},s{b[0]}{b[1]}]" for a, b in pairs]
+    bras = [taylor_bracket(pack[i], pack[j]).v for i, j in itertools.combinations(range(len(pack.v)), 2)]
 
-    def rhs_values(a, b, metric):
-        acc = np.zeros_like(pack_vals[(0, 1)])
-        for c, ab in _so31_rhs_terms(a, b, metric):
-            acc = acc + c * pack_vals[ab]
-        return acc
+    def rhs_values(metric):
+        # one pair at a time, so that the scan stops at the first broken one
+        for a, b in pairs:
+            yield sum((c * pack_vals[ab] for c, ab in _so31_rhs_terms(a, b, metric)), np.zeros_like(pack.v[0]))
 
-    ledger = SignLedger(realization=realization_key(realization))
-    worst = 0.0
-    for (a, b), bra in bra_vals.items():
-        rhs = rhs_values(a, b, MINKOWSKI_METRIC)
-        key = f"[s{a[0]}{a[1]},s{b[0]}{b[1]}]"
-        ledger.signs[key], defect = match_sign(
-            key,
-            float(np.max(np.abs(bra - rhs))),
-            float(np.max(np.abs(bra + rhs))),
-            match_tol,
-        )
-        worst = max(worst, defect)
-    ledger.max_defect = worst
-
+    rhs = list(rhs_values(MINKOWSKI_METRIC))
+    ledger = SignLedger.matched(
+        realization_key(realization),
+        labels,
+        [np.max(np.abs(bra - r)) for bra, r in zip(bras, rhs)],
+        [np.max(np.abs(bra + r)) for bra, r in zip(bras, rhs)],
+        MATCH_TOL,
+    )
     passing = []
     for bits in range(16):
         metric = tuple(1.0 if bits & (1 << k) == 0 else -1.0 for k in range(4))
-        ok = True
-        for (a, b), bra in bra_vals.items():
-            key = f"[s{a[0]}{a[1]},s{b[0]}{b[1]}]"
-            rhs = rhs_values(a, b, metric)
-            if float(np.max(np.abs(bra - ledger.signs[key] * rhs))) > scan_tol:
-                ok = False
-                break
-        if ok:
+        signed = (ledger.signs[label] * r for label, r in zip(labels, rhs_values(metric)))
+        if not any(np.max(np.abs(bra - r)) > SCAN_TOL for bra, r in zip(bras, signed)):
             passing.append(metric)
     forced = passing == [MINKOWSKI_METRIC]
     return MinkowskiResult(

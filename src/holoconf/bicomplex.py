@@ -79,6 +79,13 @@ def _complex(re, im):
     return plain(out)
 
 
+# an idempotent part this small makes a number a zero divisor, which inverse
+# rejects; projective's Mobius maps read a denominator this small as a pole
+POLE_TOL = 1e-14
+# involution_projections' bound on an involution product's leakage, relative to 1 + |s|^2
+LEAK_TOL = 1e-9
+
+
 class StructureError(ArithmeticError):
     """An algebraic identity that must hold exactly was violated."""
 
@@ -173,13 +180,13 @@ class Bicomplex:
         w2 = 1j * (z_plus - z_minus) / 2
         return Bicomplex(*map(plain, (w1.real, w1.imag, w2.real, w2.imag)))
 
-    def inverse(self, tol: float = 1e-14) -> "Bicomplex":
+    def inverse(self) -> "Bicomplex":
         """1 / self; ValueError for a non-finite number, ZeroDivisorError on
         the null cone."""
         reject(~np.isfinite(self.max_abs()), ValueError, "cannot invert {}: not finite", self)
         zp, zm = self.idempotent_parts()
         reject(
-            (np.abs(zp) <= tol) | (np.abs(zm) <= tol),
+            (np.abs(zp) <= POLE_TOL) | (np.abs(zm) <= POLE_TOL),
             ZeroDivisorError,
             "not invertible: idempotent parts ({}, {})",
             zp,
@@ -236,12 +243,12 @@ class HopfTriple:
     len_sq: float
 
 
-def involution_projections(s: Bicomplex, tol: float = 1e-9) -> HopfTriple:
+def involution_projections(s: Bicomplex) -> HopfTriple:
     """Extract the sphere-map image of s from its two involutions.
 
     s*conjugate(s) must land in span{1, j} and s*reverse(s) in span{1, ij};
-    any leakage into other components beyond tol (scaled) signals a broken
-    product and raises StructureError.  A number whose squared length
+    any leakage into other components beyond LEAK_TOL (scaled) signals a
+    broken product and raises StructureError.  A number whose squared length
     overflows raises OverflowError.
     """
     with np.errstate(over="ignore"):
@@ -249,14 +256,14 @@ def involution_projections(s: Bicomplex, tol: float = 1e-9) -> HopfTriple:
     reject(np.isinf(scale), OverflowError, "squared length of {} overflows", s)
     pc = s * s.conjugate()
     reject(
-        (abs(pc.im_i) > tol * scale) | (abs(pc.im_ij) > tol * scale),
+        (abs(pc.im_i) > LEAK_TOL * scale) | (abs(pc.im_ij) > LEAK_TOL * scale),
         StructureError,
         "s*conjugate(s) leaked outside span(1, j): {}",
         pc,
     )
     pr = s * s.reverse()
     reject(
-        (abs(pr.im_i) > tol * scale) | (abs(pr.im_j) > tol * scale),
+        (abs(pr.im_i) > LEAK_TOL * scale) | (abs(pr.im_j) > LEAK_TOL * scale),
         StructureError,
         "s*reverse(s) leaked outside span(1, ij): {}",
         pr,

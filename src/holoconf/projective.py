@@ -41,10 +41,10 @@ from .algebra import (
     GeneratorId,
     SignLedger,
     generator,
-    match_sign,
     pair_label,
 )
 from .bicomplex import (
+    POLE_TOL,
     Bicomplex,
     HopfTriple,
     UNIT_I,
@@ -79,6 +79,13 @@ class UnsupportedGeneratorError(ValueError):
 
 
 REAL_GENERATORS = (B, P0, Q0)
+
+# a matrix commutator within this defect of +RHS or -RHS takes that sign
+MATRIX_MATCH_TOL = 1e-12
+# projectively_equal's bound on |v1 w2 - v2 w1|, relative to the points' sizes
+EQUAL_TOL = 1e-12
+# chart_transition's bound, relative to the larger component, below which a component is zero
+CHART_TOL = 1e-14
 
 
 def _ring_zero(ring: Ring):
@@ -230,7 +237,7 @@ def _stack(matrices: list) -> SpinMatrix:
     return SpinMatrix(matrices[0].ring, *map(entry, zip(*(m.entries() for m in matrices))))
 
 
-def matrix_bracket_table(ring: Ring, tol: float = 1e-12) -> SignLedger:
+def matrix_bracket_table(ring: Ring) -> SignLedger:
     """All pairwise commutators over the ring, signed against the table.
 
     The pairs' commutators are taken at once, as one commutator of two
@@ -242,15 +249,14 @@ def matrix_bracket_table(ring: Ring, tol: float = 1e-12) -> SignLedger:
     # every right-hand side is one term coeff * g, or none (0 * zero)
     terms = [next(iter(BRACKET_RELATIONS[pair].items()), (None, 0.0)) for pair in pairs]
     rhs = zero + _stack([gens.get(g, zero) for g, _ in terms]).scaled(np.array([c for _, c in terms]))
-    d_plus, d_minus = bra.max_abs_diff(rhs), bra.max_abs_diff(rhs.scaled(-1.0))
-    ledger = SignLedger(realization=f"matrix/{ring.value}")
-    worst = 0.0
-    for (g1, g2), dp, dm in zip(pairs, d_plus.tolist(), d_minus.tolist()):
-        sign, defect = match_sign(f"{pair_label(g1, g2)} over {ring}", dp, dm, tol)
-        ledger.signs[pair_label(g1, g2)] = sign
-        worst = max(worst, defect)
-    ledger.max_defect = worst
-    return ledger
+    return SignLedger.matched(
+        f"matrix/{ring.value}",
+        [pair_label(g1, g2) for g1, g2 in pairs],
+        bra.max_abs_diff(rhs),
+        bra.max_abs_diff(rhs.scaled(-1.0)),
+        MATRIX_MATCH_TOL,
+        where=f" over {ring}",
+    )
 
 
 # the real matrix ledger is the global negation of the upsilon-line field
@@ -265,11 +271,6 @@ EXPECTED_MATRIX_SIGNS = {
     },
     Ring.BICOMPLEX: {pair_label(g1, g2): 1 for g1, g2 in BRACKET_PAIRS},
 }
-
-
-# a denominator (or, over the bicomplex ring, one of its idempotent parts)
-# this small is a pole
-POLE_TOL = 1e-14
 
 
 def mobius_apply(m: SpinMatrix, v):
@@ -300,6 +301,8 @@ def mobius_apply(m: SpinMatrix, v):
             zm,
         )
         return (m.a * v + m.b) * den.inverse()
+    # a single point as a 0-d array, so that it rounds as its array sample
+    v = np.asarray(v)
     reject(~np.isfinite(v), ValueError, "Mobius argument {} is not finite", v)
     if m.ring is Ring.REAL:
         reject(np.imag(v) != 0, ValueError, "the real ring acts on real arguments, not {}", v)
@@ -319,13 +322,12 @@ def exp_one_param(g: GeneratorId, eps: float, ring: Ring) -> SpinMatrix:
     reject(~np.isfinite(eps), ValueError, "flow parameter {} is not finite", eps)
     m = matrix_rep(g, ring)
     if g in (B, S01):
-        return SpinMatrix(
-            ring,
-            _ring_exp(eps * m.a),
-            _ring_zero(ring),
-            _ring_zero(ring),
-            _ring_exp(eps * m.d),
-        )
+        zero = _ring_zero(ring)
+        if np.ndim(eps):
+            # arrays of +0.0 in eps's shape, so that m[k] indexes every entry
+            zeros = np.zeros(np.shape(eps))
+            zero = Bicomplex(*[zeros] * 4) if ring is Ring.BICOMPLEX else zero + zeros
+        return SpinMatrix(ring, _ring_exp(eps * m.a), zero, zero, _ring_exp(eps * m.d))
     return identity(ring) + m.scaled(eps)
 
 
@@ -433,11 +435,11 @@ class ProjectivePoint:
         )
 
 
-def projectively_equal(p: ProjectivePoint, q: ProjectivePoint, tol: float = 1e-12) -> bool:
+def projectively_equal(p: ProjectivePoint, q: ProjectivePoint) -> bool:
     """Cross-multiplication test v1*w2 == v2*w1 (no normalization needed);
     one bool per sample for array points."""
     scale = np.maximum(np.abs(p.v1), np.abs(p.v2)) * np.maximum(np.abs(q.v1), np.abs(q.v2))
-    return plain(np.abs(p.v1 * q.v2 - p.v2 * q.v1) <= tol * np.maximum(scale, 1e-300))
+    return plain(np.abs(p.v1 * q.v2 - p.v2 * q.v1) <= EQUAL_TOL * np.maximum(scale, 1e-300))
 
 
 @dataclass(frozen=True)
@@ -460,11 +462,11 @@ class ChartTransition:
         return plain(~np.isnan(np.asarray(self.transition, dtype=complex)))
 
 
-def chart_transition(p: ProjectivePoint, tol: float = 1e-14) -> ChartTransition:
+def chart_transition(p: ProjectivePoint) -> ChartTransition:
     v1, v2 = np.broadcast_arrays(np.asarray(p.v1, dtype=complex), np.asarray(p.v2, dtype=complex))
     scale = np.maximum(np.abs(v1), np.abs(v2))
-    have0 = np.abs(v2) > tol * scale
-    have1 = np.abs(v1) > tol * scale
+    have0 = np.abs(v2) > CHART_TOL * scale
+    have1 = np.abs(v1) > CHART_TOL * scale
     missing = complex(math.nan, math.nan)
     # off the overlap a divisor may be 0; np.where drops those quotients
     with np.errstate(divide="ignore", invalid="ignore"):

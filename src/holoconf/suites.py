@@ -34,9 +34,9 @@ import numpy as np
 from . import algebra, bicomplex as bc, charts, dual, laplace, projective, sampling
 from .algebra import B, FIELD_REALIZATIONS, GENERATORS, P0, P1, Q0, Q1, S01, UPSILON_LINE
 from .charts import ChartId, ChartPoint
-from .report import CheckResult, SuiteConfig, VerificationReport
+from .report import SUITE_NAMES, CheckResult, SuiteConfig, VerificationReport
 
-ALL_CHARTS = (ChartId.CARTESIAN, ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL)
+ALL_CHARTS = tuple(ChartId)
 
 # pinned bound of the identities that hold in exact arithmetic
 EXACT_TOL = 1e-12
@@ -86,7 +86,7 @@ class _Outcome(NamedTuple):
 
 def _signed(ledger: algebra.SignLedger, expected: dict) -> _Outcome:
     """The ledger's worst defect when its signs are the expected ones, else inf."""
-    return _Outcome(ledger.max_defect if ledger.signs == expected else math.inf, ledger.as_dict())
+    return _Outcome(ledger.max_defect if ledger.signs == expected else math.inf, dict(ledger.signs))
 
 
 class _Runner:
@@ -853,7 +853,7 @@ _SUITES = {
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Run the selected suites; failures become report entries, not raises."""
     report = VerificationReport(config=cfg)
-    for name in ("bicomplex", "charts", "laplace", "algebra", "projective"):
+    for name in SUITE_NAMES:
         if name not in cfg.suites:
             continue
         report.checks.extend(_SUITES[name](cfg))

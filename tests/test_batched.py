@@ -666,15 +666,17 @@ def test_exp_one_param_on_array_eps(ring):
     eps = np.array([0.3, -0.7, 1e-3, 0.0, 0.55])
     for g in projective.supported_generators(ring):
         batched = projective.exp_one_param(g, eps, ring)
-        for k, e in enumerate(eps):
-            for m in (batched, projective.exp_one_param(g, float(e), ring)):
-                for got, want in zip(m.entries(), ref_exp_one_param(g, float(e), ring)):
-                    if isinstance(want, Bicomplex):
-                        got = got[k] if np.ndim(got.re) else got
-                        assert (got - want).max_abs() <= 1e-15 * (1.0 + want.max_abs())
-                    else:
-                        got = got[k] if np.ndim(got) else got
-                        assert abs(got - want) <= 1e-15 * (1.0 + abs(want))
+        for k, e in enumerate(eps.tolist()):
+            one = projective.exp_one_param(g, e, ring)
+            # every entry indexes, the zeros of b and s01 too
+            assert batched[k] == one
+            for got, want in zip(one.entries(), ref_exp_one_param(g, e, ring)):
+                if isinstance(want, Bicomplex):
+                    assert all(type(c) is float for c in got.components())
+                    assert (got - want).max_abs() <= 1e-15 * (1.0 + want.max_abs())
+                else:
+                    assert type(got) is type(want)
+                    assert abs(got - want) <= 1e-15 * (1.0 + abs(want))
 
 
 @pytest.mark.parametrize("unpicked", (None, 0, 5))
@@ -710,6 +712,20 @@ def test_mobius_apply_complex_on_arrays():
         want0 = [ref_mobius(m0.entries(), complex(z)) for z in v]
         assert_close(projective.mobius_apply(m0, v), want0)
         assert_close([projective.mobius_apply(m0, complex(z)) for z in v], want0)
+
+
+def test_mobius_apply_on_one_point_is_bitwise_its_array_sample():
+    rng = random.Random(14)
+    eps = np.array([rng.uniform(-0.8, 0.8) for _ in range(200)])
+    v = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(200)])
+    for g in GENERATORS:
+        got = projective.mobius_apply(projective.exp_one_param(g, eps, Ring.COMPLEX), v)
+        ones = [
+            projective.mobius_apply(projective.exp_one_param(g, e, Ring.COMPLEX), z)
+            for e, z in zip(eps.tolist(), v.tolist())
+        ]
+        assert all(type(x) is complex for x in ones)
+        assert np.array(ones).tobytes() == got.tobytes(), g
 
 
 def test_mobius_apply_bicomplex_on_arrays():

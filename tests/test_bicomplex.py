@@ -126,10 +126,12 @@ def test_projection_norm_identity_random():
         )
 
 
-def test_projection_structure_error_path():
-    # forcing a negative threshold flags any nonzero component as leakage
-    with pytest.raises(bc.StructureError):
-        bc.involution_projections(bc.ONE, tol=-1.0)
+def test_projection_structure_error_path(monkeypatch):
+    # a conjugation that keeps the i part: (1 + i)(1 + i) = 2i leaks out of
+    # span(1, j)
+    monkeypatch.setattr(Bicomplex, "conjugate", lambda s: Bicomplex(s.re, s.im_i, s.im_j, -s.im_ij))
+    with pytest.raises(bc.StructureError, match="conjugate"):
+        bc.involution_projections(Bicomplex(1.0, 1.0))
 
 
 @pytest.mark.parametrize("big", [1e200, np.array([1.0, 1e200, 2.0])])

@@ -2,6 +2,10 @@
 
 import csv
 import dataclasses
+import functools
+import importlib
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -24,6 +28,7 @@ GOLDEN = Path(__file__).parent / "data" / "verify_seed7_golden.json"
 TABLE_GOLDEN = Path(__file__).parent / "data" / "table_golden.txt"
 RINGS_GOLDEN = Path(__file__).parent / "data" / "rings_seed7_golden.json"
 GRID_GOLDEN = Path(__file__).parent / "data" / "grids"
+TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
 
 def test_default_run_passes():
@@ -154,7 +159,7 @@ def test_exception_in_a_check_fails_only_that_check(monkeypatch, capsys):
     cfg = SuiteConfig(seed=3, samples=10, suites=("bicomplex", "projective"))
     names = [c.name for c in run_suite(cfg).checks]
 
-    def boom(s, tol=1e-9):
+    def boom(s):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(bc, "involution_projections", boom)
@@ -185,6 +190,21 @@ def test_unmatched_bracket_fails_its_check(monkeypatch):
             assert c.message.startswith("UnmatchedBracketError: [b,p0] in ")
         else:
             assert c.passed, c.name
+
+
+def test_unmatched_packed_bracket_fails_its_check(monkeypatch):
+    # doubled rotation operators: [2 s01, 2 s02] is twice the relation's
+    # doubled right-hand side, which neither sign matches
+    monkeypatch.setattr(algebra, "SO31_PACK_MATRIX", 2 * algebra.SO31_PACK_MATRIX)
+    report = run_suite(SuiteConfig(seed=3, samples=5, suites=("algebra",)))
+    packed = [c for c in report.checks if c.name.startswith("minkowski_packing[")]
+    assert len(packed) == len(algebra.FIELD_REALIZATIONS)
+    for c in packed:
+        assert not c.passed
+        assert c.max_defect is None and c.sign_ledger is None
+        assert c.message.startswith("UnmatchedBracketError: [s01,s02]: defects ")
+    # the angular tensor reads the same matrix; every other check passes
+    assert [c.name for c in report.checks if not c.passed] == [c.name for c in packed] + ["angular_tensor"]
 
 
 def test_nan_commutator_fails_matrix_brackets(monkeypatch):
@@ -251,6 +271,27 @@ def test_laplace_suite_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+def test_every_traced_span_is_a_public_function_of_its_module():
+    # the benchmark's tracer wraps holoconf's public functions by name; a
+    # span whose function was renamed or made private would break its run
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    methods = {".".join(m) for m in tracing.METHODS}
+    for metric in tracing.SPAN_METRICS:
+        span = metric.rsplit(".", 1)[0]
+        span = tracing.SPAN_NAMES.get(span, span)
+        layer, *path = span.split(".")
+        assert layer in tracing.LAYERS, metric
+        assert not any(name.startswith("_") for name in path), metric
+        module = importlib.import_module(f"holoconf.{layer}")
+        fn = functools.reduce(getattr, path, module)
+        if span in methods:
+            assert inspect.isfunction(fn), metric
+        else:
+            assert inspect.isfunction(fn) and fn.__module__ == module.__name__, metric
 
 
 def test_config_validation():
