@@ -518,6 +518,16 @@ def default_points(realization, n: int = 50, seed: int = 0):
     return sampling.chart_points(ChartId(key), n, rng)
 
 
+def _sample_points(realization, points):
+    """points, or default_points(realization) when None.  An empty set
+    raises ValueError: with no sample every defect would read 0."""
+    if points is None:
+        return default_points(realization)
+    if not len(points):
+        raise ValueError(f"no sample points to check in {realization_key(realization)}")
+    return points
+
+
 # samples per tensor evaluation in structure_table, which bounds its memory
 STRUCTURE_CHUNK = 4096
 # a field bracket within this defect of +RHS or -RHS takes that sign
@@ -530,20 +540,20 @@ def structure_table(realization, points=None) -> SignLedger:
     The brackets are contractions of the generators' value and gradient
     tensors (generator_tensors), one pair at a time, over at most
     STRUCTURE_CHUNK points at a time.  A genuinely wrong bracket raises
-    UnmatchedBracketError.
+    UnmatchedBracketError, and an empty point set ValueError.
     """
-    if points is None:
-        points = default_points(realization)
+    points = _sample_points(realization, points)
     # per pair, the largest |bracket - rhs| and |bracket + rhs| (NaN kept)
     d_plus = dict.fromkeys(BRACKET_PAIRS, 0.0)
     d_minus = dict.fromkeys(BRACKET_PAIRS, 0.0)
     for lo in range(0, len(points), STRUCTURE_CHUNK):
         gens = generator_tensors(realization, points[lo : lo + STRUCTURE_CHUNK])
+        fields = {g: gens[i] for i, g in enumerate(GENERATORS)}
         for g1, g2 in BRACKET_PAIRS:
-            bra = taylor_bracket(gens[GENERATORS.index(g1)], gens[GENERATORS.index(g2)]).v
+            bra = taylor_bracket(fields[g1], fields[g2]).v
             rhs = np.zeros_like(bra)
             for g, c in BRACKET_RELATIONS[(g1, g2)].items():
-                rhs = rhs + c * gens.v[GENERATORS.index(g)]
+                rhs = rhs + c * fields[g].v
             d_plus[(g1, g2)] = np.maximum(d_plus[(g1, g2)], np.max(np.abs(bra - rhs)))
             d_minus[(g1, g2)] = np.maximum(d_minus[(g1, g2)], np.max(np.abs(bra + rhs)))
     key = realization_key(realization)
@@ -683,33 +693,42 @@ class MinkowskiResult:
 def minkowski_check(realization, points=None) -> MinkowskiResult:
     """Verify the packed relation with metric diag(1,1,1,-1) and show the
     metric is forced: with the recorded per-bracket signs held fixed, every
-    other diagonal sign pattern must break at least one bracket."""
-    if points is None:
-        points = default_points(realization)
+    other diagonal sign pattern must break at least one bracket.
+
+    Two packed rotations share at most one index, so each right-hand side
+    has at most one term, and under a diagonal metric of signs it is 0 or
+    +-1 times the Minkowski one.  Multiplying by -1 is exact, so the scan
+    looks each defect up among the ledger's d_plus and d_minus by its
+    signed terms instead of recomputing it per metric; the scan still stops
+    at a metric's first broken bracket.  An empty point set raises
+    ValueError.
+    """
+    points = _sample_points(realization, points)
     pack = generator_tensors(realization, points).combine(SO31_PACK_MATRIX)
     pack_vals = dict(zip(SO31_INDEX_PAIRS, pack.v))
     pairs = list(itertools.combinations(SO31_INDEX_PAIRS, 2))
     labels = [f"[s{a[0]}{a[1]},s{b[0]}{b[1]}]" for a, b in pairs]
     bras = [taylor_bracket(pack[i], pack[j]).v for i, j in itertools.combinations(range(len(pack.v)), 2)]
-
-    def rhs_values(metric):
-        # one pair at a time, so that the scan stops at the first broken one
-        for a, b in pairs:
-            yield sum((c * pack_vals[ab] for c, ab in _so31_rhs_terms(a, b, metric)), np.zeros_like(pack.v[0]))
-
-    rhs = list(rhs_values(MINKOWSKI_METRIC))
-    ledger = SignLedger.matched(
-        realization_key(realization),
-        labels,
-        [np.max(np.abs(bra - r)) for bra, r in zip(bras, rhs)],
-        [np.max(np.abs(bra + r)) for bra, r in zip(bras, rhs)],
-        MATCH_TOL,
-    )
+    terms = [tuple(_so31_rhs_terms(a, b, MINKOWSKI_METRIC)) for a, b in pairs]
+    rhs = [sum((c * pack_vals[ab] for c, ab in t), np.zeros_like(pack.v[0])) for t in terms]
+    d_plus = [np.max(np.abs(bra - r)) for bra, r in zip(bras, rhs)]
+    d_minus = [np.max(np.abs(bra + r)) for bra, r in zip(bras, rhs)]
+    ledger = SignLedger.matched(realization_key(realization), labels, d_plus, d_minus, MATCH_TOL)
+    # per bracket, the defect of bracket - (signed right-hand side), keyed by
+    # the signed terms (a zero right-hand side has the one key (), where
+    # d_plus and d_minus agree)
+    defects = [
+        {tuple((-c, ab) for c, ab in t): dm, t: dp} for t, dp, dm in zip(terms, d_plus, d_minus)
+    ]
     passing = []
     for bits in range(16):
         metric = tuple(1.0 if bits & (1 << k) == 0 else -1.0 for k in range(4))
-        signed = (ledger.signs[label] * r for label, r in zip(labels, rhs_values(metric)))
-        if not any(np.max(np.abs(bra - r)) > SCAN_TOL for bra, r in zip(bras, signed)):
+        # one pair at a time, stopping at the first broken one
+        for (a, b), label, defect in zip(pairs, labels, defects):
+            signed = tuple((ledger.signs[label] * c, ab) for c, ab in _so31_rhs_terms(a, b, metric))
+            if defect[signed] > SCAN_TOL:
+                break
+        else:
             passing.append(metric)
     forced = passing == [MINKOWSKI_METRIC]
     return MinkowskiResult(

@@ -187,10 +187,12 @@ def basis_closed_form(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
 
 def metric(p: ChartPoint) -> np.ndarray:
     """Gram matrix of the basis vectors (upper curved-index metric)."""
-    return _gram(jacobian_lower(p))
+    return gram(jacobian_lower(p))
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
+def gram(a: np.ndarray) -> np.ndarray:
+    """The metric from a lower transformation matrix: the Gram matrix of
+    its columns, the basis vectors."""
     return np.einsum("ki...,kj...->ij...", a, a)
 
 
@@ -206,8 +208,13 @@ def jacobian_mixed(p: ChartPoint) -> np.ndarray:
     Flat indices are moved with the identity, curved ones with the inverse of
     metric(p); the result satisfies jacobian_lower @ jacobian_mixed.T = id.
     """
-    a = jacobian_lower(p)
-    g = _gram(a)
+    return mixed_from_lower(jacobian_lower(p))
+
+
+def mixed_from_lower(a: np.ndarray) -> np.ndarray:
+    """jacobian_mixed of the point whose jacobian_lower is a: callers that
+    already hold the lower matrix skip a second basis evaluation."""
+    g = gram(a)
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if np.any(np.abs(det) < 1e-30):
         raise DomainError("metric is singular at this point")

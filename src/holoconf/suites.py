@@ -25,6 +25,7 @@ Failed checks are report entries; they never raise.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from typing import NamedTuple
@@ -241,8 +242,12 @@ def charts_checks(cfg: SuiteConfig):
     n = max(cfg.samples, 100)
 
     for chart in ALL_CHARTS:
-        # one draw shared by the five checks of the chart
+        # one draw shared by the five checks of the chart, and one basis of
+        # it shared by the four that read it (computed at first use; a basis
+        # that raises is not cached, so it fails each of them)
         p = sampling.chart_points(chart, n, _rng(cfg, f"ch.{chart.value}"))
+        lower = functools.cache(lambda: charts.jacobian_lower(p))
+        mixed = functools.cache(lambda: charts.mixed_from_lower(lower()))
 
         @run.check(
             f"basis_dual_vs_closed[{chart.value}]",
@@ -250,9 +255,9 @@ def charts_checks(cfg: SuiteConfig):
             "exact",
         )
         def _():
-            b0, b1 = charts.basis(p)
+            a = lower()
             c0, c1 = charts.basis_closed_form(p)
-            yield from (np.abs(b0 - c0), np.abs(b1 - c1))
+            yield from (np.abs(a[:, 0] - c0), np.abs(a[:, 1] - c1))
 
         @run.check(
             f"metric_closed_form[{chart.value}]",
@@ -260,7 +265,7 @@ def charts_checks(cfg: SuiteConfig):
             "tol",
         )
         def _():
-            yield np.abs(charts.metric(p) - _metric_closed_form(p))
+            yield np.abs(charts.gram(lower()) - _metric_closed_form(p))
 
         @run.check(
             f"jacobian_inverse[{chart.value}]",
@@ -269,9 +274,7 @@ def charts_checks(cfg: SuiteConfig):
         )
         def _():
             # lower @ mixed.T at every sample
-            prod = np.einsum(
-                "ik...,jk...->ij...", charts.jacobian_lower(p), charts.jacobian_mixed(p)
-            )
+            prod = np.einsum("ik...,jk...->ij...", lower(), mixed())
             yield np.abs(prod - np.eye(2)[:, :, None])
 
         @run.check(
@@ -280,7 +283,7 @@ def charts_checks(cfg: SuiteConfig):
             "tol",
         )
         def _():
-            yield np.abs(charts.jacobian_mixed(p) - charts.jacobian_mixed_closed_form(p))
+            yield np.abs(mixed() - charts.jacobian_mixed_closed_form(p))
 
         @run.check(
             f"embed_roundtrip[{chart.value}]",
@@ -350,19 +353,24 @@ def charts_checks(cfg: SuiteConfig):
 
 # --- laplace -----------------------------------------------------------------
 
-def _random_polynomial(rng: random.Random):
-    coeffs = np.transpose(sampling.uniform(4, rng, *[(-1, 1)] * 4)).tolist()
+def _random_polynomial(rng: random.Random, count: int) -> np.ndarray:
+    """Coefficients c[i, j] of count random cubics sum c_ij x0^i x1^j
+    (i + j <= 3), drawn one cubic after another, each as 16 uniform(-1, 1)
+    draws row i by row; shape (4, 4, count, 1), so that _polynomial stacks
+    the cubics on an axis before the points' sample axis."""
+    u = np.array(sampling.uniform(4 * count, rng, *[(-1, 1)] * 4))  # (j, cubic * 4 + i)
+    return u.reshape(4, count, 4).transpose(2, 0, 1)[..., None]
 
-    def f(x0, x1):
-        pow0, pow1 = [x0**i for i in range(4)], [x1**j for j in range(4)]
-        acc = 0.0
-        for i in range(4):
-            for j in range(4):
-                if i + j <= 3:
-                    acc = acc + coeffs[i][j] * pow0[i] * pow1[j]
-        return acc
 
-    return f
+def _polynomial(coeffs: np.ndarray, x0, x1):
+    """The cubics of _random_polynomial's coefficients at (x0, x1) (numbers,
+    arrays or jets), stacked on a leading axis."""
+    pow0, pow1 = [x0**i for i in range(4)], [x1**j for j in range(4)]
+    acc = 0.0
+    for i in range(4):
+        for j in range(4 - i):
+            acc = acc + coeffs[i, j] * pow0[i] * pow1[j]
+    return acc
 
 
 def laplace_checks(cfg: SuiteConfig):
@@ -397,17 +405,18 @@ def laplace_checks(cfg: SuiteConfig):
             rng = _rng(cfg, f"lap.scale.{chart.value}")
             p = sampling.chart_points(chart, 10, rng)
             flat_p = ChartPoint(ChartId.CARTESIAN, *charts.embed(p))
-            for _ in range(3):
-                poly = _random_polynomial(rng)
+            # three cubics, stacked: each laplacian evaluates all of them
+            coeffs = _random_polynomial(rng, 3)
 
-                def pulled(y0, y1, poly=poly):
-                    return poly(*charts.embed_coords(chart, y0, y1))
+            def flat(x0, x1):
+                return _polynomial(coeffs, x0, x1)
 
-                lhs = laplace.laplacian(chart, pulled, p)
-                rhs = laplace.rescale_factor(chart, p) * laplace.laplacian(
-                    ChartId.CARTESIAN, poly, flat_p
-                )
-                yield np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
+            def pulled(y0, y1):
+                return flat(*charts.embed_coords(chart, y0, y1))
+
+            lhs = laplace.laplacian(chart, pulled, p)
+            rhs = laplace.rescale_factor(chart, p) * laplace.laplacian(ChartId.CARTESIAN, flat, flat_p)
+            yield np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
 
     @run.check(
         "chart_consistency",

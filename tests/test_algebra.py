@@ -1,6 +1,7 @@
 """Generators, brackets, eigenactions, rotation packaging, substitutions."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -231,6 +232,74 @@ def test_minkowski_metric_forced_everywhere():
             assert sign == MINKOWSKI_FIELD_SIGNS.get(key, 1)
         assert res.metric_forced
         assert res.passing_metrics == [MINKOWSKI_METRIC]
+
+
+@pytest.mark.parametrize(
+    "realization, empty",
+    [
+        (ChartId.CARTESIAN, ChartPoint(ChartId.CARTESIAN, [], [])),
+        (UPSILON_LINE, np.array([], dtype=complex)),
+    ],
+)
+def test_empty_point_sets_raise(realization, empty):
+    # with no sample every defect reads 0: structure_table would record all
+    # 15 signs +1, although the fields negate the four [q, p] brackets
+    key = algebra.realization_key(realization)
+    with pytest.raises(ValueError, match=f"no sample points to check in {key}"):
+        structure_table(realization, points=empty)
+    with pytest.raises(ValueError, match=f"no sample points to check in {key}"):
+        minkowski_check(realization, points=empty)
+
+
+def ref_minkowski_scan(realization, points):
+    """minkowski_check's ledger and scan with every right-hand side
+    recomputed for every metric and every bracket (no early stop)."""
+    pack = algebra.generator_tensors(realization, points).combine(algebra.SO31_PACK_MATRIX)
+    vals = dict(zip(algebra.SO31_INDEX_PAIRS, pack.v))
+    pairs = list(itertools.combinations(algebra.SO31_INDEX_PAIRS, 2))
+    labels = [f"[s{a[0]}{a[1]},s{b[0]}{b[1]}]" for a, b in pairs]
+    bras = [algebra.taylor_bracket(pack[i], pack[j]).v for i, j in itertools.combinations(range(6), 2)]
+
+    def rhs(a, b, metric):
+        terms = algebra._so31_rhs_terms(a, b, metric)
+        return sum((c * vals[ab] for c, ab in terms), np.zeros_like(pack.v[0]))
+
+    minkowski = [rhs(a, b, MINKOWSKI_METRIC) for a, b in pairs]
+    ledger = algebra.SignLedger.matched(
+        algebra.realization_key(realization),
+        labels,
+        [np.max(np.abs(bra - r)) for bra, r in zip(bras, minkowski)],
+        [np.max(np.abs(bra + r)) for bra, r in zip(bras, minkowski)],
+        algebra.MATCH_TOL,
+    )
+    passing = []
+    for metric in itertools.product((1.0, -1.0), repeat=4):
+        metric = metric[::-1]  # bit k of the scan's counter is index k
+        defects = [
+            np.max(np.abs(bra - ledger.signs[label] * rhs(a, b, metric)))
+            for bra, label, (a, b) in zip(bras, labels, pairs)
+        ]
+        if not any(d > algebra.SCAN_TOL for d in defects):
+            passing.append(metric)
+    return ledger, passing
+
+
+@pytest.mark.parametrize("scan_tol", [None, math.inf, 0.0])
+def test_minkowski_scan_equals_the_full_scan(scan_tol, monkeypatch):
+    if scan_tol is not None:
+        monkeypatch.setattr(algebra, "SCAN_TOL", scan_tol)
+    for r in algebra.REALIZATIONS:
+        for seed in (0, 1, 2):
+            pts = default_points(r, n=30, seed=seed)
+            res = minkowski_check(r, points=pts)
+            ledger, passing = ref_minkowski_scan(r, pts)
+            assert res.ledger == ledger
+            assert res.passing_metrics == passing
+            assert res.metric_forced == (passing == [MINKOWSKI_METRIC])
+            if scan_tol == math.inf:
+                assert len(passing) == 16
+            elif scan_tol is None:
+                assert passing == [MINKOWSKI_METRIC]
 
 
 def test_cn_sn():

@@ -441,19 +441,59 @@ def test_mobius_draws_are_distinct_generator_pairs():
     assert pairs == {(i, j) for i in range(6) for j in range(6) if i != j}
 
 
+def ref_polynomial(c):
+    """One cubic sum c[i][j] x0^i x1^j with Python float coefficients."""
+
+    def f(x0, x1):
+        pow0, pow1 = [x0**i for i in range(4)], [x1**j for j in range(4)]
+        acc = 0.0
+        for i in range(4):
+            for j in range(4 - i):
+                acc = acc + c[i][j] * pow0[i] * pow1[j]
+        return acc
+
+    return f
+
+
 def test_random_polynomial_makes_the_per_call_draws():
     for seed in range(50):
-        rng, rng_ref = random.Random(seed), random.Random(seed)
-        poly = suites._random_polynomial(rng)
-        c = [[rng_ref.uniform(-1, 1) for _ in range(4)] for _ in range(4)]
-        assert rng.getstate() == rng_ref.getstate()
+        rng, rng_seq, rng_ref = random.Random(seed), random.Random(seed), random.Random(seed)
+        coeffs = suites._random_polynomial(rng, 3)
+        seq = [suites._random_polynomial(rng_seq, 1) for _ in range(3)]
+        c = [[[rng_ref.uniform(-1, 1) for _ in range(4)] for _ in range(4)] for _ in range(3)]
+        assert rng.getstate() == rng_seq.getstate() == rng_ref.getstate()
+        assert coeffs.shape == (4, 4, 3, 1)
+        assert coeffs.tobytes() == np.concatenate(seq, axis=2).tobytes()
+        assert coeffs.tobytes() == np.transpose(c, (1, 2, 0))[..., None].tobytes()
         for x0, x1 in ((0.7, -1.3), (2.1, 0.4), (-0.9, 1.7)):
-            want = 0.0
-            for i in range(4):
-                for j in range(4 - i):
-                    want = want + c[i][j] * x0**i * x1**j
-            got = poly(x0, x1)
-            assert type(got) is float and got == want
+            got = suites._polynomial(coeffs, x0, x1)
+            assert got.shape == (3, 1)
+            for k in range(3):
+                want = ref_polynomial(c[k])(x0, x1)
+                assert type(want) is float and got[k, 0] == want
+
+
+@pytest.mark.parametrize("chart", [ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL])
+def test_laplacian_of_stacked_cubics_is_the_per_cubic_laplacians(chart):
+    # rescaled_operator_factor's three cubics, stacked against the points
+    rng = random.Random(5)
+    p = chart_points(chart, 10, rng)
+    flat_p = ChartPoint(ChartId.CARTESIAN, *charts.embed(p))
+    coeffs = suites._random_polynomial(rng, 3)
+
+    def pulled(f):
+        return lambda y0, y1: f(*charts.embed_coords(chart, y0, y1))
+
+    def stacked(x0, x1):
+        return suites._polynomial(coeffs, x0, x1)
+
+    lhs = laplace.laplacian(chart, pulled(stacked), p)
+    flat = laplace.laplacian(ChartId.CARTESIAN, stacked, flat_p)
+    assert lhs.shape == flat.shape == (3, 10)
+    for k in range(3):
+        poly = ref_polynomial(coeffs[:, :, k, 0].tolist())
+        assert np.array_equal(lhs[k], laplace.laplacian(chart, pulled(poly), p))
+        assert np.array_equal(flat[k], laplace.laplacian(ChartId.CARTESIAN, poly, flat_p))
 
 
 def test_scalar_points_keep_their_shapes():

@@ -100,6 +100,17 @@ def test_jacobian_inverse_relation_random():
             assert np.max(np.abs(diff)) <= 1e-10
 
 
+def test_jacobian_mixed_is_mixed_from_lower():
+    rng = random.Random(24)
+    for chart in ALL:
+        p = chart_points(chart, 50, rng)
+        for q in (p, p[3]):
+            want = charts.jacobian_mixed(q)
+            got = charts.mixed_from_lower(charts.jacobian_lower(q))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert charts.gram(charts.jacobian_lower(q)).tobytes() == charts.metric(q).tobytes()
+
+
 def test_embed_invert_roundtrip():
     rng = random.Random(23)
     for chart in ALL:

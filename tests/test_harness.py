@@ -25,6 +25,8 @@ from holoconf.report import SUITE_NAMES, SuiteConfig
 from holoconf.suites import run_suite
 
 GOLDEN = Path(__file__).parent / "data" / "verify_seed7_golden.json"
+REPORT_GOLDEN = Path(__file__).parent / "data" / "verify_seed7_report.json"
+REPORT_1000_GOLDEN = Path(__file__).parent / "data" / "verify_seed7_samples1000_report.json"
 TABLE_GOLDEN = Path(__file__).parent / "data" / "table_golden.txt"
 RINGS_GOLDEN = Path(__file__).parent / "data" / "rings_seed7_golden.json"
 GRID_GOLDEN = Path(__file__).parent / "data" / "grids"
@@ -92,6 +94,16 @@ def test_seed7_structure_matches_golden():
         for c in data["checks"]
     ]
     assert got == json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize(
+    "cfg, golden",
+    [(SuiteConfig(seed=7), REPORT_GOLDEN), (SuiteConfig(seed=7, samples=1000), REPORT_1000_GOLDEN)],
+)
+def test_seed7_report_is_byte_identical_to_golden(cfg, golden):
+    # the whole JSON of `holoconf verify --seed 7` (and at --samples 1000),
+    # every max_defect included: a refactor must leave it byte for byte
+    assert run_suite(cfg).to_json() == golden.read_text()
 
 
 def test_rings_seed7_matches_golden():
@@ -205,6 +217,29 @@ def test_unmatched_packed_bracket_fails_its_check(monkeypatch):
         assert c.message.startswith("UnmatchedBracketError: [s01,s02]: defects ")
     # the angular tensor reads the same matrix; every other check passes
     assert [c.name for c in report.checks if not c.passed] == [c.name for c in packed] + ["angular_tensor"]
+
+
+def test_a_raising_basis_fails_each_check_that_reads_it(monkeypatch):
+    # the charts suite computes each chart's basis once for the four checks
+    # that read it; a basis that raises is not cached, so it fails all four
+    basis = charts.basis
+    calls = []
+
+    def failing(p):
+        calls.append(p.chart)
+        if p.chart is ChartId.HOLOGRAPHIC:
+            raise ArithmeticError("no basis here")
+        return basis(p)
+
+    monkeypatch.setattr(charts, "basis", failing)
+    report = run_suite(SuiteConfig(seed=3, samples=10, suites=("charts",)))
+    dependent = ("basis_dual_vs_closed", "metric_closed_form", "jacobian_inverse", "jacobian_mixed_closed")
+    failed = [c for c in report.checks if not c.passed]
+    # embed_roundtrip[holographic] and every other chart's checks pass
+    assert [c.name for c in failed] == [f"{name}[holographic]" for name in dependent]
+    for c in failed:
+        assert c.message == "ArithmeticError: no basis here" and c.max_defect is None
+    assert calls == [ChartId.CARTESIAN, ChartId.POLAR] + [ChartId.HOLOGRAPHIC] * 4 + [ChartId.CONFORMAL]
 
 
 def test_nan_commutator_fails_matrix_brackets(monkeypatch):
