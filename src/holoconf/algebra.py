@@ -528,37 +528,44 @@ def _sample_points(realization, points):
     return points
 
 
-# samples per tensor evaluation in structure_table, which bounds its memory
-STRUCTURE_CHUNK = 4096
 # a field bracket within this defect of +RHS or -RHS takes that sign
 MATCH_TOL = 1e-6
+
+
+def _bracket_defects(fields: TaylorField, rows) -> tuple:
+    """For each row (i, j, [(c, k), ...]), the largest |[f_i, f_j] - sum c f_k|
+    and the largest |[f_i, f_j] + sum c f_k| over the samples (NaN kept), as
+    two lists.  fields is a stack of value and gradient tensors, bracketed
+    one pair at a time."""
+    d_plus, d_minus = [], []
+    for i, j, terms in rows:
+        bra = taylor_bracket(fields[i], fields[j]).v
+        rhs = np.zeros_like(bra)
+        for c, k in terms:
+            rhs = rhs + c * fields.v[k]
+        d_plus.append(np.max(np.abs(bra - rhs)))
+        d_minus.append(np.max(np.abs(bra + rhs)))
+    return d_plus, d_minus
 
 
 def structure_table(realization, points=None) -> SignLedger:
     """Match all 15 generator brackets against the table, recording signs.
 
     The brackets are contractions of the generators' value and gradient
-    tensors (generator_tensors), one pair at a time, over at most
-    STRUCTURE_CHUNK points at a time.  A genuinely wrong bracket raises
-    UnmatchedBracketError, and an empty point set ValueError.
+    tensors (generator_tensors), one pair at a time (_bracket_defects).  A
+    genuinely wrong bracket raises UnmatchedBracketError, and an empty point
+    set ValueError.
     """
     points = _sample_points(realization, points)
-    # per pair, the largest |bracket - rhs| and |bracket + rhs| (NaN kept)
-    d_plus = dict.fromkeys(BRACKET_PAIRS, 0.0)
-    d_minus = dict.fromkeys(BRACKET_PAIRS, 0.0)
-    for lo in range(0, len(points), STRUCTURE_CHUNK):
-        gens = generator_tensors(realization, points[lo : lo + STRUCTURE_CHUNK])
-        fields = {g: gens[i] for i, g in enumerate(GENERATORS)}
-        for g1, g2 in BRACKET_PAIRS:
-            bra = taylor_bracket(fields[g1], fields[g2]).v
-            rhs = np.zeros_like(bra)
-            for g, c in BRACKET_RELATIONS[(g1, g2)].items():
-                rhs = rhs + c * fields[g].v
-            d_plus[(g1, g2)] = np.maximum(d_plus[(g1, g2)], np.max(np.abs(bra - rhs)))
-            d_minus[(g1, g2)] = np.maximum(d_minus[(g1, g2)], np.max(np.abs(bra + rhs)))
+    index = GENERATORS.index
+    rows = [
+        (index(g1), index(g2), [(c, index(g)) for g, c in BRACKET_RELATIONS[(g1, g2)].items()])
+        for g1, g2 in BRACKET_PAIRS
+    ]
+    d_plus, d_minus = _bracket_defects(generator_tensors(realization, points), rows)
     key = realization_key(realization)
     labels = [pair_label(g1, g2) for g1, g2 in BRACKET_PAIRS]
-    return SignLedger.matched(key, labels, d_plus.values(), d_minus.values(), MATCH_TOL, where=f" in {key}")
+    return SignLedger.matched(key, labels, d_plus, d_minus, MATCH_TOL, where=f" in {key}")
 
 
 # --- eigenactions on the solution family -------------------------------------
@@ -572,10 +579,16 @@ def act(g: GeneratorId, alpha: complex, p: ChartPoint) -> complex:
     return apply_to_function(x, SolutionFamily(alpha, p.chart), p)
 
 
+# g acting on the alpha-solution gives factor * alpha times the solution of
+# dimension alpha + shift: translations lower the dimension, special
+# conformal generators raise it
+_EIGENACTIONS = {B: (1, 0), S01: (1j, 0), P0: (1, -1), P1: (1j, -1), Q0: (1, 1), Q1: (-1j, 1)}
+
+
 def eigenaction_expected(g: GeneratorId, alpha: complex, p: ChartPoint) -> complex:
-    """Table value of g acting on the alpha-solution: shifts of the scale
-    dimension by -1 (translations) or +1 (special conformal)."""
-    return _expected(g, alpha, lambda shift: solve(_shifted(alpha, shift), p.chart, p))
+    """Table value of g acting on the alpha-solution (_EIGENACTIONS)."""
+    factor, shift = _EIGENACTIONS[g]
+    return factor * alpha * solve(alpha + shift, p.chart, p)
 
 
 def eigenactions(alpha: complex, p: ChartPoint) -> list:
@@ -586,30 +599,11 @@ def eigenactions(alpha: complex, p: ChartPoint) -> list:
     args = point_args(p.chart, p)
     f = SolutionFamily(alpha, p.chart)
     grad = [_partial(f, k, args) for k in range(len(args))]
-    u = {shift: solve(_shifted(alpha, shift), p.chart, p) for shift in (0, -1, 1)}
+    u = {shift: solve(alpha + shift, p.chart, p) for shift in (0, -1, 1)}
     return [
-        (_apply_with_gradient(generator(g, p.chart), args, grad), _expected(g, alpha, u.get))
-        for g in GENERATORS
+        (_apply_with_gradient(generator(g, p.chart), args, grad), factor * alpha * u[shift])
+        for g, (factor, shift) in _EIGENACTIONS.items()
     ]
-
-
-def _shifted(alpha: complex, shift: int) -> complex:
-    return alpha - 1 if shift < 0 else alpha + 1 if shift > 0 else alpha
-
-
-def _expected(g: GeneratorId, alpha: complex, u: Callable) -> complex:
-    # u(shift) is the solution of dimension _shifted(alpha, shift) at the point
-    if g is B:
-        return alpha * u(0)
-    if g is S01:
-        return 1j * alpha * u(0)
-    if g is P0:
-        return alpha * u(-1)
-    if g is P1:
-        return 1j * alpha * u(-1)
-    if g is Q0:
-        return alpha * u(1)
-    return -1j * alpha * u(1)
 
 
 # --- rotation packaging in R^{3,1} -------------------------------------------
@@ -657,27 +651,25 @@ def so31_pack(realization) -> dict:
     return out
 
 
-def _so31_rhs_terms(a: tuple, b: tuple, metric) -> list:
-    """RHS of the packed relation as signed index pairs.
+def _shared_index(a: tuple, b: tuple):
+    """The index two distinct rotations s_a and s_b share, or None."""
+    common = set(a) & set(b)
+    return common.pop() if common else None
 
-    [s_ab, s_cd] = g_ad s_bc - g_ac s_bd - g_bd s_ac + g_bc s_ad, with
-    s_xy for x > y read as -s_yx and s_xx = 0.
+
+def _so31_rhs_terms(a: tuple, b: tuple, metric) -> list:
+    """RHS of the packed relation [s_a, s_b] as signed index pairs.
+
+    Two distinct rotations share at most one index x, and with s_yx = -s_xy
+    the relation reads [s_xy, s_xz] = -g_xx s_yz: +-g_xx times the rotation
+    on the other two indices.  Rotations that share no index commute.
     """
-    (mu, nu), (rho, sig) = a, b
-    raw = [
-        (metric[mu] if mu == sig else 0.0, (nu, rho)),
-        (-(metric[mu] if mu == rho else 0.0), (nu, sig)),
-        (-(metric[nu] if nu == sig else 0.0), (mu, rho)),
-        (metric[nu] if nu == rho else 0.0, (mu, sig)),
-    ]
-    terms = []
-    for c, (x, y) in raw:
-        if c == 0.0 or x == y:
-            continue
-        if x > y:
-            c, (x, y) = -c, (y, x)
-        terms.append((c, (x, y)))
-    return terms
+    x = _shared_index(a, b)
+    if x is None:
+        return []
+    y, z = a[1 - a.index(x)], b[1 - b.index(x)]
+    sign = (-1) ** (1 + a.index(x) + b.index(x) + (y > z))
+    return [(sign * metric[x], (min(y, z), max(y, z)))]
 
 
 @dataclass
@@ -695,48 +687,39 @@ def minkowski_check(realization, points=None) -> MinkowskiResult:
     metric is forced: with the recorded per-bracket signs held fixed, every
     other diagonal sign pattern must break at least one bracket.
 
-    Two packed rotations share at most one index, so each right-hand side
-    has at most one term, and under a diagonal metric of signs it is 0 or
-    +-1 times the Minkowski one.  Multiplying by -1 is exact, so the scan
-    looks each defect up among the ledger's d_plus and d_minus by its
-    signed terms instead of recomputing it per metric; the scan still stops
-    at a metric's first broken bracket.  An empty point set raises
-    ValueError.
+    The right-hand side of a bracket is +-g_xx times one rotation, x the
+    index its two rotations share (_so31_rhs_terms), or zero.  Under a
+    diagonal sign metric it is metric[x] * eta[x] times the Minkowski one
+    (eta), and multiplying by -1 is exact, so the scan takes each bracket's
+    defect from the ledger's d_plus when ledger sign * metric[x] * eta[x] > 0
+    and from d_minus otherwise (they agree for a zero right-hand side),
+    instead of recomputing it per metric; it still stops at a metric's first
+    broken bracket.  An empty point set raises ValueError.
     """
     points = _sample_points(realization, points)
-    pack = generator_tensors(realization, points).combine(SO31_PACK_MATRIX)
-    pack_vals = dict(zip(SO31_INDEX_PAIRS, pack.v))
     pairs = list(itertools.combinations(SO31_INDEX_PAIRS, 2))
     labels = [f"[s{a[0]}{a[1]},s{b[0]}{b[1]}]" for a, b in pairs]
-    bras = [taylor_bracket(pack[i], pack[j]).v for i, j in itertools.combinations(range(len(pack.v)), 2)]
-    terms = [tuple(_so31_rhs_terms(a, b, MINKOWSKI_METRIC)) for a, b in pairs]
-    rhs = [sum((c * pack_vals[ab] for c, ab in t), np.zeros_like(pack.v[0])) for t in terms]
-    d_plus = [np.max(np.abs(bra - r)) for bra, r in zip(bras, rhs)]
-    d_minus = [np.max(np.abs(bra + r)) for bra, r in zip(bras, rhs)]
-    ledger = SignLedger.matched(realization_key(realization), labels, d_plus, d_minus, MATCH_TOL)
-    # per bracket, the defect of bracket - (signed right-hand side), keyed by
-    # the signed terms (a zero right-hand side has the one key (), where
-    # d_plus and d_minus agree)
-    defects = [
-        {tuple((-c, ab) for c, ab in t): dm, t: dp} for t, dp, dm in zip(terms, d_plus, d_minus)
+    index = SO31_INDEX_PAIRS.index
+    rows = [
+        (index(a), index(b), [(c, index(ab)) for c, ab in _so31_rhs_terms(a, b, MINKOWSKI_METRIC)])
+        for a, b in pairs
     ]
+    pack = generator_tensors(realization, points).combine(SO31_PACK_MATRIX)
+    d_plus, d_minus = _bracket_defects(pack, rows)
+    key = realization_key(realization)
+    ledger = SignLedger.matched(key, labels, d_plus, d_minus, MATCH_TOL)
+    shared = [_shared_index(a, b) for a, b in pairs]
     passing = []
     for bits in range(16):
         metric = tuple(1.0 if bits & (1 << k) == 0 else -1.0 for k in range(4))
         # one pair at a time, stopping at the first broken one
-        for (a, b), label, defect in zip(pairs, labels, defects):
-            signed = tuple((ledger.signs[label] * c, ab) for c, ab in _so31_rhs_terms(a, b, metric))
-            if defect[signed] > SCAN_TOL:
+        for label, x, dp, dm in zip(labels, shared, d_plus, d_minus):
+            flip = 1.0 if x is None else metric[x] * MINKOWSKI_METRIC[x]
+            if (dp if ledger.signs[label] * flip > 0 else dm) > SCAN_TOL:
                 break
         else:
             passing.append(metric)
-    forced = passing == [MINKOWSKI_METRIC]
-    return MinkowskiResult(
-        realization=realization_key(realization),
-        ledger=ledger,
-        passing_metrics=passing,
-        metric_forced=forced,
-    )
+    return MinkowskiResult(key, ledger, passing_metrics=passing, metric_forced=passing == [MINKOWSKI_METRIC])
 
 
 # --- circle functions and the packed multiplier tensor -----------------------

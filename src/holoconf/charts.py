@@ -80,6 +80,8 @@ def _require(ok, value, message: str) -> None:
 def validate(p: ChartPoint) -> None:
     """Raise DomainError unless every sample of p lies safely inside its
     chart's domain."""
+    for name, y in (("y0", p.y0), ("y1", p.y1)):
+        _require(np.isfinite(y), y, f"coordinate {name} = {{}} is not finite")
     if p.chart is ChartId.CARTESIAN:
         return
     _require((0.0 <= p.y1) & (p.y1 < TWO_PI), p.y1, "angle {} outside [0, 2*pi)")

@@ -27,6 +27,8 @@ NaN, for one value as for an array.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -92,7 +94,7 @@ class Jet:
         return Jet(other) / self
 
     def __pow__(self, n):
-        if isinstance(n, int):
+        if isinstance(n, numbers.Integral):
             if n == 0:
                 return Jet(1.0 * (self.f * 0 + 1), 0.0, None if self.d2 is None else 0.0)
             if n < 0:

@@ -35,6 +35,7 @@ from .algebra import (
     P0,
     P1,
     Q0,
+    Q1,
     QP_PAIRS,
     S01,
     UPSILON_LINE,
@@ -88,16 +89,11 @@ EQUAL_TOL = 1e-12
 CHART_TOL = 1e-14
 
 
-def _ring_zero(ring: Ring):
-    return Bicomplex() if ring is Ring.BICOMPLEX else (0j if ring is Ring.COMPLEX else 0.0)
-
-
-def _ring_one(ring: Ring):
-    return (
-        Bicomplex(1.0)
-        if ring is Ring.BICOMPLEX
-        else ((1 + 0j) if ring is Ring.COMPLEX else 1.0)
-    )
+def _ring_scalar(ring: Ring, x):
+    """The real number x, or an array of them, as an element of the ring."""
+    if ring is Ring.BICOMPLEX:
+        return Bicomplex(x, *[plain(np.zeros_like(x))] * 3)
+    return x + 0j if ring is Ring.COMPLEX else x
 
 
 def _ring_exp(x):
@@ -174,7 +170,7 @@ class SpinMatrix:
 
 
 def identity(ring: Ring) -> SpinMatrix:
-    one, zero = _ring_one(ring), _ring_zero(ring)
+    one, zero = _ring_scalar(ring, 1.0), _ring_scalar(ring, 0.0)
     return SpinMatrix(ring, one, zero, zero, one)
 
 
@@ -182,47 +178,38 @@ def commutator(m: SpinMatrix, n: SpinMatrix) -> SpinMatrix:
     return (m @ n) - (n @ m)
 
 
-def matrix_rep(g: GeneratorId, ring: Ring) -> SpinMatrix:
-    """Generator matrix over the ring; trace-free in every case."""
-    if ring is Ring.REAL:
-        if g not in REAL_GENERATORS:
-            raise UnsupportedGeneratorError(
-                f"{g} needs a complex unit; the real ring represents b, p0, q0"
-            )
-        if g is B:
-            return SpinMatrix(ring, 0.5, 0.0, 0.0, -0.5)
-        if g is P0:
-            return SpinMatrix(ring, 0.0, 1.0, 0.0, 0.0)
-        return SpinMatrix(ring, 0.0, 0.0, -1.0, 0.0)
-
-    if ring is Ring.COMPLEX:
-        base = {
-            B: SpinMatrix(ring, 0.5 + 0j, 0j, 0j, -0.5 + 0j),
-            P0: SpinMatrix(ring, 0j, 1 + 0j, 0j, 0j),
-            Q0: SpinMatrix(ring, 0j, 0j, -1 + 0j, 0j),
-        }
-    else:
-        o, obar = null_plane_units()
-        half_ij = 0.5 * UNIT_IJ
-        zero = Bicomplex()
-        base = {
-            B: SpinMatrix(ring, half_ij, zero, zero, -half_ij),
-            P0: SpinMatrix(ring, zero, o, -obar, zero),
-            Q0: SpinMatrix(ring, zero, obar, -o, zero),
-        }
-    if g in base:
-        return base[g]
-    # complexified relations: s01 = i*b, p1 = i*p0, q1 = -i*q0
-    i_unit = UNIT_I if ring is Ring.BICOMPLEX else 1j
-    if g is S01:
-        return base[B].scaled(i_unit)
-    if g is P1:
-        return base[P0].scaled(i_unit)
-    return base[Q0].scaled(-i_unit)
+# entries (a, b, c, d) of b, p0 and q0 over the real and complex rings
+_REAL_ENTRIES = {B: (0.5, 0.0, 0.0, -0.5), P0: (0.0, 1.0, 0.0, 0.0), Q0: (0.0, 0.0, -1.0, 0.0)}
 
 
 def supported_generators(ring: Ring) -> tuple:
     return REAL_GENERATORS if ring is Ring.REAL else GENERATORS
+
+
+def _build_matrix(g: GeneratorId, ring: Ring) -> SpinMatrix:
+    i_unit = UNIT_I if ring is Ring.BICOMPLEX else 1j
+    # complexified relations: s01 = i*b, p1 = i*p0, q1 = -i*q0
+    base, unit = {S01: (B, i_unit), P1: (P0, i_unit), Q1: (Q0, -i_unit)}.get(g, (g, None))
+    if ring is Ring.BICOMPLEX:
+        o, obar = null_plane_units()
+        half_ij, zero = 0.5 * UNIT_IJ, Bicomplex()
+        rows = {B: (half_ij, zero, zero, -half_ij), P0: (zero, o, -obar, zero), Q0: (zero, obar, -o, zero)}
+        entries = rows[base]
+    else:
+        entries = [_ring_scalar(ring, x) for x in _REAL_ENTRIES[base]]
+    m = SpinMatrix(ring, *entries)
+    return m if unit is None else m.scaled(unit)
+
+
+# every generator matrix, built once: matrix_rep is called per flow and per table
+_MATRICES = {(g, ring): _build_matrix(g, ring) for ring in Ring for g in supported_generators(ring)}
+
+
+def matrix_rep(g: GeneratorId, ring: Ring) -> SpinMatrix:
+    """Generator matrix over the ring; trace-free in every case."""
+    if ring is Ring.REAL and g not in REAL_GENERATORS:
+        raise UnsupportedGeneratorError(f"{g} needs a complex unit; the real ring represents b, p0, q0")
+    return _MATRICES[(g, ring)]
 
 
 def _stack(matrices: list) -> SpinMatrix:
@@ -244,7 +231,7 @@ def matrix_bracket_table(ring: Ring) -> SignLedger:
     stacked matrices, entry by entry in the order of one pair at a time."""
     gens = {g: matrix_rep(g, ring) for g in supported_generators(ring)}
     pairs = [(g1, g2) for g1, g2 in BRACKET_PAIRS if g1 in gens and g2 in gens]
-    zero = SpinMatrix(ring, *[_ring_zero(ring)] * 4)
+    zero = SpinMatrix(ring, *[_ring_scalar(ring, 0.0)] * 4)
     bra = commutator(_stack([gens[g1] for g1, _ in pairs]), _stack([gens[g2] for _, g2 in pairs]))
     # every right-hand side is one term coeff * g, or none (0 * zero)
     terms = [next(iter(BRACKET_RELATIONS[pair].items()), (None, 0.0)) for pair in pairs]
@@ -322,11 +309,8 @@ def exp_one_param(g: GeneratorId, eps: float, ring: Ring) -> SpinMatrix:
     reject(~np.isfinite(eps), ValueError, "flow parameter {} is not finite", eps)
     m = matrix_rep(g, ring)
     if g in (B, S01):
-        zero = _ring_zero(ring)
-        if np.ndim(eps):
-            # arrays of +0.0 in eps's shape, so that m[k] indexes every entry
-            zeros = np.zeros(np.shape(eps))
-            zero = Bicomplex(*[zeros] * 4) if ring is Ring.BICOMPLEX else zero + zeros
+        # +0.0 in eps's shape (an array for an array eps, so that m[k] indexes every entry)
+        zero = _ring_scalar(ring, np.zeros(np.shape(eps)) if np.ndim(eps) else 0.0)
         return SpinMatrix(ring, _ring_exp(eps * m.a), zero, zero, _ring_exp(eps * m.d))
     return identity(ring) + m.scaled(eps)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -19,8 +20,12 @@ class SuiteConfig:
     suites: tuple = SUITE_NAMES
 
     def __post_init__(self):
+        if not isinstance(self.samples, numbers.Integral):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if not self.suites:
+            raise ValueError("no suites selected: an empty run would pass with 0 checks")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
         unknown = set(self.suites) - set(SUITE_NAMES)

@@ -251,6 +251,36 @@ def test_empty_point_sets_raise(realization, empty):
         minkowski_check(realization, points=empty)
 
 
+def four_term_rhs(a, b, metric):
+    """[s_ab, s_cd] = g_ad s_bc - g_ac s_bd - g_bd s_ac + g_bc s_ad, with s_xy
+    for x > y read as -s_yx and s_xx = 0, as signed index pairs."""
+    (mu, nu), (rho, sig) = a, b
+    raw = [
+        (metric[mu] if mu == sig else 0.0, (nu, rho)),
+        (-(metric[mu] if mu == rho else 0.0), (nu, sig)),
+        (-(metric[nu] if nu == sig else 0.0), (mu, rho)),
+        (metric[nu] if nu == rho else 0.0, (mu, sig)),
+    ]
+    terms = []
+    for c, (x, y) in raw:
+        if c == 0.0 or x == y:
+            continue
+        if x > y:
+            c, (x, y) = -c, (y, x)
+        terms.append((c, (x, y)))
+    return terms
+
+
+def test_shared_index_rule_is_the_four_term_formula():
+    pairs = list(itertools.permutations(algebra.SO31_INDEX_PAIRS, 2))
+    assert len(pairs) == 30
+    for metric in itertools.product((1.0, -1.0), repeat=4):
+        for a, b in pairs:
+            got = algebra._so31_rhs_terms(a, b, metric)
+            assert got == four_term_rhs(a, b, metric)
+            assert all(type(c) is float for c, _ in got)
+
+
 def ref_minkowski_scan(realization, points):
     """minkowski_check's ledger and scan with every right-hand side
     recomputed for every metric and every bracket (no early stop)."""

@@ -107,15 +107,6 @@ def test_taylor_brackets_match_the_closure_path(realization):
     assert_close(got.v.T, algebra.field_values(nested, pts), tol=1e-13)
 
 
-@pytest.mark.parametrize("realization", (ChartId.HOLOGRAPHIC, UPSILON_LINE), ids=algebra.realization_key)
-def test_structure_table_in_chunks_equals_one_pass(realization, monkeypatch):
-    pts = algebra.default_points(realization, n=50, seed=3)
-    whole = algebra.structure_table(realization, points=pts)
-    monkeypatch.setattr(algebra, "STRUCTURE_CHUNK", 7)
-    chunked = algebra.structure_table(realization, points=pts)
-    assert (chunked.signs, chunked.max_defect) == (whole.signs, whole.max_defect)
-
-
 def test_taylor_structure_table_covers_polar():
     ledger = algebra.structure_table(ChartId.POLAR, points=algebra.default_points(ChartId.POLAR, n=200))
     assert ledger.signs == {
@@ -204,7 +195,7 @@ def test_stacked_jacobiator_is_the_per_triple_jacobiator(realization):
 def per_pair_matrix_table(ring):
     """matrix_bracket_table as one commutator per pair, in Python numbers."""
     gens = {g: projective.matrix_rep(g, ring) for g in projective.supported_generators(ring)}
-    zero = projective.identity(ring).scaled(projective._ring_zero(ring))
+    zero = projective.identity(ring).scaled(projective._ring_scalar(ring, 0.0))
     signs, worst = {}, 0.0
     for g1, g2 in algebra.BRACKET_PAIRS:
         if g1 not in gens or g2 not in gens:

@@ -17,6 +17,7 @@ from holoconf.charts import (
     invert,
     special_conformal,
 )
+from holoconf.laplace import solve
 from holoconf.sampling import chart_points
 
 ALL = (ChartId.CARTESIAN, ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL)
@@ -47,6 +48,21 @@ def test_domain_guards():
         embed(ChartPoint(ChartId.POLAR, 1.0, -0.1))
     # conformal scale coordinate is unrestricted
     embed(ChartPoint(ChartId.CONFORMAL, -25.0, 0.0))
+
+
+@pytest.mark.parametrize("chart", ALL, ids=str)
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf), ids=repr)
+@pytest.mark.parametrize("which", ("y0", "y1"))
+def test_non_finite_coordinates_are_rejected(chart, bad, which):
+    good = {"y0": 0.5, "y1": 1.0}
+    p = ChartPoint(chart, **{**good, which: bad})
+    for fn in (embed, charts.basis, lambda p: solve(1.5, chart, p)):
+        with pytest.raises(DomainError, match=f"coordinate {which} = {bad} is not finite"):
+            fn(p)
+    arrays = {name: np.full(3, y) for name, y in good.items()}
+    arrays[which][1] = bad
+    with pytest.raises(DomainError, match=f"coordinate {which} = {bad} is not finite at sample 1"):
+        embed(ChartPoint(chart, **arrays))
 
 
 def test_basis_examples():

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from holoconf import dual
@@ -62,6 +63,19 @@ def test_complex_exponent_power():
     assert j.f == pytest.approx(x0**alpha)
     assert j.d1 == pytest.approx(alpha * x0 ** (alpha - 1))
     assert j.d2 == pytest.approx(alpha * (alpha - 1) * x0 ** (alpha - 2))
+
+
+@pytest.mark.parametrize("kind", (np.int64, np.int32), ids=lambda k: k.__name__)
+@pytest.mark.parametrize("n", (0, 3, -2))
+def test_numpy_integer_exponents_are_integer_powers(kind, n):
+    # a numpy integer takes the repeated-product path of a Python int, not
+    # exp(n log x), which is NaN at a negative base
+    for base in (dual.Jet(-2.0, 1.0, 0.0), dual.Jet(1.5, -0.5, None), dual.seed(np.array([-2.0, 0.5]))):
+        want, got = base**n, base ** kind(n)
+        for part in ("f", "d1", "d2"):
+            w, g = getattr(want, part), getattr(got, part)
+            assert (w is None and g is None) or np.asarray(g).tobytes() == np.asarray(w).tobytes()
+            assert type(g) is type(w)
 
 
 def test_nested_jets_mixed_partial():

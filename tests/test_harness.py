@@ -336,6 +336,13 @@ def test_config_validation():
         SuiteConfig(tol=0.0)
     with pytest.raises(ValueError):
         SuiteConfig(suites=("nope",))
+    # an empty selection would report 0 checks and an overall pass
+    with pytest.raises(ValueError, match="no suites selected"):
+        SuiteConfig(suites=())
+    for samples in (2.5, 10.0, "10"):
+        with pytest.raises(ValueError, match=f"samples must be an integer, got {samples!r}"):
+            SuiteConfig(samples=samples)
+    assert SuiteConfig(samples=np.int64(3)).samples == 3
 
 
 def test_emit_grid_joukowski(tmp_path):
