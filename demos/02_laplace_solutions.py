@@ -19,7 +19,7 @@ print("--- residuals of the solution family (all should be ~ 0)")
 for chart in (ChartId.CARTESIAN, ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL):
     p = chart_points(chart, 1, rng)[0]
     for alpha in (2.0, -1.5, 0.5 + 0.25j, 3.0 - 1.0j):
-        print(f"{chart.value:12s} alpha={alpha}: residual {residual(alpha, chart, p):.2e}")
+        print(f"{chart.value:12s} alpha={alpha}: residual {residual(alpha, p):.2e}")
     print()
 
 print("--- one solution, four charts, one plane point")
@@ -28,7 +28,7 @@ x = embed(p)
 alpha = 1.75 - 0.3j
 for chart in (ChartId.HOLOGRAPHIC, ChartId.CARTESIAN, ChartId.POLAR, ChartId.CONFORMAL):
     q = invert(chart, *x)
-    print(f"{chart.value:12s} -> {solve(alpha, chart, q):.12f}")
+    print(f"{chart.value:12s} -> {solve(alpha, q):.12f}")
 
 print()
 print("--- integer dimensions vs extremal spherical harmonics")

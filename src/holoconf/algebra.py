@@ -69,7 +69,7 @@ FIELD_REALIZATIONS = (
 
 
 class RealizationMismatchError(ValueError):
-    """Bracketed fields must live in the same realization."""
+    """Fields or points of different realizations were combined."""
 
 
 class UnmatchedBracketError(ArithmeticError):
@@ -118,7 +118,6 @@ class VectorField:
 
     realization: object
     coeffs: tuple
-    label: str = ""
 
     @property
     def arity(self) -> int:
@@ -153,14 +152,10 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
 
         return coeff
 
-    return VectorField(
-        x.realization,
-        tuple(mk(k) for k in range(n)),
-        label=f"[{x.label},{y.label}]",
-    )
+    return VectorField(x.realization, tuple(mk(k) for k in range(n)))
 
 
-def lincomb(terms, realization, label: str = "") -> VectorField:
+def lincomb(terms, realization) -> VectorField:
     """Pointwise linear combination sum_i c_i * field_i."""
     arity = len(COORDINATE_NAMES[realization_key(realization)])
 
@@ -173,15 +168,25 @@ def lincomb(terms, realization, label: str = "") -> VectorField:
 
         return coeff
 
-    return VectorField(realization, tuple(mk(k) for k in range(arity)), label=label)
+    return VectorField(realization, tuple(mk(k) for k in range(arity)))
 
 
 def point_args(realization, p):
     """Coefficient arguments of a point: (u,) on the upsilon line, (y0, y1)
     in a chart.  An array point (as the samplers draw) gives array
-    arguments."""
-    if realization_key(realization) == UPSILON_LINE:
+    arguments.
+
+    Every algebra function of points takes them through here.  A ChartPoint
+    of another chart, a ChartPoint on the upsilon line or a bare value in a
+    chart raises RealizationMismatchError; a chart point outside its domain
+    raises DomainError naming the first bad sample (charts.validate)."""
+    key = realization_key(realization)
+    given = p.chart.value if isinstance(p, ChartPoint) else UPSILON_LINE
+    if given != key:
+        raise RealizationMismatchError(f"{given} point given in {key}")
+    if key == UPSILON_LINE:
         return (p,)
+    validate(p)
     return (p.y0, p.y1)
 
 
@@ -306,7 +311,7 @@ _COMPILED_TABLES = {
 def generator(g: GeneratorId, realization) -> VectorField:
     """Closed-form vector field of generator g in the given realization."""
     key = realization_key(realization)
-    return VectorField(realization, _COMPILED_TABLES[key][g], label=g.value)
+    return VectorField(realization, _COMPILED_TABLES[key][g])
 
 
 def generator_by_transport(g: GeneratorId, chart: ChartId) -> VectorField:
@@ -328,7 +333,7 @@ def generator_by_transport(g: GeneratorId, chart: ChartId) -> VectorField:
 
         return coeff
 
-    return VectorField(chart, (mk(0), mk(1)), label=g.value + "~")
+    return VectorField(chart, (mk(0), mk(1)))
 
 
 # --- Taylor tensors: brackets as contractions --------------------------------
@@ -574,7 +579,6 @@ def act(g: GeneratorId, alpha: complex, p: ChartPoint) -> complex:
     """Apply generator g (in p's chart realization) to the alpha-solution.
 
     alpha and the coordinates of p may be arrays of one sample shape."""
-    validate(p)
     x = generator(g, p.chart)
     return apply_to_function(x, SolutionFamily(alpha, p.chart), p)
 
@@ -588,18 +592,17 @@ _EIGENACTIONS = {B: (1, 0), S01: (1j, 0), P0: (1, -1), P1: (1j, -1), Q0: (1, 1),
 def eigenaction_expected(g: GeneratorId, alpha: complex, p: ChartPoint) -> complex:
     """Table value of g acting on the alpha-solution (_EIGENACTIONS)."""
     factor, shift = _EIGENACTIONS[g]
-    return factor * alpha * solve(alpha + shift, p.chart, p)
+    return factor * alpha * solve(alpha + shift, p)
 
 
 def eigenactions(alpha: complex, p: ChartPoint) -> list:
     """(act(g, alpha, p), eigenaction_expected(g, alpha, p)) for each g in
     GENERATORS, from one gradient of the alpha-solution and one solution at
     each of the dimensions alpha, alpha - 1 and alpha + 1."""
-    validate(p)
     args = point_args(p.chart, p)
     f = SolutionFamily(alpha, p.chart)
     grad = [_partial(f, k, args) for k in range(len(args))]
-    u = {shift: solve(alpha + shift, p.chart, p) for shift in (0, -1, 1)}
+    u = {shift: solve(alpha + shift, p) for shift in (0, -1, 1)}
     return [
         (_apply_with_gradient(generator(g, p.chart), args, grad), factor * alpha * u[shift])
         for g, (factor, shift) in _EIGENACTIONS.items()
@@ -647,7 +650,7 @@ def so31_pack(realization) -> dict:
         if len(terms) == 1 and terms[0][0] == 1.0:
             out[(a, b)] = terms[0][1]
         else:
-            out[(a, b)] = lincomb(terms, realization, f"s{a}{b}")
+            out[(a, b)] = lincomb(terms, realization)
     return out
 
 
@@ -769,7 +772,6 @@ def paravector_substitute(re_part: Callable, im_part: Callable) -> VectorField:
             lambda t, f: re_part(t, f) * dual.tan(t),
             lambda t, f: im_part(t, f),
         ),
-        label="subst",
     )
 
 
@@ -777,8 +779,7 @@ def tangent_curve(eps: float, p: ChartPoint) -> complex:
     """Point of the dilation flow curve c(eps) = e^eps * u(p).
 
     Its eps-derivative at 0 equals (tan(theta) d_theta u)(p), and it agrees
-    with sin(theta + eps*tan(theta)) e^{i phi} to second order in eps."""
-    if p.chart is not ChartId.HOLOGRAPHIC:
-        raise ValueError("flow curve is defined on the holographic chart")
-    validate(p)
-    return math.exp(eps) * solve(1.0, p.chart, p)
+    with sin(theta + eps*tan(theta)) e^{i phi} to second order in eps; p
+    must be a holographic point."""
+    point_args(ChartId.HOLOGRAPHIC, p)
+    return math.exp(eps) * solve(1.0, p)

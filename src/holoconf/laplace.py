@@ -14,6 +14,10 @@ e^rho (conformal).  For non-integer alpha the principal branch of the
 logarithm is used with phi fixed to [0, 2*pi) at chart level, so all four
 charts agree at coinciding plane points.
 
+Each function of a point reads the chart from the point (p.chart) and
+rejects a point outside its chart's domain with DomainError; a non-finite
+scale dimension raises ValueError naming its first bad sample.
+
 Derivatives are taken with second-order dual numbers, never finite
 differences; the residual contract |L u| <= 1e-10 * (1 + |u|) relies on
 that exactness.
@@ -28,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import dual
-from .bicomplex import _complex
+from .bicomplex import _complex, reject
 from .charts import TWO_PI, ChartId, ChartPoint, validate
 
 
@@ -53,11 +57,15 @@ class SolutionFamily:
     """The solution with scale dimension alpha, evaluable in one chart.
 
     ``conjugate_branch=True`` selects the mirror family e^{-i alpha phi} r^alpha
-    (for integer alpha = l, the m = -l harmonic branch)."""
+    (for integer alpha = l, the m = -l harmonic branch).  A non-finite
+    alpha raises ValueError."""
 
     alpha: complex
     chart: ChartId
     conjugate_branch: bool = False
+
+    def __post_init__(self):
+        reject(~np.isfinite(self.alpha), ValueError, "scale dimension {} is not finite", self.alpha)
 
     def __call__(self, y0, y1):
         log_r, phi = _log_radius_angle(self.chart, y0, y1)
@@ -65,46 +73,48 @@ class SolutionFamily:
         return dual.exp(self.alpha * (log_r + sign * phi))
 
 
-def solve(alpha: complex, chart: ChartId, p: ChartPoint) -> complex:
-    """Value of the scale-dimension-alpha solution at p.
+def solve(alpha: complex, p: ChartPoint) -> complex:
+    """Value of the scale-dimension-alpha solution at p, in p's chart.
 
     alpha and the coordinates of p may be arrays of one sample shape."""
     validate(p)
-    return SolutionFamily(alpha, chart)(p.y0, p.y1)
+    return SolutionFamily(alpha, p.chart)(p.y0, p.y1)
 
 
-def laplacian(chart: ChartId, f: Callable, p: ChartPoint) -> complex:
-    """Apply the chart's rescaled Laplace operator to f at p (a plain or an
-    array point)."""
+def laplacian(f: Callable, p: ChartPoint) -> complex:
+    """Apply the rescaled Laplace operator of p's chart to f at p (a plain
+    or an array point)."""
     validate(p)
     j0 = f(dual.seed(p.y0), p.y1)
     j1 = f(p.y0, dual.seed(p.y1))
     f0, f00 = dual.d1(j0), dual.d2(j0)
     f11 = dual.d2(j1)
-    if chart is ChartId.CARTESIAN or chart is ChartId.CONFORMAL:
+    if p.chart is ChartId.CARTESIAN or p.chart is ChartId.CONFORMAL:
         return f00 + f11
-    if chart is ChartId.POLAR:
+    if p.chart is ChartId.POLAR:
         r = p.y0
         return r * f0 + r * r * f00 + f11
-    if chart is ChartId.HOLOGRAPHIC:
+    if p.chart is ChartId.HOLOGRAPHIC:
         t = np.tan(p.y0)
         sec2 = 1.0 + t * t
         return t * sec2 * f0 + t * t * f00 + f11
-    raise ValueError(chart)
+    raise ValueError(p.chart)
 
 
-def residual(alpha: complex, chart: ChartId, p: ChartPoint) -> float:
+def residual(alpha: complex, p: ChartPoint) -> float:
     """|rescaled Laplacian of the alpha-solution| at p (should vanish)."""
-    return abs(laplacian(chart, SolutionFamily(alpha, chart), p))
+    return abs(laplacian(SolutionFamily(alpha, p.chart), p))
 
 
-def rescale_factor(chart: ChartId, p: ChartPoint) -> float:
-    """Factor relating the rescaled operator to the standard Laplacian."""
-    if chart is ChartId.CARTESIAN:
+def rescale_factor(p: ChartPoint) -> float:
+    """Factor relating the rescaled operator of p's chart to the standard
+    Laplacian at p."""
+    validate(p)
+    if p.chart is ChartId.CARTESIAN:
         return 1.0
-    if chart is ChartId.POLAR:
+    if p.chart is ChartId.POLAR:
         return p.y0 * p.y0
-    if chart is ChartId.HOLOGRAPHIC:
+    if p.chart is ChartId.HOLOGRAPHIC:
         return dual.sin(p.y0) ** 2
     return dual.exp(2.0 * p.y0)
 

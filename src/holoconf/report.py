@@ -20,14 +20,19 @@ class SuiteConfig:
     suites: tuple = SUITE_NAMES
 
     def __post_init__(self):
-        if not isinstance(self.samples, numbers.Integral):
-            raise ValueError(f"samples must be an integer, got {self.samples!r}")
+        # stored as Python numbers: a numpy scalar would not serialize to JSON
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not self.suites:
             raise ValueError("no suites selected: an empty run would pass with 0 checks")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
+        object.__setattr__(self, "tol", float(self.tol))
         unknown = set(self.suites) - set(SUITE_NAMES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")

@@ -390,8 +390,8 @@ def laplace_checks(cfg: SuiteConfig):
             # the alpha x point grid, flattened: every point for each alpha
             alpha = np.repeat(alphas, len(pts))
             grid = ChartPoint(chart, np.tile(pts.y0, len(alphas)), np.tile(pts.y1, len(alphas)))
-            u = laplace.solve(alpha, chart, grid)
-            yield laplace.residual(alpha, chart, grid) / (1.0 + np.abs(u))
+            u = laplace.solve(alpha, grid)
+            yield laplace.residual(alpha, grid) / (1.0 + np.abs(u))
 
     for chart in (ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL):
 
@@ -414,8 +414,8 @@ def laplace_checks(cfg: SuiteConfig):
             def pulled(y0, y1):
                 return flat(*charts.embed_coords(chart, y0, y1))
 
-            lhs = laplace.laplacian(chart, pulled, p)
-            rhs = laplace.rescale_factor(chart, p) * laplace.laplacian(ChartId.CARTESIAN, flat, flat_p)
+            lhs = laplace.laplacian(pulled, p)
+            rhs = laplace.rescale_factor(p) * laplace.laplacian(flat, flat_p)
             yield np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
 
     @run.check(
@@ -428,9 +428,9 @@ def laplace_checks(cfg: SuiteConfig):
         p = sampling.chart_points(ChartId.HOLOGRAPHIC, cfg.samples, rng)
         alpha = sampling.scale_dimensions(cfg.samples, rng)
         x0, x1 = charts.embed(p)
-        ref = laplace.solve(alpha, ChartId.HOLOGRAPHIC, p)
+        ref = laplace.solve(alpha, p)
         for chart in (ChartId.CARTESIAN, ChartId.POLAR, ChartId.CONFORMAL):
-            u = laplace.solve(alpha, chart, charts.invert(chart, x0, x1))
+            u = laplace.solve(alpha, charts.invert(chart, x0, x1))
             yield np.abs(u - ref) / (1.0 + np.abs(ref))
 
     @run.check(
@@ -597,7 +597,7 @@ def algebra_checks(cfg: SuiteConfig):
         "tol",
     )
     def _():
-        u = laplace.solve(1.0, ChartId.HOLOGRAPHIC, curve)
+        u = laplace.solve(1.0, curve)
         flow_derivative = algebra.apply_to_function(
             algebra.generator(B, ChartId.HOLOGRAPHIC),
             laplace.SolutionFamily(1.0, ChartId.HOLOGRAPHIC),

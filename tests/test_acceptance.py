@@ -114,7 +114,7 @@ def test_criterion_3_laplace_suite():
 
     for l in (1, 2, 3, 4):
         ratios = [
-            ylm(l, l, p.y0, p.y1) / solve(l, ChartId.HOLOGRAPHIC, p) for p in grid
+            ylm(l, l, p.y0, p.y1) / solve(l, p) for p in grid
         ]
         mean = sum(ratios) / len(ratios)
         spread = math.sqrt(sum(abs(r - mean) ** 2 for r in ratios) / len(ratios))

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from holoconf.algebra import (
     structure_table,
     tangent_curve,
 )
-from holoconf.charts import ChartId, ChartPoint
+from holoconf.charts import ChartId, ChartPoint, DomainError
 from holoconf.laplace import SolutionFamily, solve
 from holoconf.sampling import chart_points, scale_dimensions, upsilon_points
 
@@ -139,11 +140,11 @@ def test_structure_tables_all_realizations():
 
 def test_act_examples():
     p = ChartPoint(ChartId.HOLOGRAPHIC, 0.8, 2.1)
-    u = solve(3.0, ChartId.HOLOGRAPHIC, p)
+    u = solve(3.0, p)
     assert act(B, 3.0, p) == pytest.approx(3.0 * u, abs=1e-10)
 
     q = ChartPoint(ChartId.HOLOGRAPHIC, math.pi / 4, 0.2)
-    u2 = solve(2.0, ChartId.HOLOGRAPHIC, q)
+    u2 = solve(2.0, q)
     assert act(Q1, 1.0, q) == pytest.approx(-1j * u2, abs=1e-10)
 
     assert act(P0, 0.0, q) == pytest.approx(0.0, abs=1e-12)
@@ -249,6 +250,48 @@ def test_empty_point_sets_raise(realization, empty):
         structure_table(realization, points=empty)
     with pytest.raises(ValueError, match=f"no sample points to check in {key}"):
         minkowski_check(realization, points=empty)
+
+
+# every algebra path that takes sample points, as a call on (realization, points)
+POINT_PATHS = {
+    "structure_table": lambda r, pts: structure_table(r, points=pts),
+    "minkowski_check": lambda r, pts: minkowski_check(r, points=pts),
+    "generator_tensors": algebra.generator_tensors,
+    "field_values": lambda r, pts: field_values(generator(Q0, r), pts),
+    "apply_to_function": lambda r, pts: apply_to_function(generator(Q0, r), lambda *ys: ys[0], pts),
+}
+
+
+@pytest.mark.parametrize("path", POINT_PATHS.values(), ids=POINT_PATHS)
+def test_points_of_another_realization_raise(path):
+    # polar points read as holographic ones would pass the bracket table
+    polar = chart_points(ChartId.POLAR, 20, random.Random(7))
+    with pytest.raises(RealizationMismatchError, match="polar point given in holographic"):
+        path(ChartId.HOLOGRAPHIC, polar)
+    with pytest.raises(RealizationMismatchError, match="polar point given in upsilon-line"):
+        path(UPSILON_LINE, polar)
+    with pytest.raises(RealizationMismatchError, match="upsilon-line point given in cartesian"):
+        path(ChartId.CARTESIAN, upsilon_points(20, random.Random(7)))
+
+
+@pytest.mark.parametrize("path", POINT_PATHS.values(), ids=POINT_PATHS)
+@pytest.mark.parametrize(
+    "chart, y0, y1, fragment",
+    [
+        (ChartId.POLAR, -1.0, 0.5, "radius -1.0 below guard"),
+        (ChartId.POLAR, 1.0, 7.0, "angle 7.0 outside [0, 2*pi)"),
+        (ChartId.HOLOGRAPHIC, math.pi / 2 - 1e-12, 0.5, f"theta {math.pi / 2 - 1e-12} outside"),
+        (ChartId.CARTESIAN, math.nan, 0.5, "coordinate y0 = nan is not finite"),
+    ],
+    ids=["negative-radius", "angle", "theta-at-boundary", "nan"],
+)
+def test_points_outside_the_chart_domain_raise(path, chart, y0, y1, fragment):
+    # rather than pass, or fail as an unmatched bracket with defects nan/nan
+    pts = chart_points(chart, 5, random.Random(9))
+    y0s, y1s = pts.y0.copy(), pts.y1.copy()
+    y0s[3], y1s[3] = y0, y1
+    with pytest.raises(DomainError, match=re.escape(fragment) + ".* at sample 3$"):
+        path(chart, ChartPoint(chart, y0s, y1s))
 
 
 def four_term_rhs(a, b, metric):
@@ -382,7 +425,7 @@ def test_paravector_substitution_reproduces_generators():
 
 def test_tangent_curve():
     p = ChartPoint(ChartId.HOLOGRAPHIC, math.pi / 3, 0.0)
-    u = solve(1.0, ChartId.HOLOGRAPHIC, p)
+    u = solve(1.0, p)
     assert tangent_curve(0.0, p) == pytest.approx(u, abs=1e-14)
 
     # derivative at 0 equals (tan t d_t u)(p) = u(p) for unit scale dimension

@@ -280,7 +280,7 @@ def test_first_order_jets_keep_the_value_and_first_derivative():
 def test_laplacian_of_a_first_order_jet_fails():
     p = chart_points(ChartId.POLAR, 5, random.Random(2))
     with pytest.raises(ValueError, match="first-order jet carries no second derivative"):
-        laplace.laplacian(ChartId.POLAR, lambda y0, y1: y0 * dual.Jet(y1, 0.0, None), p)
+        laplace.laplacian(lambda y0, y1: y0 * dual.Jet(y1, 0.0, None), p)
     assert dual.d2(0.5) == 0.0 and dual.d2(dual.seed(0.5)) == 0.0
 
 
@@ -290,15 +290,15 @@ def test_act_solve_laplacian_with_array_alpha(chart):
     p = chart_points(chart, 20, rng)
     alpha = scale_dimensions(20, rng)
     assert_close(
-        laplace.solve(alpha, chart, p),
-        [laplace.solve(a, chart, q) for a, q in zip(alpha, p)],
+        laplace.solve(alpha, p),
+        [laplace.solve(a, q) for a, q in zip(alpha, p)],
     )
     # the solutions' Laplacians vanish to roundoff, so compare on a function
     # whose Laplacian does not
     f = lambda y0, y1: dual.exp(0.3 * y0) * dual.cos(y1) * y0
-    assert_close(laplace.laplacian(chart, f, p), [laplace.laplacian(chart, f, q) for q in p])
-    u = laplace.solve(alpha, chart, p)
-    assert np.all(laplace.residual(alpha, chart, p) <= 1e-10 * (1.0 + np.abs(u)))
+    assert_close(laplace.laplacian(f, p), [laplace.laplacian(f, q) for q in p])
+    u = laplace.solve(alpha, p)
+    assert np.all(laplace.residual(alpha, p) <= 1e-10 * (1.0 + np.abs(u)))
     for g in GENERATORS:
         assert_close(
             algebra.act(g, alpha, p), [algebra.act(g, a, q) for a, q in zip(alpha, p)]
@@ -478,13 +478,13 @@ def test_laplacian_of_stacked_cubics_is_the_per_cubic_laplacians(chart):
     def stacked(x0, x1):
         return suites._polynomial(coeffs, x0, x1)
 
-    lhs = laplace.laplacian(chart, pulled(stacked), p)
-    flat = laplace.laplacian(ChartId.CARTESIAN, stacked, flat_p)
+    lhs = laplace.laplacian(pulled(stacked), p)
+    flat = laplace.laplacian(stacked, flat_p)
     assert lhs.shape == flat.shape == (3, 10)
     for k in range(3):
         poly = ref_polynomial(coeffs[:, :, k, 0].tolist())
-        assert np.array_equal(lhs[k], laplace.laplacian(chart, pulled(poly), p))
-        assert np.array_equal(flat[k], laplace.laplacian(ChartId.CARTESIAN, poly, flat_p))
+        assert np.array_equal(lhs[k], laplace.laplacian(pulled(poly), p))
+        assert np.array_equal(flat[k], laplace.laplacian(poly, flat_p))
 
 
 def test_scalar_points_keep_their_shapes():

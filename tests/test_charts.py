@@ -56,7 +56,7 @@ def test_domain_guards():
 def test_non_finite_coordinates_are_rejected(chart, bad, which):
     good = {"y0": 0.5, "y1": 1.0}
     p = ChartPoint(chart, **{**good, which: bad})
-    for fn in (embed, charts.basis, lambda p: solve(1.5, chart, p)):
+    for fn in (embed, charts.basis, lambda p: solve(1.5, p)):
         with pytest.raises(DomainError, match=f"coordinate {which} = {bad} is not finite"):
             fn(p)
     arrays = {name: np.full(3, y) for name, y in good.items()}

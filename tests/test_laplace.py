@@ -3,12 +3,13 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from holoconf import laplace
-from holoconf.charts import ChartId, ChartPoint, embed, embed_coords, invert
+from holoconf import algebra, laplace
+from holoconf.charts import ChartId, ChartPoint, DomainError, embed, embed_coords, invert
 from holoconf.laplace import (
     SolutionFamily,
     conjugate_derivative,
@@ -26,40 +27,63 @@ RNG = random.Random(31)
 def test_laplacian_examples():
     harmonic = lambda x0, x1: x0 * x0 - x1 * x1
     p = ChartPoint(ChartId.CARTESIAN, 0.7, -1.2)
-    assert abs(laplacian(ChartId.CARTESIAN, harmonic, p)) <= 1e-13
+    assert abs(laplacian(harmonic, p)) <= 1e-13
 
     # (r d/dr)^2 r^2 = 4 r^2 = 16 at r = 2
     f = lambda r, phi: r * r
     p = ChartPoint(ChartId.POLAR, 2.0, 0.0)
-    assert laplacian(ChartId.POLAR, f, p) == pytest.approx(16.0, abs=1e-12)
+    assert laplacian(f, p) == pytest.approx(16.0, abs=1e-12)
 
     p = ChartPoint(ChartId.HOLOGRAPHIC, math.pi / 4, 0.3)
     u2 = SolutionFamily(2.0, ChartId.HOLOGRAPHIC)
-    assert abs(laplacian(ChartId.HOLOGRAPHIC, u2, p)) <= 1e-12
+    assert abs(laplacian(u2, p)) <= 1e-12
 
 
 def test_solve_examples():
-    v = solve(1.0, ChartId.HOLOGRAPHIC, ChartPoint(ChartId.HOLOGRAPHIC, 1.5707, 0.0))
+    v = solve(1.0, ChartPoint(ChartId.HOLOGRAPHIC, 1.5707, 0.0))
     assert v == pytest.approx(1.0, abs=1e-7)
-    v = solve(2.0, ChartId.POLAR, ChartPoint(ChartId.POLAR, 2.0, math.pi / 2))
+    v = solve(2.0, ChartPoint(ChartId.POLAR, 2.0, math.pi / 2))
     assert v == pytest.approx(-4.0, abs=1e-12)
-    v = solve(1.0, ChartId.CONFORMAL, ChartPoint(ChartId.CONFORMAL, 0.0, math.pi))
+    v = solve(1.0, ChartPoint(ChartId.CONFORMAL, 0.0, math.pi))
     assert v == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_functions_of_a_point_read_its_chart():
+    # the polar point (r, phi) = (1, 0.5) is e^{0.5 i}, not 1 + 0.5i
+    p = ChartPoint(ChartId.POLAR, 1.0, 0.5)
+    assert solve(1.0, p) == pytest.approx(cmath.exp(0.5j), abs=1e-15)
+    assert laplace.rescale_factor(ChartPoint(ChartId.POLAR, 2.0, 0.5)) == 4.0
+    with pytest.raises(DomainError, match="radius -1.0 below guard"):
+        laplace.rescale_factor(ChartPoint(ChartId.POLAR, -1.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "alpha, where",
+    [(math.nan, ""), (math.inf, ""), (np.array([0.5, 1.0 + 1j, math.nan, 2.0]), " at sample 2")],
+    ids=["nan", "inf", "one-bad-sample"],
+)
+def test_non_finite_scale_dimension_raises(alpha, where):
+    # instead of a NaN solution, or an overflow warning for inf
+    p = chart_points(ChartId.HOLOGRAPHIC, 4, random.Random(38))
+    bad = np.ravel(alpha)[2 if where else 0]
+    for fn in (solve, residual, algebra.eigenactions):
+        with pytest.raises(ValueError, match=re.escape(f"scale dimension {bad} is not finite{where}") + "$"):
+            fn(alpha, p)
 
 
 def test_residual_examples():
     p = chart_points(ChartId.HOLOGRAPHIC, 1, RNG)[0]
-    u = solve(3.0, ChartId.HOLOGRAPHIC, p)
-    assert residual(3.0, ChartId.HOLOGRAPHIC, p) <= 1e-10 * (1 + abs(u))
+    u = solve(3.0, p)
+    assert residual(3.0, p) <= 1e-10 * (1 + abs(u))
 
     q = chart_points(ChartId.POLAR, 1, RNG)[0]
     alpha = 0.5 + 0.25j
-    u = solve(alpha, ChartId.POLAR, q)
-    assert residual(alpha, ChartId.POLAR, q) <= 1e-10 * (1 + abs(u))
+    u = solve(alpha, q)
+    assert residual(alpha, q) <= 1e-10 * (1 + abs(u))
 
     for chart in (ChartId.CARTESIAN, ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL):
         r = chart_points(chart, 1, RNG)[0]
-        assert residual(0.0, chart, r) == 0.0
+        assert residual(0.0, r) == 0.0
 
 
 def test_residual_random_alphas_all_charts():
@@ -68,8 +92,8 @@ def test_residual_random_alphas_all_charts():
         pts = chart_points(chart, 3, rng)
         for alpha in scale_dimensions(25, rng):
             for p in pts:
-                u = solve(alpha, chart, p)
-                assert residual(alpha, chart, p) <= 1e-10 * (1 + abs(u))
+                u = solve(alpha, p)
+                assert residual(alpha, p) <= 1e-10 * (1 + abs(u))
 
 
 def test_conjugate_branch_solution():
@@ -77,7 +101,7 @@ def test_conjugate_branch_solution():
     rng = random.Random(33)
     for p in chart_points(ChartId.HOLOGRAPHIC, 5, rng):
         f = SolutionFamily(2.0, ChartId.HOLOGRAPHIC, conjugate_branch=True)
-        assert abs(laplacian(ChartId.HOLOGRAPHIC, f, p)) <= 1e-11
+        assert abs(laplacian(f, p)) <= 1e-11
         expected = cmath.exp(-2j * p.y1) * math.sin(p.y0) ** 2
         assert f(p.y0, p.y1) == pytest.approx(expected, abs=1e-13)
 
@@ -89,12 +113,10 @@ def test_rescaled_vs_standard_factor():
     for chart in (ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL):
         for p in chart_points(chart, 20, rng):
             pulled = lambda y0, y1, c=chart: poly(*embed_coords(c, y0, y1))
-            lhs = laplacian(chart, pulled, p)
+            lhs = laplacian(pulled, p)
             x0, x1 = embed(p)
-            flat = laplacian(
-                ChartId.CARTESIAN, poly, ChartPoint(ChartId.CARTESIAN, x0, x1)
-            )
-            rhs = laplace.rescale_factor(chart, p) * flat
+            flat = laplacian(poly, ChartPoint(ChartId.CARTESIAN, x0, x1))
+            rhs = laplace.rescale_factor(p) * flat
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
 
@@ -104,10 +126,10 @@ def test_chart_consistency_of_solutions():
     alphas = scale_dimensions(25, rng)
     for p, alpha in zip(pts, alphas):
         x0, x1 = embed(p)
-        ref = solve(alpha, ChartId.HOLOGRAPHIC, p)
+        ref = solve(alpha, p)
         for chart in (ChartId.CARTESIAN, ChartId.POLAR, ChartId.CONFORMAL):
             q = invert(chart, x0, x1)
-            assert solve(alpha, chart, q) == pytest.approx(ref, abs=1e-10 * (1 + abs(ref)))
+            assert solve(alpha, q) == pytest.approx(ref, abs=1e-10 * (1 + abs(ref)))
 
 
 def test_ylm_ratio_constants():
