@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import dual, sampling
-from .charts import ChartId, ChartPoint, validate
+from .charts import ChartId, ChartPoint
 from .laplace import SolutionFamily, solve
 
 UPSILON_LINE = "upsilon-line"
@@ -178,15 +178,14 @@ def point_args(realization, p):
 
     Every algebra function of points takes them through here.  A ChartPoint
     of another chart, a ChartPoint on the upsilon line or a bare value in a
-    chart raises RealizationMismatchError; a chart point outside its domain
-    raises DomainError naming the first bad sample (charts.validate)."""
+    chart raises RealizationMismatchError.  A ChartPoint is inside its
+    chart's domain by construction."""
     key = realization_key(realization)
     given = p.chart.value if isinstance(p, ChartPoint) else UPSILON_LINE
     if given != key:
         raise RealizationMismatchError(f"{given} point given in {key}")
     if key == UPSILON_LINE:
         return (p,)
-    validate(p)
     return (p.y0, p.y1)
 
 

@@ -12,9 +12,9 @@ conformal    (rho, phi)             (e^rho cos phi, e^rho sin phi)
 ===========  =====================  ==========================================
 
 Angles live in [0, 2*pi); the holographic chart covers the open unit disk
-with theta in (0, pi/2) -- its metric degenerates at theta = pi/2, so points
-within GUARD of a domain boundary are rejected rather than producing huge
-values.  Basis vectors are computed by dual-number differentiation of the
+with theta in (0, pi/2) -- its metric degenerates at theta = pi/2, so a
+ChartPoint within GUARD of its domain's boundary, outside it or not finite
+cannot be constructed (DomainError) rather than produce huge values.  Basis vectors are computed by dual-number differentiation of the
 embedding; closed forms are kept alongside as an independent cross-check.
 
 A ChartPoint may carry 1-D arrays of coordinates, one entry per sample
@@ -63,6 +63,25 @@ class ChartPoint:
     y0: float
     y1: float
 
+    def __post_init__(self):
+        """Raise DomainError, naming the first bad sample, unless every
+        sample lies safely inside the chart's domain."""
+        y0, y1 = self.y0, self.y1
+        for name, y in (("y0", y0), ("y1", y1)):
+            _require(np.isfinite(y), y, f"coordinate {name} = {{}} is not finite")
+        if self.chart is ChartId.CARTESIAN:
+            return
+        _require((0.0 <= y1) & (y1 < TWO_PI), y1, "angle {} outside [0, 2*pi)")
+        if self.chart is ChartId.POLAR:
+            _require(y0 >= GUARD, y0, f"radius {{}} below guard {GUARD}")
+        elif self.chart is ChartId.HOLOGRAPHIC:
+            _require(
+                (GUARD <= y0) & (y0 <= math.pi / 2 - GUARD),
+                y0,
+                f"theta {{}} outside ({GUARD}, pi/2 - {GUARD})",
+            )
+        # conformal: y0 unrestricted
+
     def __len__(self) -> int:
         return len(self.y0)
 
@@ -75,25 +94,6 @@ def _require(ok, value, message: str) -> None:
     """Raise DomainError(message.format(v)) for the first value v where ok
     fails; ok and value are scalars or arrays of one sample shape."""
     reject(np.logical_not(ok), DomainError, message, value)
-
-
-def validate(p: ChartPoint) -> None:
-    """Raise DomainError unless every sample of p lies safely inside its
-    chart's domain."""
-    for name, y in (("y0", p.y0), ("y1", p.y1)):
-        _require(np.isfinite(y), y, f"coordinate {name} = {{}} is not finite")
-    if p.chart is ChartId.CARTESIAN:
-        return
-    _require((0.0 <= p.y1) & (p.y1 < TWO_PI), p.y1, "angle {} outside [0, 2*pi)")
-    if p.chart is ChartId.POLAR:
-        _require(p.y0 >= GUARD, p.y0, f"radius {{}} below guard {GUARD}")
-    elif p.chart is ChartId.HOLOGRAPHIC:
-        _require(
-            (GUARD <= p.y0) & (p.y0 <= math.pi / 2 - GUARD),
-            p.y0,
-            f"theta {{}} outside ({GUARD}, pi/2 - {GUARD})",
-        )
-    # conformal: y0 unrestricted
 
 
 def _tensor(rows, p: ChartPoint) -> np.ndarray:
@@ -125,7 +125,6 @@ def _embed(chart: ChartId, y0, y1):
 
 
 def embed(p: ChartPoint) -> tuple[float, float]:
-    validate(p)
     return _embed(p.chart, p.y0, p.y1)
 
 
@@ -161,7 +160,6 @@ def invert(chart: ChartId, x0: float, x1: float) -> ChartPoint:
 def basis(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate basis vectors d(embed)/dy_alpha, via first-order dual
     numbers."""
-    validate(p)
     cols = []
     for var in (0, 1):
         args = [p.y0, p.y1]
@@ -173,7 +171,6 @@ def basis(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
 
 def basis_closed_form(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
     """Hand-derived basis vectors, kept separate as a cross-check."""
-    validate(p)
     if p.chart is ChartId.CARTESIAN:
         return _tensor([1.0, 0.0], p), _tensor([0.0, 1.0], p)
     c, s = dual.cos(p.y1), dual.sin(p.y1)
@@ -225,7 +222,6 @@ def mixed_from_lower(a: np.ndarray) -> np.ndarray:
 
 
 def jacobian_mixed_closed_form(p: ChartPoint) -> np.ndarray:
-    validate(p)
     if p.chart is ChartId.CARTESIAN:
         return _tensor([[1.0, 0.0], [0.0, 1.0]], p)
     c, s = dual.cos(p.y1), dual.sin(p.y1)

@@ -14,9 +14,10 @@ e^rho (conformal).  For non-integer alpha the principal branch of the
 logarithm is used with phi fixed to [0, 2*pi) at chart level, so all four
 charts agree at coinciding plane points.
 
-Each function of a point reads the chart from the point (p.chart) and
-rejects a point outside its chart's domain with DomainError; a non-finite
-scale dimension raises ValueError naming its first bad sample.
+Each function of a point reads the chart from the point (p.chart); the
+point is inside its chart's domain, since ChartPoint checks that when it is
+built.  A non-finite scale dimension raises ValueError naming its first bad
+sample.
 
 Derivatives are taken with second-order dual numbers, never finite
 differences; the residual contract |L u| <= 1e-10 * (1 + |u|) relies on
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import dual
 from .bicomplex import _complex, reject
-from .charts import TWO_PI, ChartId, ChartPoint, validate
+from .charts import TWO_PI, ChartId, ChartPoint
 
 
 def _log_radius_angle(chart: ChartId, y0, y1):
@@ -77,14 +78,12 @@ def solve(alpha: complex, p: ChartPoint) -> complex:
     """Value of the scale-dimension-alpha solution at p, in p's chart.
 
     alpha and the coordinates of p may be arrays of one sample shape."""
-    validate(p)
     return SolutionFamily(alpha, p.chart)(p.y0, p.y1)
 
 
 def laplacian(f: Callable, p: ChartPoint) -> complex:
     """Apply the rescaled Laplace operator of p's chart to f at p (a plain
     or an array point)."""
-    validate(p)
     j0 = f(dual.seed(p.y0), p.y1)
     j1 = f(p.y0, dual.seed(p.y1))
     f0, f00 = dual.d1(j0), dual.d2(j0)
@@ -109,7 +108,6 @@ def residual(alpha: complex, p: ChartPoint) -> float:
 def rescale_factor(p: ChartPoint) -> float:
     """Factor relating the rescaled operator of p's chart to the standard
     Laplacian at p."""
-    validate(p)
     if p.chart is ChartId.CARTESIAN:
         return 1.0
     if p.chart is ChartId.POLAR:
@@ -175,7 +173,6 @@ def ylm_ratio(l: int, grid: ChartPoint, negative_branch: bool = False) -> comple
         raise ValueError("empty evaluation grid")
     if grid.chart is not ChartId.HOLOGRAPHIC:
         raise ValueError("grid must consist of holographic points")
-    validate(grid)
     m = -l if negative_branch else l
     ratios = ylm(l, m, grid.y0, grid.y1) / (np.sin(grid.y0) ** l * _phase(m * grid.y1))
     mean = sum(ratios.tolist()) / len(ratios)

@@ -505,7 +505,7 @@ def test_scalar_points_keep_their_shapes():
 )
 def test_validate_rejects_one_bad_sample(chart, y0, y1, fragment):
     with pytest.raises(DomainError, match=fragment):
-        charts.validate(ChartPoint(chart, np.array(y0), np.array(y1)))
+        ChartPoint(chart, np.array(y0), np.array(y1))
     with pytest.raises(DomainError):
         charts.basis(ChartPoint(chart, np.array(y0), np.array(y1)))
 

@@ -55,10 +55,9 @@ def test_domain_guards():
 @pytest.mark.parametrize("which", ("y0", "y1"))
 def test_non_finite_coordinates_are_rejected(chart, bad, which):
     good = {"y0": 0.5, "y1": 1.0}
-    p = ChartPoint(chart, **{**good, which: bad})
     for fn in (embed, charts.basis, lambda p: solve(1.5, p)):
         with pytest.raises(DomainError, match=f"coordinate {which} = {bad} is not finite"):
-            fn(p)
+            fn(ChartPoint(chart, **{**good, which: bad}))
     arrays = {name: np.full(3, y) for name, y in good.items()}
     arrays[which][1] = bad
     with pytest.raises(DomainError, match=f"coordinate {which} = {bad} is not finite at sample 1"):
@@ -143,7 +142,7 @@ def test_embed_invert_roundtrip():
 
 @pytest.mark.parametrize("chart", (ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL), ids=str)
 def test_invert_just_below_the_cut_stays_in_the_domain(chart):
-    # -1e-17 + 2*pi rounds to 2*pi, which validate rejects; the angle must
+    # -1e-17 + 2*pi rounds to 2*pi, which ChartPoint rejects; the angle must
     # stay below 2*pi, on the lower side of the positive x0 axis
     q = invert(chart, 0.5, -1e-17)
     assert q.y1 < charts.TWO_PI
