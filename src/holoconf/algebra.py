@@ -46,7 +46,8 @@ from typing import Callable
 import numpy as np
 
 from . import dual, sampling
-from .charts import ChartId, ChartPoint
+from .bicomplex import reject
+from .charts import ChartId, ChartPoint, DomainError
 from .laplace import SolutionFamily, solve
 
 UPSILON_LINE = "upsilon-line"
@@ -179,12 +180,14 @@ def point_args(realization, p):
     Every algebra function of points takes them through here.  A ChartPoint
     of another chart, a ChartPoint on the upsilon line or a bare value in a
     chart raises RealizationMismatchError.  A ChartPoint is inside its
-    chart's domain by construction."""
+    chart's domain by construction; a non-finite point u on the upsilon line
+    raises DomainError here, naming the first bad sample."""
     key = realization_key(realization)
     given = p.chart.value if isinstance(p, ChartPoint) else UPSILON_LINE
     if given != key:
         raise RealizationMismatchError(f"{given} point given in {key}")
     if key == UPSILON_LINE:
+        reject(~np.isfinite(p), DomainError, "coordinate u = {} is not finite", p)
         return (p,)
     return (p.y0, p.y1)
 

@@ -248,9 +248,11 @@ def involution_projections(s: Bicomplex) -> HopfTriple:
 
     s*conjugate(s) must land in span{1, j} and s*reverse(s) in span{1, ij};
     any leakage into other components beyond LEAK_TOL (scaled) signals a
-    broken product and raises StructureError.  A number whose squared length
-    overflows raises OverflowError.
+    broken product and raises StructureError.  A non-finite number raises
+    ValueError and one whose squared length overflows OverflowError, each
+    naming the first bad sample.
     """
+    reject(~np.isfinite(s.max_abs()), ValueError, "cannot project {}: not finite", s)
     with np.errstate(over="ignore"):
         scale = 1.0 + s.squared_length()
     reject(np.isinf(scale), OverflowError, "squared length of {} overflows", s)

@@ -141,9 +141,11 @@ def normalize_angle(phi: float) -> float:
 
 
 def invert(chart: ChartId, x0: float, x1: float) -> ChartPoint:
-    """Analytic inverse of the embedding (atan2 / arcsin / log, no iteration)."""
+    """Analytic inverse of the embedding (atan2 / arcsin / log, no iteration).
+    A non-finite plane point raises DomainError before any chart is tried."""
+    flat = ChartPoint(ChartId.CARTESIAN, x0, x1)
     if chart is ChartId.CARTESIAN:
-        return ChartPoint(chart, x0, x1)
+        return flat
     r = np.hypot(x0, x1)
     _require(r >= GUARD, r, "origin is not covered by any angular chart")
     phi = normalize_angle(dual.atan2(x1, x0))
@@ -256,7 +258,9 @@ def compactify(x0: float, x1: float, rescaled: bool = False) -> ConformalVector:
 
     Unrescaled: (x0, x1, (1-x^2)/2, (1+x^2)/2).  Rescaled: divided by the
     last component, so u3 = 1 and (u0, u1, u2) lies on the unit sphere.
+    A non-finite point raises DomainError, naming the first bad sample.
     """
+    ChartPoint(ChartId.CARTESIAN, x0, x1)
     xsq = x0 * x0 + x1 * x1
     u = (x0, x1, (1.0 - xsq) / 2.0, (1.0 + xsq) / 2.0)
     if rescaled:
@@ -266,7 +270,9 @@ def compactify(x0: float, x1: float, rescaled: bool = False) -> ConformalVector:
 
 def invert_point(x: tuple[float, float]) -> tuple[float, float]:
     """Inversion x -> x/|x|^2; the origin maps to infinity (pole).  The
-    coordinates may be arrays over samples."""
+    coordinates may be arrays over samples; a non-finite point raises
+    DomainError."""
+    ChartPoint(ChartId.CARTESIAN, *x)
     nsq = x[0] * x[0] + x[1] * x[1]
     reject(nsq < GUARD * GUARD, PoleCrossingError, "inversion pole at the origin")
     return (x[0] / nsq, x[1] / nsq)

@@ -34,12 +34,18 @@ import numpy as np
 
 from . import dual
 from .bicomplex import _complex, reject
-from .charts import TWO_PI, ChartId, ChartPoint
+from .charts import GUARD, TWO_PI, ChartId, ChartPoint, DomainError
 
 
 def _log_radius_angle(chart: ChartId, y0, y1):
-    """(log r, phi) of the plane point, in chart terms; jet-aware."""
+    """(log r, phi) of the plane point, in chart terms; jet-aware.  The
+    cartesian origin, where r^alpha is singular, raises DomainError."""
     if chart is ChartId.CARTESIAN:
+        # r is tested on the values, since the jet hypot's derivative divides by r
+        v0, v1 = y0, y1
+        while isinstance(v0, dual.Jet) or isinstance(v1, dual.Jet):
+            v0, v1 = dual.value(v0), dual.value(v1)
+        reject(np.hypot(v0, v1) < GUARD, DomainError, "the solution family is singular at the origin")
         r = dual.hypot(y0, y1)
         phi = dual.atan2(y1, y0)
         phi = phi + TWO_PI * (dual.value(phi) < 0.0)

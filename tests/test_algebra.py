@@ -294,6 +294,17 @@ def test_points_outside_the_chart_domain_raise(path, chart, y0, y1, fragment):
         path(chart, ChartPoint(chart, y0s, y1s))
 
 
+@pytest.mark.parametrize("path", POINT_PATHS.values(), ids=POINT_PATHS)
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf), ids=repr)
+def test_upsilon_points_that_are_not_finite_raise(path, bad):
+    # the upsilon line has no point type: point_args checks u itself, rather
+    # than let the bracket fail as unmatched or the values read NaN
+    u = upsilon_points(5, random.Random(9))
+    u[3] = complex(bad, 0.0)
+    with pytest.raises(DomainError, match=re.escape(f"coordinate u = {u[3]} is not finite at sample 3") + "$"):
+        path(UPSILON_LINE, u)
+
+
 def four_term_rhs(a, b, metric):
     """[s_ab, s_cd] = g_ad s_bc - g_ac s_bd - g_bd s_ac + g_bc s_ad, with s_xy
     for x > y read as -s_yx and s_xx = 0, as signed index pairs."""

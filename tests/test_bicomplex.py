@@ -144,6 +144,18 @@ def test_projection_rejects_overflowing_squares(big):
             bc.involution_projections(Bicomplex(big, 1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf), ids=repr)
+def test_projection_rejects_non_finite_numbers(bad):
+    # a NaN used to pass the overflow and leakage checks into a NaN triple
+    with pytest.raises(ValueError, match=r"cannot project .*: not finite$"):
+        bc.involution_projections(Bicomplex(1.0, bad, 0.5, 0.5))
+    batch = bicomplex_batch(4, random.Random(3))
+    im_j = batch.im_j.copy()
+    im_j[2] = bad
+    with pytest.raises(ValueError, match=rf"im_j={bad}, .*: not finite at sample 2$"):
+        bc.involution_projections(Bicomplex(batch.re, batch.im_i, im_j, batch.im_ij))
+
+
 def _exp_series(a: Bicomplex, terms: int = 20) -> Bicomplex:
     total = bc.ONE
     power = bc.ONE

@@ -1,5 +1,6 @@
 """Chart embeddings, tensors, compactification, special conformal maps."""
 
+import functools
 import math
 import random
 
@@ -215,6 +216,28 @@ def test_special_conformal_pole_reported():
         special_conformal((1.0, 0.0), (-1.0, 0.0))
     with pytest.raises(PoleCrossingError):
         special_conformal((0.0, 0.0), (0.3, 0.0))
+
+
+# every map of plane points, as a call on the point (x0, x1)
+PLANE_MAPS = {
+    "invert_point": lambda x0, x1: charts.invert_point((x0, x1)),
+    "special_conformal-point": lambda x0, x1: special_conformal((x0, x1), (0.1, -0.2)),
+    "special_conformal-shift": lambda x0, x1: special_conformal((0.4, 0.3), (x0, x1)),
+    "compactify": compactify,
+    "compactify-rescaled": lambda x0, x1: compactify(x0, x1, rescaled=True),
+    **{f"invert-{chart}": functools.partial(invert, chart) for chart in ALL},
+}
+
+
+@pytest.mark.parametrize("fn", PLANE_MAPS.values(), ids=PLANE_MAPS)
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf), ids=repr)
+def test_plane_maps_reject_non_finite_points(fn, bad):
+    # rather than return NaN, or report a NaN as the origin
+    with pytest.raises(DomainError, match=f"^coordinate y0 = {bad} is not finite$"):
+        fn(bad, 0.5)
+    x1 = np.array([0.5, -0.3, bad, 0.8])
+    with pytest.raises(DomainError, match=f"^coordinate y1 = {bad} is not finite at sample 2$"):
+        fn(np.array([0.4, 0.6, 0.7, -0.2]), x1)
 
 
 def test_conformal_vector_fields_and_point_types():

@@ -24,6 +24,24 @@ from holoconf.sampling import chart_points, scale_dimensions
 RNG = random.Random(31)
 
 
+ORIGIN_PATHS = {
+    "solve": lambda p: solve(-1.0, p),
+    "residual": lambda p: residual(1.0, p),
+    "eigenactions": lambda p: algebra.eigenactions(0.5 + 0.25j, p),
+}
+
+
+@pytest.mark.parametrize("path", ORIGIN_PATHS.values(), ids=ORIGIN_PATHS)
+def test_solution_family_at_the_cartesian_origin_raises(path):
+    # r^alpha e^{i alpha phi} is singular at the origin, which the cartesian
+    # chart contains: a clean DomainError, not inf+nanj or ZeroDivisionError
+    with pytest.raises(DomainError, match="singular at the origin$"):
+        path(ChartPoint(ChartId.CARTESIAN, 0.0, 0.0))
+    x0, x1 = np.array([0.5, -1.0, 0.0, 1.2]), np.array([0.3, 0.4, 0.0, -0.7])
+    with pytest.raises(DomainError, match="singular at the origin at sample 2$"):
+        path(ChartPoint(ChartId.CARTESIAN, x0, x1))
+
+
 def test_laplacian_examples():
     harmonic = lambda x0, x1: x0 * x0 - x1 * x1
     p = ChartPoint(ChartId.CARTESIAN, 0.7, -1.2)
