@@ -517,7 +517,8 @@ class SignLedger:
         return ledger
 
 
-def default_points(realization, n: int = 50, seed: int = 0):
+def default_points(realization, n: int = 50, seed: int | str = 0):
+    """n sample points of the realization, drawn from random.Random(seed)."""
     rng = random.Random(seed)
     key = realization_key(realization)
     if key == UPSILON_LINE:

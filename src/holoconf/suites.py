@@ -45,8 +45,13 @@ EXACT_TOL = 1e-12
 RATIO_UNDEFINED = "zero defect at eps/2: Richardson ratio undefined"
 
 
+def _seed(cfg: SuiteConfig, label: str) -> str:
+    """Seed of the stream labelled label: each check draws from its own."""
+    return f"{cfg.seed}:{label}"
+
+
 def _rng(cfg: SuiteConfig, label: str) -> random.Random:
-    return random.Random(f"{cfg.seed}:{label}")
+    return random.Random(_seed(cfg, label))
 
 
 def _worst(defects) -> float:
@@ -478,15 +483,16 @@ def algebra_checks(cfg: SuiteConfig):
     run = _Runner("algebra", cfg)
 
     for r in FIELD_REALIZATIONS:
+        name = algebra.realization_key(r)
 
         @run.check(
-            f"bracket_table[{algebra.realization_key(r)}]",
+            f"bracket_table[{name}]",
             "all 15 brackets match the table, as written except the "
             "four negated [q, p] entries",
             "tol",
         )
         def _():
-            pts = algebra.default_points(r, n=cfg.samples, seed=cfg.seed)
+            pts = algebra.default_points(r, n=cfg.samples, seed=_seed(cfg, f"alg.bracket.{name}"))
             return _signed(algebra.structure_table(r, points=pts), _FIELD_LEDGER)
 
     for chart in (ChartId.HOLOGRAPHIC, ChartId.CARTESIAN, ChartId.CONFORMAL):
@@ -526,23 +532,25 @@ def algebra_checks(cfg: SuiteConfig):
         @run.check(f"jacobi[{name}]", "cyclic double brackets cancel", "tol")
         def _():
             rng = _rng(cfg, f"alg.jacobi.{name}")
-            pts = algebra.default_points(r, n=5, seed=cfg.seed + 1)
+            pts = algebra.default_points(r, n=5, seed=_seed(cfg, f"alg.jacobi.points.{name}"))
             gens = algebra.generator_tensors(r, pts, hessian=True)
             # ten drawn triples, bracketed as one stack per slot
             triples = [[GENERATORS.index(g) for g in rng.sample(GENERATORS, 3)] for _ in range(10)]
             yield np.abs(algebra.jacobiator(*(gens[t] for t in np.transpose(triples))))
 
     for r in FIELD_REALIZATIONS:
+        name = algebra.realization_key(r)
 
         @run.check(
-            f"minkowski_packing[{algebra.realization_key(r)}]",
+            f"minkowski_packing[{name}]",
             "packed rotations satisfy the single relation with metric "
             "diag(1,1,1,-1); every other diagonal sign pattern breaks "
             "a bracket",
             "tol",
         )
         def _():
-            pts = algebra.default_points(r, n=max(10, cfg.samples // 2), seed=cfg.seed + 2)
+            n = max(10, cfg.samples // 2)
+            pts = algebra.default_points(r, n=n, seed=_seed(cfg, f"alg.minkowski.{name}"))
             res = algebra.minkowski_check(r, points=pts)
             out = _signed(
                 res.ledger,

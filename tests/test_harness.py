@@ -111,6 +111,15 @@ def test_rings_pass_for_every_seed():
         assert data["summary"]["failed"] == 0, [c for c in data["checks"] if c["status"] == "fail"]
 
 
+@pytest.mark.parametrize("samples", (3, 20))
+def test_every_suite_passes_for_every_seed(samples):
+    # a re-drawn check (or a draw that replays another check's points) that
+    # fails for some seed shows here, not only in a hand-run sweep
+    for seed in range(20):
+        report = run_suite(SuiteConfig(seed=seed, samples=samples))
+        assert report.overall_pass, [(seed, c.name, c.message) for c in report.checks if not c.passed]
+
+
 def test_worst_skips_empty_arrays():
     assert suites._worst([np.array([])]) == 0.0
     assert suites._worst([np.array([]), np.array([0.5, 0.25]), 0.75]) == 0.75
