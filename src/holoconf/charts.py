@@ -14,8 +14,9 @@ conformal    (rho, phi)             (e^rho cos phi, e^rho sin phi)
 Angles live in [0, 2*pi); the holographic chart covers the open unit disk
 with theta in (0, pi/2) -- its metric degenerates at theta = pi/2, so a
 ChartPoint within GUARD of its domain's boundary, outside it or not finite
-cannot be constructed (DomainError) rather than produce huge values.  Basis vectors are computed by dual-number differentiation of the
-embedding; closed forms are kept alongside as an independent cross-check.
+cannot be constructed (DomainError) rather than produce huge values.  Basis
+vectors are computed by dual-number differentiation of the embedding;
+closed forms are kept alongside as an independent cross-check.
 
 A ChartPoint may carry 1-D arrays of coordinates, one entry per sample
 point; every function below then evaluates all samples at once.  The sample

@@ -42,10 +42,8 @@ def _log_radius_angle(chart: ChartId, y0, y1):
     cartesian origin, where r^alpha is singular, raises DomainError."""
     if chart is ChartId.CARTESIAN:
         # r is tested on the values, since the jet hypot's derivative divides by r
-        v0, v1 = y0, y1
-        while isinstance(v0, dual.Jet) or isinstance(v1, dual.Jet):
-            v0, v1 = dual.value(v0), dual.value(v1)
-        reject(np.hypot(v0, v1) < GUARD, DomainError, "the solution family is singular at the origin")
+        at_origin = np.hypot(dual.value(y0), dual.value(y1)) < GUARD
+        reject(at_origin, DomainError, "the solution family is singular at the origin")
         r = dual.hypot(y0, y1)
         phi = dual.atan2(y1, y0)
         phi = phi + TWO_PI * (dual.value(phi) < 0.0)
