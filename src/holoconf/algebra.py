@@ -40,12 +40,12 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import dual, sampling
+from ._record import Record
 from .bicomplex import reject
 from .charts import ChartId, ChartPoint, DomainError
 from .laplace import SolutionFamily, solve
@@ -109,16 +109,17 @@ def realization_key(realization) -> str:
     raise ValueError(f"unknown realization {realization!r}")
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Record, frozen=True):
     """First-order operator sum_k coeffs[k] * d/dy_k on one realization.
 
     Chart realizations carry two coefficient functions of (y0, y1); the
     upsilon line carries a single holomorphic coefficient of u.
     """
 
-    realization: object
-    coeffs: tuple
+    __slots__ = ("realization", "coeffs")
+
+    def __init__(self, realization: object, coeffs: tuple):
+        self._assign(realization, coeffs)
 
     @property
     def arity(self) -> int:
@@ -340,8 +341,7 @@ def generator_by_transport(g: GeneratorId, chart: ChartId) -> VectorField:
 
 # --- Taylor tensors: brackets as contractions --------------------------------
 
-@dataclass(frozen=True)
-class TaylorField:
+class TaylorField(Record, frozen=True):
     """Coefficients of a vector field at the sample points, with their
     derivatives; the one sample axis comes last.
 
@@ -351,9 +351,12 @@ class TaylorField:
     indexing and combine act on the first of them.
     """
 
-    v: np.ndarray
-    g: np.ndarray | None = None
-    h: np.ndarray | None = None
+    __slots__ = ("v", "g", "h")
+
+    def __init__(self, v: np.ndarray, g: np.ndarray | None = None, h: np.ndarray | None = None):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
 
     def _map(self, fn) -> "TaylorField":
         return TaylorField(*(None if a is None else fn(a) for a in (self.v, self.g, self.h)))
@@ -494,13 +497,13 @@ def match_sign(label: str, d_plus: float, d_minus: float, tol: float) -> tuple:
     raise UnmatchedBracketError(f"{label}: defects {d_plus:.3e}/{d_minus:.3e}")
 
 
-@dataclass
-class SignLedger:
+class SignLedger(Record):
     """Per-bracket record: +1 if the table holds as written, -1 if negated."""
 
-    realization: str
-    signs: dict = field(default_factory=dict)
-    max_defect: float = 0.0
+    __slots__ = ("realization", "signs", "max_defect")
+
+    def __init__(self, realization: str, signs: dict | None = None, max_defect: float = 0.0):
+        self._assign(realization, {} if signs is None else signs, max_defect)
 
     @classmethod
     def matched(cls, realization: str, labels, d_plus, d_minus, tol: float, where: str = "") -> "SignLedger":
@@ -678,14 +681,13 @@ def _so31_rhs_terms(a: tuple, b: tuple, metric) -> list:
     return [(sign * metric[x], (min(y, z), max(y, z)))]
 
 
-@dataclass
-class MinkowskiResult:
+class MinkowskiResult(Record):
     """Outcome of the packed-relation check and the metric-forcing scan."""
 
-    realization: str
-    ledger: SignLedger
-    passing_metrics: list
-    metric_forced: bool
+    __slots__ = ("realization", "ledger", "passing_metrics", "metric_forced")
+
+    def __init__(self, realization: str, ledger: SignLedger, passing_metrics: list, metric_forced: bool):
+        self._assign(realization, ledger, passing_metrics, metric_forced)
 
 
 def minkowski_check(realization, points=None) -> MinkowskiResult:

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._record import Record
 
 
 def nan_max(values: tuple):
@@ -94,14 +95,16 @@ class ZeroDivisorError(ZeroDivisionError):
     """Inversion of a bicomplex number with a vanishing idempotent part."""
 
 
-@dataclass(frozen=True)
-class Bicomplex:
+class Bicomplex(Record, frozen=True):
     """re + i*im_i + j*im_j + ij*im_ij with real coefficients."""
 
-    re: float = 0.0
-    im_i: float = 0.0
-    im_j: float = 0.0
-    im_ij: float = 0.0
+    __slots__ = ("re", "im_i", "im_j", "im_ij")
+
+    def __init__(self, re: float = 0.0, im_i: float = 0.0, im_j: float = 0.0, im_ij: float = 0.0):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im_i", im_i)
+        object.__setattr__(self, "im_j", im_j)
+        object.__setattr__(self, "im_ij", im_ij)
 
     # make `ndarray * Bicomplex` defer to Bicomplex.__rmul__ instead of
     # building an object array of per-element products
@@ -233,14 +236,13 @@ def null_plane_units() -> tuple[Bicomplex, Bicomplex]:
     return o, obar
 
 
-@dataclass(frozen=True)
-class HopfTriple:
+class HopfTriple(Record, frozen=True):
     """Base-sphere coordinates (xi1, xi2, xi3) with xi1^2+xi2^2+xi3^2 = len_sq^2."""
 
-    xi1: float
-    xi2: float
-    xi3: float
-    len_sq: float
+    __slots__ = ("xi1", "xi2", "xi3", "len_sq")
+
+    def __init__(self, xi1: float, xi2: float, xi3: float, len_sq: float):
+        self._assign(xi1, xi2, xi3, len_sq)
 
 
 def involution_projections(s: Bicomplex) -> HopfTriple:

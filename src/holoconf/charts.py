@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import dual
+from ._record import Record
 from .bicomplex import reject
 
 GUARD = 1e-8
@@ -58,16 +57,15 @@ class ChartId(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    chart: ChartId
-    y0: float
-    y1: float
+class ChartPoint(Record, frozen=True):
+    __slots__ = ("chart", "y0", "y1")
 
-    def __post_init__(self):
+    def __init__(self, chart: ChartId, y0: float, y1: float):
         """Raise DomainError, naming the first bad sample, unless every
         sample lies safely inside the chart's domain."""
-        y0, y1 = self.y0, self.y1
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "y0", y0)
+        object.__setattr__(self, "y1", y1)
         for name, y in (("y0", y0), ("y1", y1)):
             _require(np.isfinite(y), y, f"coordinate {name} = {{}} is not finite")
         if self.chart is ChartId.CARTESIAN:
@@ -238,14 +236,13 @@ def jacobian_mixed_closed_form(p: ChartPoint) -> np.ndarray:
     return _tensor([[e * c, -e * s], [e * s, e * c]], p)
 
 
-@dataclass(frozen=True)
-class ConformalVector:
+class ConformalVector(Record, frozen=True):
     """Point of the null cone in R^{3,1} representing a plane point."""
 
-    u0: float
-    u1: float
-    u2: float
-    u3: float
+    __slots__ = ("u0", "u1", "u2", "u3")
+
+    def __init__(self, u0: float, u1: float, u2: float, u3: float):
+        self._assign(u0, u1, u2, u3)
 
     def null_defect(self) -> float:
         return self.u0**2 + self.u1**2 + self.u2**2 - self.u3**2

@@ -63,9 +63,7 @@ def cmd_verify(args, parser) -> int:
         suites = list(SUITE_NAMES)
     try:
         seed = args.seed if args.seed is not None else _default_seed()
-        cfg = SuiteConfig(
-            seed=seed, samples=args.samples, tol=args.tol, suites=tuple(dict.fromkeys(suites))
-        )
+        cfg = SuiteConfig(seed=seed, samples=args.samples, tol=args.tol, suites=suites)
     except ValueError as exc:
         parser.error(str(exc))
     report = run_suite(cfg)

@@ -27,12 +27,12 @@ that exactness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import dual
+from ._record import Record
 from .bicomplex import _complex, reject
 from .charts import GUARD, TWO_PI, ChartId, ChartPoint, DomainError
 
@@ -57,19 +57,17 @@ def _log_radius_angle(chart: ChartId, y0, y1):
     raise ValueError(chart)
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(Record, frozen=True):
     """The solution with scale dimension alpha, evaluable in one chart.
 
     ``conjugate_branch=True`` selects the mirror family e^{-i alpha phi} r^alpha
     (for integer alpha = l, the m = -l harmonic branch).  A non-finite
     alpha raises ValueError."""
 
-    alpha: complex
-    chart: ChartId
-    conjugate_branch: bool = False
+    __slots__ = ("alpha", "chart", "conjugate_branch")
 
-    def __post_init__(self):
+    def __init__(self, alpha: complex, chart: ChartId, conjugate_branch: bool = False):
+        self._assign(alpha, chart, conjugate_branch)
         reject(~np.isfinite(self.alpha), ValueError, "scale dimension {} is not finite", self.alpha)
 
     def __call__(self, y0, y1):

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .algebra import (
     B,
     BRACKET_PAIRS,
@@ -111,15 +111,17 @@ def absval(x) -> float:
     return x.max_abs() if isinstance(x, Bicomplex) else abs(x)
 
 
-@dataclass(frozen=True)
-class SpinMatrix:
+class SpinMatrix(Record, frozen=True):
     """((a, b), (c, d)) over one of the three rings."""
 
-    ring: Ring
-    a: object
-    b: object
-    c: object
-    d: object
+    __slots__ = ("ring", "a", "b", "c", "d")
+
+    def __init__(self, ring: Ring, a: object, b: object, c: object, d: object):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -359,20 +361,15 @@ def _norm(comps) -> tuple:
         return comps, np.where(rescale, np.sqrt(sum(c * c for c in comps)), n)
 
 
-@dataclass(frozen=True)
-class S3Point:
+class S3Point(Record, frozen=True):
     """Unit 4-vector; the constructor normalizes and rejects zero and
     non-finite input."""
 
-    s1: float
-    s2: float
-    s3: float
-    s4: float
+    __slots__ = ("s1", "s2", "s3", "s4")
 
-    def __post_init__(self):
-        comps, n = _norm(self.components())
-        for name, v in zip(("s1", "s2", "s3", "s4"), comps):
-            object.__setattr__(self, name, plain(v / n))
+    def __init__(self, s1: float, s2: float, s3: float, s4: float):
+        comps, n = _norm((s1, s2, s3, s4))
+        self._assign(*(plain(v / n) for v in comps))
 
     def components(self) -> tuple:
         return (self.s1, self.s2, self.s3, self.s4)
@@ -397,14 +394,13 @@ def hopf(s: S3Point) -> HopfTriple:
 
 # --- projective line charts ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(Record, frozen=True):
     """Homogeneous pair (v1, v2), finite and not both zero."""
 
-    v1: complex
-    v2: complex
+    __slots__ = ("v1", "v2")
 
-    def __post_init__(self):
+    def __init__(self, v1: complex, v2: complex):
+        self._assign(v1, v2)
         reject(
             ~(np.isfinite(self.v1) & np.isfinite(self.v2)),
             ValueError,
@@ -426,8 +422,7 @@ def projectively_equal(p: ProjectivePoint, q: ProjectivePoint) -> bool:
     return plain(np.abs(p.v1 * q.v2 - p.v2 * q.v1) <= EQUAL_TOL * np.maximum(scale, 1e-300))
 
 
-@dataclass(frozen=True)
-class ChartTransition:
+class ChartTransition(Record, frozen=True):
     """Affine representatives of a projective point in the two line charts.
 
     ``affine0`` normalizes the second component, ``affine1`` the first; the
@@ -436,9 +431,10 @@ class ChartTransition:
     array point every field holds arrays, NaN at the samples where the
     representative or the transition does not exist."""
 
-    affine0: tuple | None
-    affine1: tuple | None
-    transition: complex | None
+    __slots__ = ("affine0", "affine1", "transition")
+
+    def __init__(self, affine0: tuple | None, affine1: tuple | None, transition: complex | None):
+        self._assign(affine0, affine1, transition)
 
     @property
     def in_overlap(self) -> bool:

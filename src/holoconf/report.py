@@ -5,48 +5,48 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+
+from ._record import Record
 
 SCHEMA_VERSION = 1
 
 SUITE_NAMES = ("bicomplex", "charts", "laplace", "algebra", "projective")
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    seed: int = 1
-    samples: int = 50
-    tol: float = 1e-10
-    suites: tuple = SUITE_NAMES
+class SuiteConfig(Record, frozen=True):
+    """One run's settings.  suites is kept as a tuple of distinct names in
+    the order first given."""
 
-    def __post_init__(self):
-        # stored as Python numbers: a numpy scalar would not serialize to JSON
-        for name in ("samples", "seed"):
-            value = getattr(self, name)
+    __slots__ = ("seed", "samples", "tol", "suites")
+
+    def __init__(self, seed: int = 1, samples: int = 50, tol: float = 1e-10, suites: tuple = SUITE_NAMES):
+        for name, value in (("samples", samples), ("seed", seed)):
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.samples < 1:
+        if samples < 1:
             raise ValueError("samples must be >= 1")
-        if not self.suites:
+        if isinstance(suites, str):
+            raise ValueError(f"suites must be a sequence of suite names, not the string {suites!r}")
+        suites = tuple(dict.fromkeys(suites))
+        if not suites:
             raise ValueError("no suites selected: an empty run would pass with 0 checks")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
-        object.__setattr__(self, "tol", float(self.tol))
-        unknown = set(self.suites) - set(SUITE_NAMES)
+        if not (isinstance(tol, numbers.Real) and tol > 0 and math.isfinite(tol)):
+            raise ValueError(f"tol must be a positive, finite real number, got {tol!r}")
+        unknown = set(suites) - set(SUITE_NAMES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
+        # stored as Python numbers: a numpy scalar would not serialize to JSON
+        self._assign(int(seed), int(samples), float(tol), suites)
 
 
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    identity: str
-    passed: bool
-    max_defect: float | None
-    sign_ledger: dict | None = None
-    message: str | None = None
+class CheckResult(Record):
+    __slots__ = ("suite", "name", "identity", "passed", "max_defect", "sign_ledger", "message")
+
+    def __init__(
+        self, suite: str, name: str, identity: str, passed: bool, max_defect: float | None,
+        sign_ledger: dict | None = None, message: str | None = None
+    ):
+        self._assign(suite, name, identity, passed, max_defect, sign_ledger, message)
 
     def as_dict(self) -> dict:
         return {
@@ -60,10 +60,11 @@ class CheckResult:
         }
 
 
-@dataclass
-class VerificationReport:
-    config: SuiteConfig
-    checks: list = field(default_factory=list)
+class VerificationReport(Record):
+    __slots__ = ("config", "checks")
+
+    def __init__(self, config: SuiteConfig, checks: list | None = None):
+        self._assign(config, [] if checks is None else checks)
 
     @property
     def overall_pass(self) -> bool:

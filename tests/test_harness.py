@@ -1,7 +1,6 @@
 """Verification harness: determinism, filtering, report shape, grids, CLI."""
 
 import csv
-import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -247,7 +246,9 @@ def test_nan_commutator_fails_matrix_brackets(monkeypatch):
 
     def nan_commutator(m, n):
         out = commutator(m, n)
-        return dataclasses.replace(out, d=math.nan) if out.ring is projective.Ring.REAL else out
+        if out.ring is not projective.Ring.REAL:
+            return out
+        return projective.SpinMatrix(out.ring, out.a, out.b, out.c, math.nan)
 
     monkeypatch.setattr(projective, "commutator", nan_commutator)
     report = run_suite(SuiteConfig(seed=3, samples=5, suites=("projective",)))
@@ -291,6 +292,30 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_and_verify_generate_no_code():
+    # the record types are plain slotted classes, and only grid writes CSV:
+    # neither a fresh import nor a verify run loads dataclasses or csv,
+    # unless numpy alone already does on this Python
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import numpy\n"
+        "names = [n for n in ('dataclasses', 'csv') if n not in sys.modules]\n"
+        "import holoconf\n"
+        "loaded = [n for n in names if n in sys.modules]\n"
+        "from holoconf import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['verify', '--samples', '5'])\n"
+        "print(json.dumps([rc, loaded, [n for n in names if n in sys.modules]]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, [], []]
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "holoconf"]
+    classes = {c for m in modules for c in vars(m).values() if isinstance(c, type)}
+    classes = [c for c in classes if c.__module__.split(".")[0] == "holoconf"]
+    assert len(classes) > 16 and not [c for c in classes if hasattr(c, "__dataclass_fields__")]
 
 
 def test_laplace_suite_does_not_load_scipy():
@@ -344,6 +369,23 @@ def test_config_validation():
     for seed in (2.5, "7"):
         with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
             SuiteConfig(seed=seed)
+    # a string is not a sequence of names: its letters are not suites
+    with pytest.raises(ValueError, match="not the string 'algebra'"):
+        SuiteConfig(suites="algebra")
+    for tol in ("1e-10", None, 1e-10j):
+        with pytest.raises(ValueError, match=f"tol must be a positive, finite real number, got {tol!r}"):
+            SuiteConfig(tol=tol)
+
+
+def test_config_keeps_distinct_suites_in_first_seen_order():
+    cfg = SuiteConfig(suites=["algebra", "bicomplex", "algebra"])
+    assert cfg.suites == ("algebra", "bicomplex")
+    assert hash(cfg) == hash(SuiteConfig(suites=("algebra", "bicomplex")))
+    report = run_suite(SuiteConfig(seed=3, samples=5, suites=("bicomplex", "bicomplex")))
+    assert json.loads(report.to_json())["config"]["suites"] == ["bicomplex"]
+    assert [c.name for c in report.checks] == [
+        c.name for c in run_suite(SuiteConfig(seed=3, samples=5, suites=("bicomplex",))).checks
+    ]
 
 
 def test_config_of_numpy_numbers_reports_as_python_numbers():
