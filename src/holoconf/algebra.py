@@ -734,15 +734,13 @@ def minkowski_check(realization, points=None) -> MinkowskiResult:
 
 def cn(u: complex) -> complex:
     """(u + 1/u)/2; the disk-flow (Joukowski) map, cos on the unit circle."""
-    if np.any(u == 0):
-        raise ZeroDivisionError("cn undefined at 0")
+    reject(u == 0, ZeroDivisionError, "cn undefined at u = 0")
     return (u + 1.0 / u) / 2.0
 
 
 def sn(u: complex) -> complex:
     """(u - 1/u)/(2i); sin on the unit circle."""
-    if np.any(u == 0):
-        raise ZeroDivisionError("sn undefined at 0")
+    reject(u == 0, ZeroDivisionError, "sn undefined at u = 0")
     return (u - 1.0 / u) / 2j
 
 
@@ -751,8 +749,6 @@ def angular_tensor(u: complex) -> np.ndarray:
 
     Antisymmetric 4x4 complex matrix built from cn and sn; for an array u
     the sample axis comes last, shape (4, 4, n)."""
-    if np.any(u == 0):
-        raise ZeroDivisionError("tensor undefined at 0")
     c, s = cn(u), sn(u)
     z = 0 * c  # broadcasts the constant entries to u's shape
     return np.array(

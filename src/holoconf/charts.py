@@ -1,22 +1,23 @@
 """Coordinate charts on the Euclidean plane and their tensor data.
 
-Four charts cover the constructions in this package:
+Four charts cover the constructions in this package: the cartesian one,
+embedded by the identity, and three angular ones, which put (y0, phi) at
+R(y0) (cos phi, sin phi).  One private table, _RADII, gives each R, R', R^-1:
 
-===========  =====================  ==========================================
-chart        coordinates (y0, y1)   embedding (x0, x1)
-===========  =====================  ==========================================
-cartesian    (x0, x1)               identity
-polar        (r, phi)               (r cos phi, r sin phi)
-holographic  (theta, phi)           (sin theta cos phi, sin theta sin phi)
-conformal    (rho, phi)             (e^rho cos phi, e^rho sin phi)
-===========  =====================  ==========================================
+===========  ====================  =========  =========  ========
+chart        coordinates (y0, y1)  R(y0)      R'(y0)     R^-1(r)
+===========  ====================  =========  =========  ========
+polar        (r, phi)              r          1          r
+holographic  (theta, phi)          sin theta  cos theta  arcsin r
+conformal    (rho, phi)            e^rho      e^rho      log r
+===========  ====================  =========  =========  ========
 
 Angles live in [0, 2*pi); the holographic chart covers the open unit disk
 with theta in (0, pi/2) -- its metric degenerates at theta = pi/2, so a
 ChartPoint within GUARD of its domain's boundary, outside it or not finite
 cannot be constructed (DomainError) rather than produce huge values.  Basis
-vectors are computed by dual-number differentiation of the embedding;
-closed forms are kept alongside as an independent cross-check.
+vectors are dual-number derivatives of the embedding, so of R; the closed
+forms read R' from the table, so checking them checks each R' against R.
 
 A ChartPoint may carry 1-D arrays of coordinates, one entry per sample
 point; every function below then evaluates all samples at once.  The sample
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dual
@@ -108,27 +110,35 @@ def _tensor(rows, p: ChartPoint) -> np.ndarray:
     return fill(rows)
 
 
-def _embed(chart: ChartId, y0, y1):
-    """Embedding coordinate functions; works on floats, arrays and jets alike."""
+class _Radius(NamedTuple):
+    """One angular chart's radius: (y0, y1) lies at R(y0) (cos y1, sin y1)."""
+    radius: Callable  # R(y0); jet-aware, so basis differentiates it
+    derivative: Callable  # R'(y0), read by the closed forms
+    inverse: Callable  # y0 = R^-1(|x|), for |x| >= GUARD
+
+
+def _disk_arcsin(r):
+    _require(r <= 1.0 - GUARD, r, "|x| = {} outside the open unit disk")
+    return np.arcsin(r)
+
+
+_RADII = {
+    ChartId.POLAR: _Radius(lambda y0: y0, lambda y0: 1.0, lambda r: r),
+    ChartId.HOLOGRAPHIC: _Radius(dual.sin, dual.cos, _disk_arcsin),
+    ChartId.CONFORMAL: _Radius(dual.exp, dual.exp, np.log),
+}
+
+
+def embed_coords(chart: ChartId, y0, y1):
+    """The embedding R(y0) (cos y1, sin y1); floats, arrays and jets alike."""
     if chart is ChartId.CARTESIAN:
         return y0, y1
-    if chart is ChartId.POLAR:
-        return y0 * dual.cos(y1), y0 * dual.sin(y1)
-    if chart is ChartId.HOLOGRAPHIC:
-        s = dual.sin(y0)
-        return s * dual.cos(y1), s * dual.sin(y1)
-    if chart is ChartId.CONFORMAL:
-        e = dual.exp(y0)
-        return e * dual.cos(y1), e * dual.sin(y1)
-    raise ValueError(chart)
+    r = _RADII[chart].radius(y0)
+    return r * dual.cos(y1), r * dual.sin(y1)
 
 
 def embed(p: ChartPoint) -> tuple[float, float]:
-    return _embed(p.chart, p.y0, p.y1)
-
-
-# jet-aware embedding for callers composing their own fields
-embed_coords = _embed
+    return embed_coords(p.chart, p.y0, p.y1)
 
 
 def normalize_angle(phi: float) -> float:
@@ -140,7 +150,7 @@ def normalize_angle(phi: float) -> float:
 
 
 def invert(chart: ChartId, x0: float, x1: float) -> ChartPoint:
-    """Analytic inverse of the embedding (atan2 / arcsin / log, no iteration).
+    """Analytic inverse of the embedding (atan2 and R^-1, no iteration).
     A non-finite plane point raises DomainError before any chart is tried."""
     flat = ChartPoint(ChartId.CARTESIAN, x0, x1)
     if chart is ChartId.CARTESIAN:
@@ -148,14 +158,7 @@ def invert(chart: ChartId, x0: float, x1: float) -> ChartPoint:
     r = np.hypot(x0, x1)
     _require(r >= GUARD, r, "origin is not covered by any angular chart")
     phi = normalize_angle(dual.atan2(x1, x0))
-    if chart is ChartId.POLAR:
-        return ChartPoint(chart, r, phi)
-    if chart is ChartId.HOLOGRAPHIC:
-        _require(r <= 1.0 - GUARD, r, "|x| = {} outside the open unit disk")
-        return ChartPoint(chart, np.arcsin(r), phi)
-    if chart is ChartId.CONFORMAL:
-        return ChartPoint(chart, np.log(r), phi)
-    raise ValueError(chart)
+    return ChartPoint(chart, _RADII[chart].inverse(r), phi)
 
 
 def basis(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -165,24 +168,26 @@ def basis(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
     for var in (0, 1):
         args = [p.y0, p.y1]
         args[var] = dual.Jet(args[var], 1.0, None)
-        x0, x1 = _embed(p.chart, *args)
+        x0, x1 = embed_coords(p.chart, *args)
         cols.append(_tensor([dual.d1(x0), dual.d1(x1)], p))
     return cols[0], cols[1]
 
 
 def basis_closed_form(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Hand-derived basis vectors, kept separate as a cross-check."""
+    """Basis vectors (R' cos, R' sin) and (-R sin, R cos), R' from the table."""
     if p.chart is ChartId.CARTESIAN:
         return _tensor([1.0, 0.0], p), _tensor([0.0, 1.0], p)
+    r, dr = _RADII[p.chart].radius(p.y0), _RADII[p.chart].derivative(p.y0)
     c, s = dual.cos(p.y1), dual.sin(p.y1)
-    if p.chart is ChartId.POLAR:
-        r = p.y0
-        return _tensor([c, s], p), _tensor([-r * s, r * c], p)
-    if p.chart is ChartId.HOLOGRAPHIC:
-        ct, st = dual.cos(p.y0), dual.sin(p.y0)
-        return _tensor([ct * c, ct * s], p), _tensor([-st * s, st * c], p)
-    e = dual.exp(p.y0)
-    return _tensor([e * c, e * s], p), _tensor([-e * s, e * c], p)
+    return _tensor([dr * c, dr * s], p), _tensor([-r * s, r * c], p)
+
+
+def metric_closed_form(p: ChartPoint) -> np.ndarray:
+    """The metric diag(R'^2, R^2), from the radius table."""
+    if p.chart is ChartId.CARTESIAN:
+        return _tensor([[1.0, 0.0], [0.0, 1.0]], p)
+    r, dr = _RADII[p.chart].radius(p.y0), _RADII[p.chart].derivative(p.y0)
+    return _tensor([[dr * dr, 0.0], [0.0, r * r]], p)
 
 
 def metric(p: ChartPoint) -> np.ndarray:
@@ -216,24 +221,18 @@ def mixed_from_lower(a: np.ndarray) -> np.ndarray:
     already hold the lower matrix skip a second basis evaluation."""
     g = gram(a)
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if np.any(np.abs(det) < 1e-30):
-        raise DomainError("metric is singular at this point")
+    reject(np.abs(det) < 1e-30, DomainError, "metric is singular: determinant {}", det)
     g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
     return np.einsum("ik...,kj...->ij...", a, g_inv)
 
 
 def jacobian_mixed_closed_form(p: ChartPoint) -> np.ndarray:
+    """jacobian_mixed as (cos/R', -sin/R; sin/R', cos/R), from the table."""
     if p.chart is ChartId.CARTESIAN:
         return _tensor([[1.0, 0.0], [0.0, 1.0]], p)
+    r, dr = _RADII[p.chart].radius(p.y0), _RADII[p.chart].derivative(p.y0)
     c, s = dual.cos(p.y1), dual.sin(p.y1)
-    if p.chart is ChartId.POLAR:
-        r = p.y0
-        return _tensor([[c, -s / r], [s, c / r]], p)
-    if p.chart is ChartId.HOLOGRAPHIC:
-        ct, st = dual.cos(p.y0), dual.sin(p.y0)
-        return _tensor([[c / ct, -s / st], [s / ct, c / st]], p)
-    e = dual.exp(-p.y0)
-    return _tensor([[e * c, -e * s], [e * s, e * c]], p)
+    return _tensor([[c / dr, -s / r], [s / dr, c / r]], p)
 
 
 class ConformalVector(Record, frozen=True):

@@ -34,7 +34,7 @@ import numpy as np
 from . import dual
 from ._record import Record
 from .bicomplex import _complex, reject
-from .charts import GUARD, TWO_PI, ChartId, ChartPoint, DomainError
+from .charts import _RADII, GUARD, TWO_PI, ChartId, ChartPoint, DomainError, metric_closed_form
 
 
 def _log_radius_angle(chart: ChartId, y0, y1):
@@ -48,13 +48,9 @@ def _log_radius_angle(chart: ChartId, y0, y1):
         phi = dual.atan2(y1, y0)
         phi = phi + TWO_PI * (dual.value(phi) < 0.0)
         return dual.log(r), phi
-    if chart is ChartId.POLAR:
-        return dual.log(y0), y1
-    if chart is ChartId.HOLOGRAPHIC:
-        return dual.log(dual.sin(y0)), y1
     if chart is ChartId.CONFORMAL:
-        return y0, y1
-    raise ValueError(chart)
+        return y0, y1  # log e^rho, exactly
+    return dual.log(_RADII[chart].radius(y0)), y1
 
 
 class SolutionFamily(Record, frozen=True):
@@ -109,14 +105,8 @@ def residual(alpha: complex, p: ChartPoint) -> float:
 
 def rescale_factor(p: ChartPoint) -> float:
     """Factor relating the rescaled operator of p's chart to the standard
-    Laplacian at p."""
-    if p.chart is ChartId.CARTESIAN:
-        return 1.0
-    if p.chart is ChartId.POLAR:
-        return p.y0 * p.y0
-    if p.chart is ChartId.HOLOGRAPHIC:
-        return dual.sin(p.y0) ** 2
-    return dual.exp(2.0 * p.y0)
+    Laplacian at p: the metric's angular entry R^2 (1 on cartesian)."""
+    return metric_closed_form(p)[1, 1]
 
 
 def conjugate_derivative(f: Callable, x0: float, x1: float) -> complex:
@@ -132,8 +122,7 @@ def legendre(l: int, m: int, x: float) -> float:
     P_m^m = (-1)^m (2m-1)!! (1 - x^2)^(m/2).  x may be an array."""
     if not 0 <= m <= l:
         raise ValueError(f"order (l, m) = ({l}, {m}) outside 0 <= m <= l")
-    if not np.all(np.abs(x) <= 1.0):
-        raise ValueError("argument outside [-1, 1]")
+    reject(~(np.abs(x) <= 1.0), ValueError, "argument {} outside [-1, 1]", x)
     somx2 = np.sqrt((1.0 - x) * (1.0 + x))
     p_prev, p = 0.0, 1.0 + 0.0 * x  # P_0^0, shaped as x
     for k in range(1, m + 1):

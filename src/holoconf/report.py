@@ -21,22 +21,29 @@ class SuiteConfig(Record, frozen=True):
 
     def __init__(self, seed: int = 1, samples: int = 50, tol: float = 1e-10, suites: tuple = SUITE_NAMES):
         for name, value in (("samples", samples), ("seed", seed)):
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if samples < 1:
             raise ValueError("samples must be >= 1")
         if isinstance(suites, str):
             raise ValueError(f"suites must be a sequence of suite names, not the string {suites!r}")
-        suites = tuple(dict.fromkeys(suites))
+        try:
+            suites = tuple(suites)
+        except TypeError:
+            raise ValueError(f"suites must be a sequence of suite names, got {suites!r}") from None
         if not suites:
             raise ValueError("no suites selected: an empty run would pass with 0 checks")
-        if not (isinstance(tol, numbers.Real) and tol > 0 and math.isfinite(tol)):
+        try:
+            ok = isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < float(tol) < math.inf
+        except OverflowError:  # an int or a fraction beyond float's range
+            ok = False
+        if not ok:
             raise ValueError(f"tol must be a positive, finite real number, got {tol!r}")
-        unknown = set(suites) - set(SUITE_NAMES)
+        unknown = [s for s in suites if not isinstance(s, str) or s not in SUITE_NAMES]
         if unknown:
-            raise ValueError(f"unknown suites: {sorted(unknown)}")
+            raise ValueError(f"unknown suites: {unknown}")
         # stored as Python numbers: a numpy scalar would not serialize to JSON
-        self._assign(int(seed), int(samples), float(tol), suites)
+        self._assign(int(seed), int(samples), float(tol), tuple(dict.fromkeys(suites)))
 
 
 class CheckResult(Record):

@@ -229,19 +229,6 @@ def bicomplex_checks(cfg: SuiteConfig):
 
 # --- charts ------------------------------------------------------------------
 
-def _metric_closed_form(p: ChartPoint) -> np.ndarray:
-    zero = 0.0 * p.y0  # 0.0, or zeros of p's sample shape
-    if p.chart is ChartId.CARTESIAN:
-        d0 = d1 = 1.0 + zero
-    elif p.chart is ChartId.POLAR:
-        d0, d1 = 1.0 + zero, p.y0 * p.y0
-    elif p.chart is ChartId.HOLOGRAPHIC:
-        d0, d1 = dual.cos(p.y0) ** 2, dual.sin(p.y0) ** 2
-    else:
-        d0 = d1 = dual.exp(2 * p.y0)
-    return np.array([[d0, zero], [zero, d1]])
-
-
 def charts_checks(cfg: SuiteConfig):
     run = _Runner("charts", cfg)
     n = max(cfg.samples, 100)
@@ -270,7 +257,7 @@ def charts_checks(cfg: SuiteConfig):
             "tol",
         )
         def _():
-            yield np.abs(charts.gram(lower()) - _metric_closed_form(p))
+            yield np.abs(charts.gram(lower()) - charts.metric_closed_form(p))
 
         @run.check(
             f"jacobian_inverse[{chart.value}]",

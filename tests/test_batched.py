@@ -890,8 +890,20 @@ def test_chart_transition_on_arrays():
             projective.NullLinePoleError,
             "sample 0",
         ),
+        (lambda: algebra.cn(np.array([1.0, 1j, 0j])), ZeroDivisionError, "^cn undefined at u = 0 at sample 2$"),
+        (lambda: algebra.sn(np.array([0j, 1j])), ZeroDivisionError, "^sn undefined at u = 0 at sample 0$"),
+        # angular_tensor has no zero test of its own: cn's names the sample
+        (lambda: algebra.angular_tensor(np.array([2j, 0j])), ZeroDivisionError, "^cn undefined at u = 0 at sample 1$"),
+        (
+            lambda: charts.mixed_from_lower(np.array([[[1.0, 1.0], [0.0, 1.0]], [[0.0, 2.0], [1.0, 2.0]]])),
+            DomainError,
+            "^metric is singular: determinant 0.0 at sample 1$",
+        ),
+        (lambda: laplace.legendre(2, 1, np.array([0.5, -1.5])), ValueError, r"^argument -1.5 outside \[-1, 1\] at sample 1$"),
+        (lambda: laplace.legendre(2, 1, np.array([0.5, 1.0, math.nan])), ValueError, r"^argument nan outside \[-1, 1\] at sample 2$"),
     ],
 )
 def test_bad_sample_is_reported_by_index(build, error, fragment):
     with pytest.raises(error, match=fragment):
         build()
+

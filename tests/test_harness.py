@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holoconf import algebra, charts, cli, laplace, projective, suites
+from holoconf import algebra, charts, cli, dual, laplace, projective, suites
 from holoconf import bicomplex as bc
 from holoconf.algebra import Q0, Q1
 from holoconf.charts import ChartId
@@ -239,6 +240,27 @@ def test_a_raising_basis_fails_each_check_that_reads_it(monkeypatch):
     assert calls == [ChartId.CARTESIAN, ChartId.POLAR] + [ChartId.HOLOGRAPHIC] * 4 + [ChartId.CONFORMAL]
 
 
+@pytest.mark.parametrize(
+    "entry, wrong, fails",
+    [
+        # R' = sin for R = sin: basis differentiates R, the closed forms read R'
+        ("derivative", dual.sin, ("basis_dual_vs_closed", "metric_closed_form", "jacobian_mixed_closed")),
+        # R^-1 = arctan: a plane point comes back elsewhere on its ray
+        ("inverse", np.arctan, ("embed_roundtrip",)),
+    ],
+)
+def test_a_wrong_radius_table_entry_fails_its_chart_checks(monkeypatch, entry, wrong, fails):
+    # the closed forms and the inverse read the one radius table; a wrong
+    # entry there must show in the checks of that chart and no others
+    radius = charts._RADII[ChartId.HOLOGRAPHIC]
+    monkeypatch.setitem(charts._RADII, ChartId.HOLOGRAPHIC, radius._replace(**{entry: wrong}))
+    report = run_suite(SuiteConfig(seed=3, samples=10, suites=("charts",)))
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [f"{name}[holographic]" for name in fails]
+    for c in failed:
+        assert c.max_defect > 1e-3 and c.message is None
+
+
 def test_nan_commutator_fails_matrix_brackets(monkeypatch):
     # a NaN in the last entry of every real commutator: a NaN-dropping
     # reduction would see only the matching entries and pass
@@ -375,6 +397,19 @@ def test_config_validation():
     for tol in ("1e-10", None, 1e-10j):
         with pytest.raises(ValueError, match=f"tol must be a positive, finite real number, got {tol!r}"):
             SuiteConfig(tol=tol)
+    # a number is no sequence of names, and a list is no name
+    with pytest.raises(ValueError, match="suites must be a sequence of suite names, got 5"):
+        SuiteConfig(suites=5)
+    with pytest.raises(ValueError, match=re.escape("unknown suites: [['algebra']]")):
+        SuiteConfig(suites=[["algebra"]])
+    # finite as an int, but beyond float's range
+    with pytest.raises(ValueError, match="tol must be a positive, finite real number"):
+        SuiteConfig(tol=10**400)
+    # a bool is an int to Python, but no count, seed or tolerance
+    for name in ("tol", "samples", "seed"):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"{name} must be a.*, got {flag!r}$"):
+                SuiteConfig(**{name: flag})
 
 
 def test_config_keeps_distinct_suites_in_first_seen_order():
