@@ -52,21 +52,7 @@ from .laplace import SolutionFamily, solve
 
 UPSILON_LINE = "upsilon-line"
 
-REALIZATIONS = (
-    ChartId.CARTESIAN,
-    ChartId.POLAR,
-    ChartId.HOLOGRAPHIC,
-    ChartId.CONFORMAL,
-    UPSILON_LINE,
-)
-
-# the realizations whose bracket tables the verification suites check
-FIELD_REALIZATIONS = (
-    ChartId.CARTESIAN,
-    ChartId.HOLOGRAPHIC,
-    ChartId.CONFORMAL,
-    UPSILON_LINE,
-)
+REALIZATIONS = (*ChartId, UPSILON_LINE)  # every chart, then the upsilon line
 
 
 class RealizationMismatchError(ValueError):
@@ -195,12 +181,12 @@ def point_args(realization, p):
 
 def field_values(x: VectorField, pts) -> np.ndarray:
     """Coefficient values at the sample points (an array point, or an array
-    on the upsilon line), shape (npts, arity).
+    on the upsilon line; a single point is one sample), shape (npts, arity).
 
     Each coefficient is evaluated once, on the coordinates of all points;
     constant coefficients are broadcast."""
     args = point_args(x.realization, pts)
-    out = np.empty((len(pts), x.arity), dtype=complex)
+    out = np.empty((np.broadcast(*args).size, x.arity), dtype=complex)
     for k, c in enumerate(x.coeffs):
         out[:, k] = dual.value(c(*args))
     return out
@@ -534,7 +520,7 @@ def _sample_points(realization, points):
     raises ValueError: with no sample every defect would read 0."""
     if points is None:
         return default_points(realization)
-    if not len(points):
+    if not np.broadcast(*point_args(realization, points)).size:
         raise ValueError(f"no sample points to check in {realization_key(realization)}")
     return points
 

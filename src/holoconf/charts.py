@@ -2,22 +2,24 @@
 
 Four charts cover the constructions in this package: the cartesian one,
 embedded by the identity, and three angular ones, which put (y0, phi) at
-R(y0) (cos phi, sin phi).  One private table, _RADII, gives each R, R', R^-1:
+R(y0) (cos phi, sin phi).  One private table, _RADII, declares each angular
+chart once: R, R', R^-1, the domain of y0 and the coefficients (k, k') of
+its rescaled Laplace operator (k d0)^2 + d11, where k = R/R':
 
-===========  ====================  =========  =========  ========
-chart        coordinates (y0, y1)  R(y0)      R'(y0)     R^-1(r)
-===========  ====================  =========  =========  ========
-polar        (r, phi)              r          1          r
-holographic  (theta, phi)          sin theta  cos theta  arcsin r
-conformal    (rho, phi)            e^rho      e^rho      log r
-===========  ====================  =========  =========  ========
+===========  ============  =========  =========  ========  ===========  ============
+chart        (y0, y1)      R(y0)      R'(y0)     R^-1(r)   y0 in        (k, k')
+===========  ============  =========  =========  ========  ===========  ============
+polar        (r, phi)      r          1          r         (0, inf)     (r, 1)
+holographic  (theta, phi)  sin theta  cos theta  arcsin r  (0, pi/2)    (tan, sec^2)
+conformal    (rho, phi)    e^rho      e^rho      log r     (-inf, inf)  (1, 0)
+===========  ============  =========  =========  ========  ===========  ============
 
 Angles live in [0, 2*pi); the holographic chart covers the open unit disk
-with theta in (0, pi/2) -- its metric degenerates at theta = pi/2, so a
-ChartPoint within GUARD of its domain's boundary, outside it or not finite
-cannot be constructed (DomainError) rather than produce huge values.  Basis
-vectors are dual-number derivatives of the embedding, so of R; the closed
-forms read R' from the table, so checking them checks each R' against R.
+-- its metric degenerates at theta = pi/2, so a ChartPoint within GUARD of
+its domain's boundary, outside it or not finite cannot be constructed
+(DomainError) rather than produce huge values.  Basis vectors are
+dual-number derivatives of the embedding, so of R; the closed forms read R'
+from the table, so checking them checks each R' against R.
 
 A ChartPoint may carry 1-D arrays of coordinates, one entry per sample
 point; every function below then evaluates all samples at once.  The sample
@@ -64,24 +66,24 @@ class ChartPoint(Record, frozen=True):
 
     def __init__(self, chart: ChartId, y0: float, y1: float):
         """Raise DomainError, naming the first bad sample, unless every
-        sample lies safely inside the chart's domain."""
+        sample lies safely inside the chart's domain; ValueError for a chart
+        that is not a ChartId or coordinates whose shapes do not broadcast."""
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "y0", y0)
         object.__setattr__(self, "y1", y1)
+        try:
+            np.broadcast(y0, y1)
+        except ValueError:
+            raise ValueError(f"coordinate shapes {np.shape(y0)} and {np.shape(y1)} do not broadcast") from None
         for name, y in (("y0", y0), ("y1", y1)):
             _require(np.isfinite(y), y, f"coordinate {name} = {{}} is not finite")
-        if self.chart is ChartId.CARTESIAN:
+        if chart is ChartId.CARTESIAN:
             return
+        if chart not in _RADII:
+            raise ValueError(f"unknown chart {chart!r}")
         _require((0.0 <= y1) & (y1 < TWO_PI), y1, "angle {} outside [0, 2*pi)")
-        if self.chart is ChartId.POLAR:
-            _require(y0 >= GUARD, y0, f"radius {{}} below guard {GUARD}")
-        elif self.chart is ChartId.HOLOGRAPHIC:
-            _require(
-                (GUARD <= y0) & (y0 <= math.pi / 2 - GUARD),
-                y0,
-                f"theta {{}} outside ({GUARD}, pi/2 - {GUARD})",
-            )
-        # conformal: y0 unrestricted
+        name, lo, hi = _RADII[chart].domain
+        _require((lo <= y0) & (y0 <= hi), y0, f"{name} {{}} outside [{lo}, {hi}]")
 
     def __len__(self) -> int:
         return len(self.y0)
@@ -111,10 +113,12 @@ def _tensor(rows, p: ChartPoint) -> np.ndarray:
 
 
 class _Radius(NamedTuple):
-    """One angular chart's radius: (y0, y1) lies at R(y0) (cos y1, sin y1)."""
+    """One angular chart: (y0, y1) lies at R(y0) (cos y1, sin y1)."""
     radius: Callable  # R(y0); jet-aware, so basis differentiates it
     derivative: Callable  # R'(y0), read by the closed forms
     inverse: Callable  # y0 = R^-1(|x|), for |x| >= GUARD
+    domain: tuple  # (name, lo, hi): the y0 a ChartPoint accepts
+    operator: Callable  # (k, k') of y0, k = R/R': the rescaled Laplacian (k d0)^2 + d11
 
 
 def _disk_arcsin(r):
@@ -122,11 +126,24 @@ def _disk_arcsin(r):
     return np.arcsin(r)
 
 
+def _tan_operator(y0):
+    t = np.tan(y0)
+    return t, 1.0 + t * t
+
+
 _RADII = {
-    ChartId.POLAR: _Radius(lambda y0: y0, lambda y0: 1.0, lambda r: r),
-    ChartId.HOLOGRAPHIC: _Radius(dual.sin, dual.cos, _disk_arcsin),
-    ChartId.CONFORMAL: _Radius(dual.exp, dual.exp, np.log),
+    ChartId.POLAR: _Radius(
+        lambda y0: y0, lambda y0: 1.0, lambda r: r, ("radius", GUARD, math.inf), lambda y0: (y0, 1.0)
+    ),
+    ChartId.HOLOGRAPHIC: _Radius(
+        dual.sin, dual.cos, _disk_arcsin, ("theta", GUARD, math.pi / 2 - GUARD), _tan_operator
+    ),
+    ChartId.CONFORMAL: _Radius(
+        dual.exp, dual.exp, np.log, ("rho", -math.inf, math.inf), lambda y0: (1.0, 0.0)
+    ),
 }
+
+ANGULAR_CHARTS = tuple(_RADII)
 
 
 def embed_coords(chart: ChartId, y0, y1):

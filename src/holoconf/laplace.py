@@ -2,8 +2,9 @@
 
 The operator applied here is the conformally rescaled one, chosen so that
 in every chart it is a polynomial in the coordinate derivative operators:
+d00 + d11 on the cartesian chart and (k d0)(k d0) + d11 = R^2 * standard
+on an angular one, with k = R/R' from the chart table (charts._RADII):
 
-* cartesian:    d00 + d11
 * polar:        (r dr)(r dr) + dpp            = r^2 * standard
 * holographic:  (tan t dt)(tan t dt) + dpp    = sin^2(t) * standard
 * conformal:    drr + dpp                     = e^{2 rho} * standard
@@ -86,16 +87,11 @@ def laplacian(f: Callable, p: ChartPoint) -> complex:
     j1 = f(p.y0, dual.seed(p.y1))
     f0, f00 = dual.d1(j0), dual.d2(j0)
     f11 = dual.d2(j1)
-    if p.chart is ChartId.CARTESIAN or p.chart is ChartId.CONFORMAL:
+    if p.chart is ChartId.CARTESIAN:
         return f00 + f11
-    if p.chart is ChartId.POLAR:
-        r = p.y0
-        return r * f0 + r * r * f00 + f11
-    if p.chart is ChartId.HOLOGRAPHIC:
-        t = np.tan(p.y0)
-        sec2 = 1.0 + t * t
-        return t * sec2 * f0 + t * t * f00 + f11
-    raise ValueError(p.chart)
+    # (k d0)^2 + d11, with k' = dk/dy0 from the chart table
+    k, dk = _RADII[p.chart].operator(p.y0)
+    return k * dk * f0 + k * k * f00 + f11
 
 
 def residual(alpha: complex, p: ChartPoint) -> float:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra, bicomplex as bc, charts, dual, laplace, projective, sampling
-from .algebra import B, FIELD_REALIZATIONS, GENERATORS, P0, P1, Q0, Q1, S01, UPSILON_LINE
+from .algebra import B, GENERATORS, P0, P1, Q0, Q1, REALIZATIONS, S01, UPSILON_LINE
 from .charts import ChartId, ChartPoint
 from .report import SUITE_NAMES, CheckResult, SuiteConfig, VerificationReport
 
@@ -385,7 +385,7 @@ def laplace_checks(cfg: SuiteConfig):
             u = laplace.solve(alpha, grid)
             yield laplace.residual(alpha, grid) / (1.0 + np.abs(u))
 
-    for chart in (ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL):
+    for chart in charts.ANGULAR_CHARTS:
 
         @run.check(
             f"rescaled_operator_factor[{chart.value}]",
@@ -469,7 +469,7 @@ _FIELD_LEDGER = {
 def algebra_checks(cfg: SuiteConfig):
     run = _Runner("algebra", cfg)
 
-    for r in FIELD_REALIZATIONS:
+    for r in REALIZATIONS:
         name = algebra.realization_key(r)
 
         @run.check(
@@ -482,7 +482,7 @@ def algebra_checks(cfg: SuiteConfig):
             pts = algebra.default_points(r, n=cfg.samples, seed=_seed(cfg, f"alg.bracket.{name}"))
             return _signed(algebra.structure_table(r, points=pts), _FIELD_LEDGER)
 
-    for chart in (ChartId.HOLOGRAPHIC, ChartId.CARTESIAN, ChartId.CONFORMAL):
+    for chart in ALL_CHARTS:
 
         @run.check(
             f"eigenactions[{chart.value}]",
@@ -513,7 +513,7 @@ def algebra_checks(cfg: SuiteConfig):
             yield abs(algebra.apply_to_function(p0, mono, u) - expected_p)
             yield abs(algebra.apply_to_function(q0, mono, u) - n * u ** (n + 1))
 
-    for r in FIELD_REALIZATIONS:
+    for r in REALIZATIONS:
         name = algebra.realization_key(r)
 
         @run.check(f"jacobi[{name}]", "cyclic double brackets cancel", "tol")
@@ -525,7 +525,7 @@ def algebra_checks(cfg: SuiteConfig):
             triples = [[GENERATORS.index(g) for g in rng.sample(GENERATORS, 3)] for _ in range(10)]
             yield np.abs(algebra.jacobiator(*(gens[t] for t in np.transpose(triples))))
 
-    for r in FIELD_REALIZATIONS:
+    for r in REALIZATIONS:
         name = algebra.realization_key(r)
 
         @run.check(

@@ -21,6 +21,7 @@ from holoconf.algebra import (
     P0,
     P1,
     Q0,
+    REALIZATIONS,
     UPSILON_LINE,
     act,
     angular_tensor,
@@ -55,13 +56,6 @@ from holoconf.suites import (
 )
 
 import numpy as np
-
-FIELD_REALIZATIONS = (
-    ChartId.CARTESIAN,
-    ChartId.HOLOGRAPHIC,
-    ChartId.CONFORMAL,
-    UPSILON_LINE,
-)
 
 
 def _verdict(label: str, ok: bool):
@@ -123,18 +117,18 @@ def test_criterion_3_laplace_suite():
 
 
 def test_criterion_4_algebra_suite():
-    # 15 brackets x 4 realizations with the documented ledger; eigenactions
+    # 15 brackets x 5 realizations with the documented ledger; eigenactions
     # at 1e-10; Jacobi; packed relation with forced metric; multiplier
     # tensor vs packed coefficients for 50 random points
     ok = True
-    for r in FIELD_REALIZATIONS:
+    for r in REALIZATIONS:
         led = structure_table(r, points=default_points(r, n=50, seed=104))
         ok = ok and led.max_defect <= 1e-10
         for (g1, g2), sign in EXPECTED_FIELD_SIGNS.items():
             ok = ok and led.signs[pair_label(g1, g2)] == sign
 
     rng = random.Random(1041)
-    for chart in (ChartId.HOLOGRAPHIC, ChartId.CARTESIAN, ChartId.CONFORMAL):
+    for chart in ChartId:
         pts = chart_points(chart, 50, rng)
         alphas = scale_dimensions(50, rng)
         for g in GENERATORS:
@@ -144,7 +138,7 @@ def test_criterion_4_algebra_suite():
                     1 + abs(expected)
                 )
 
-    for r in FIELD_REALIZATIONS:
+    for r in REALIZATIONS:
         pts = default_points(r, n=4, seed=1042)
         gens = [generator(g, r) for g in (B, Q0, P0)]
         x, y, z = gens

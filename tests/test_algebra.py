@@ -20,6 +20,7 @@ from holoconf.algebra import (
     P1,
     Q0,
     Q1,
+    REALIZATIONS,
     S01,
     UPSILON_LINE,
     RealizationMismatchError,
@@ -43,16 +44,9 @@ from holoconf.algebra import (
     structure_table,
     tangent_curve,
 )
-from holoconf.charts import ChartId, ChartPoint, DomainError
+from holoconf.charts import ANGULAR_CHARTS, ChartId, ChartPoint, DomainError
 from holoconf.laplace import SolutionFamily, solve
 from holoconf.sampling import chart_points, scale_dimensions, upsilon_points
-
-FIELD_REALIZATIONS = (
-    ChartId.CARTESIAN,
-    ChartId.HOLOGRAPHIC,
-    ChartId.CONFORMAL,
-    UPSILON_LINE,
-)
 
 
 def vf_defect(x, y, pts):
@@ -77,7 +71,7 @@ def test_generator_examples():
 def test_generators_match_transport_from_flat():
     # closed-form chart tables vs pushforward through the mixed Jacobian
     rng = random.Random(41)
-    for chart in (ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL):
+    for chart in ANGULAR_CHARTS:
         pts = chart_points(chart, 25, rng)
         for g in GENERATORS:
             assert vf_defect(generator(g, chart), generator_by_transport(g, chart), pts) <= 1e-10
@@ -126,7 +120,7 @@ def test_match_sign():
 
 def test_structure_tables_all_realizations():
     ledgers = {}
-    for r in FIELD_REALIZATIONS + (ChartId.POLAR,):
+    for r in REALIZATIONS:
         led = structure_table(r)
         assert led.max_defect <= 1e-10
         for (g1, g2), sign in EXPECTED_FIELD_SIGNS.items():
@@ -152,7 +146,7 @@ def test_act_examples():
 
 def test_eigenactions_all_transported_realizations():
     rng = random.Random(42)
-    for chart in (ChartId.HOLOGRAPHIC, ChartId.CARTESIAN, ChartId.CONFORMAL, ChartId.POLAR):
+    for chart in ChartId:
         pts = chart_points(chart, 50, rng)
         alphas = scale_dimensions(50, rng)
         for g in GENERATORS:
@@ -163,7 +157,7 @@ def test_eigenactions_all_transported_realizations():
 
 def test_eigenactions_are_act_and_eigenaction_expected():
     rng = random.Random(44)
-    for chart in (ChartId.HOLOGRAPHIC, ChartId.CARTESIAN, ChartId.CONFORMAL, ChartId.POLAR):
+    for chart in ChartId:
         pts = chart_points(chart, 50, rng)
         alphas = scale_dimensions(50, rng)
         got = algebra.eigenactions(alphas, pts)
@@ -190,7 +184,7 @@ def test_degree_shift_on_monomials():
 
 def test_jacobi_identity():
     rng = random.Random(44)
-    for r in FIELD_REALIZATIONS:
+    for r in REALIZATIONS:
         pts = default_points(r, n=4, seed=7)
         for _ in range(8):
             gx, gy, gz = rng.sample(GENERATORS, 3)
@@ -227,7 +221,7 @@ def test_minkowski_check_flat_examples():
 
 
 def test_minkowski_metric_forced_everywhere():
-    for r in FIELD_REALIZATIONS:
+    for r in REALIZATIONS:
         res = minkowski_check(r, points=default_points(r, n=15))
         for key, sign in res.ledger.signs.items():
             assert sign == MINKOWSKI_FIELD_SIGNS.get(key, 1)
@@ -250,6 +244,24 @@ def test_empty_point_sets_raise(realization, empty):
         structure_table(realization, points=empty)
     with pytest.raises(ValueError, match=f"no sample points to check in {key}"):
         minkowski_check(realization, points=empty)
+
+
+@pytest.mark.parametrize(
+    "realization, point, one",
+    [
+        (ChartId.POLAR, ChartPoint(ChartId.POLAR, 1.0, 0.5), ChartPoint(ChartId.POLAR, np.array([1.0]), np.array([0.5]))),
+        (UPSILON_LINE, 0.6 + 0.3j, np.array([0.6 + 0.3j])),
+    ],
+    ids=["polar", "upsilon-line"],
+)
+def test_a_single_point_is_one_sample(realization, point, one):
+    # counted from the broadcast coordinates, as generator_tensors counts them
+    assert structure_table(realization, points=point) == structure_table(realization, points=one)
+    assert minkowski_check(realization, points=point) == minkowski_check(realization, points=one)
+    values = field_values(generator(Q0, realization), point)
+    assert values.shape == (1, len(algebra.COORDINATE_NAMES[algebra.realization_key(realization)]))
+    # a Python complex product may round differently from numpy's
+    assert np.allclose(values, field_values(generator(Q0, realization), one), rtol=1e-15, atol=0)
 
 
 # every algebra path that takes sample points, as a call on (realization, points)
@@ -278,7 +290,7 @@ def test_points_of_another_realization_raise(path):
 @pytest.mark.parametrize(
     "chart, y0, y1, fragment",
     [
-        (ChartId.POLAR, -1.0, 0.5, "radius -1.0 below guard"),
+        (ChartId.POLAR, -1.0, 0.5, "radius -1.0 outside [1e-08, inf]"),
         (ChartId.POLAR, 1.0, 7.0, "angle 7.0 outside [0, 2*pi)"),
         (ChartId.HOLOGRAPHIC, math.pi / 2 - 1e-12, 0.5, f"theta {math.pi / 2 - 1e-12} outside"),
         (ChartId.CARTESIAN, math.nan, 0.5, "coordinate y0 = nan is not finite"),

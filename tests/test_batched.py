@@ -33,8 +33,8 @@ from holoconf.sampling import (
     words,
 )
 
-ALL_CHARTS = (ChartId.CARTESIAN, ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL)
-REALIZATIONS = ALL_CHARTS + (UPSILON_LINE,)
+ALL_CHARTS = tuple(ChartId)
+REALIZATIONS = algebra.REALIZATIONS
 
 
 def assert_close(batched, scalar, tol=1e-14):
@@ -464,7 +464,7 @@ def test_random_polynomial_makes_the_per_call_draws():
                 assert type(want) is float and got[k, 0] == want
 
 
-@pytest.mark.parametrize("chart", [ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL])
+@pytest.mark.parametrize("chart", charts.ANGULAR_CHARTS)
 def test_laplacian_of_stacked_cubics_is_the_per_cubic_laplacians(chart):
     # rescaled_operator_factor's three cubics, stacked against the points
     rng = random.Random(5)
@@ -508,6 +508,15 @@ def test_validate_rejects_one_bad_sample(chart, y0, y1, fragment):
         ChartPoint(chart, np.array(y0), np.array(y1))
     with pytest.raises(DomainError):
         charts.basis(ChartPoint(chart, np.array(y0), np.array(y1)))
+
+
+def test_coordinates_whose_shapes_do_not_broadcast_are_rejected():
+    # rather than construct with len 2 and fail in the first chart function
+    with pytest.raises(ValueError, match=r"^coordinate shapes \(2,\) and \(3,\) do not broadcast$"):
+        ChartPoint(ChartId.POLAR, np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3]))
+    # shapes that broadcast still construct
+    p = ChartPoint(ChartId.POLAR, np.array([1.0, 2.0]), 0.1)
+    assert np.shape(charts.embed(p)[0]) == (2,)
 
 
 @pytest.mark.parametrize("res", (37, 2000))

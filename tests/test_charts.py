@@ -21,7 +21,7 @@ from holoconf.charts import (
 from holoconf.laplace import solve
 from holoconf.sampling import chart_points
 
-ALL = (ChartId.CARTESIAN, ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL)
+ALL = tuple(ChartId)
 
 
 def test_embed_examples():
@@ -49,6 +49,15 @@ def test_domain_guards():
         embed(ChartPoint(ChartId.POLAR, 1.0, -0.1))
     # conformal scale coordinate is unrestricted
     embed(ChartPoint(ChartId.CONFORMAL, -25.0, 0.0))
+
+
+@pytest.mark.parametrize("y0", (1.0, -5.0))
+def test_a_chart_that_is_not_a_chart_id_is_rejected(y0):
+    # the chart's name is not the chart: its domain and every later lookup
+    # are keyed by the ChartId
+    with pytest.raises(ValueError, match=r"^unknown chart 'polar'$") as info:
+        ChartPoint("polar", y0, 0.5)
+    assert info.type is ValueError
 
 
 @pytest.mark.parametrize("chart", ALL, ids=str)
@@ -141,7 +150,7 @@ def test_embed_invert_roundtrip():
         invert(ChartId.POLAR, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("chart", (ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL), ids=str)
+@pytest.mark.parametrize("chart", charts.ANGULAR_CHARTS, ids=str)
 def test_invert_just_below_the_cut_stays_in_the_domain(chart):
     # -1e-17 + 2*pi rounds to 2*pi, which ChartPoint rejects; the angle must
     # stay below 2*pi, on the lower side of the positive x0 axis
@@ -152,7 +161,7 @@ def test_invert_just_below_the_cut_stays_in_the_domain(chart):
     assert x0 == pytest.approx(0.5) and x1 <= 0.0
 
 
-@pytest.mark.parametrize("chart", (ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL), ids=str)
+@pytest.mark.parametrize("chart", charts.ANGULAR_CHARTS, ids=str)
 def test_invert_array_just_below_the_cut_stays_in_the_domain(chart):
     q = invert(chart, np.array([0.5, 0.5, 0.5]), np.array([-1e-17, 0.0, -0.25]))
     assert list(q.y1[:2]) == [np.nextafter(charts.TWO_PI, 0.0), 0.0]

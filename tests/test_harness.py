@@ -79,7 +79,7 @@ def test_report_shape():
 def test_sign_ledgers_in_report():
     report = run_suite(SuiteConfig(seed=5, samples=10, suites=("algebra",)))
     tables = [c for c in report.checks if c.name.startswith("bracket_table")]
-    assert len(tables) == 4
+    assert len(tables) == len(algebra.REALIZATIONS)
     for c in tables:
         assert c.sign_ledger["[q0,p0]"] == -1
         assert c.sign_ledger["[b,p0]"] == 1
@@ -208,7 +208,7 @@ def test_unmatched_packed_bracket_fails_its_check(monkeypatch):
     monkeypatch.setattr(algebra, "SO31_PACK_MATRIX", 2 * algebra.SO31_PACK_MATRIX)
     report = run_suite(SuiteConfig(seed=3, samples=5, suites=("algebra",)))
     packed = [c for c in report.checks if c.name.startswith("minkowski_packing[")]
-    assert len(packed) == len(algebra.FIELD_REALIZATIONS)
+    assert len(packed) == len(algebra.REALIZATIONS)
     for c in packed:
         assert not c.passed
         assert c.max_defect is None and c.sign_ledger is None
@@ -259,6 +259,46 @@ def test_a_wrong_radius_table_entry_fails_its_chart_checks(monkeypatch, entry, w
     assert [c.name for c in failed] == [f"{name}[holographic]" for name in fails]
     for c in failed:
         assert c.max_defect > 1e-3 and c.message is None
+
+
+@pytest.mark.parametrize("chart", charts.ANGULAR_CHARTS, ids=str)
+def test_a_wrong_operator_entry_fails_its_laplace_checks(monkeypatch, chart):
+    # (k, k') = (1, 1) is no chart's operator; laplacian alone reads the
+    # entry, so exactly the two operator checks of that chart fail
+    radius = charts._RADII[chart]
+    monkeypatch.setitem(charts._RADII, chart, radius._replace(operator=lambda y0: (1.0, 1.0)))
+    report = run_suite(SuiteConfig(seed=3, samples=10, suites=("charts", "laplace")))
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [f"solution_residual[{chart}]", f"rescaled_operator_factor[{chart}]"]
+    for c in failed:
+        assert c.max_defect > 1e-3 and c.message is None
+
+
+def _negated(coefficient):
+    return lambda *ys: -coefficient(*ys)
+
+
+def test_every_negated_generator_entry_fails_a_check(monkeypatch):
+    # mutation catalogue: each non-zero entry of the generator tables,
+    # negated on its own, must fail at least one check of the suites that
+    # read the tables; a realization left out of a check family lets its
+    # mutants survive
+    cfg = SuiteConfig(seed=7, samples=3, suites=("charts", "algebra", "projective"))
+    mutants, survivors = 0, []
+    for key, rows in algebra.GENERATOR_TABLE_STRINGS.items():
+        for g, row in rows.items():
+            for k, text in enumerate(row):
+                if text == "0":
+                    continue
+                mutants += 1
+                compiled = algebra._COMPILED_TABLES[key][g]
+                mutant = compiled[:k] + (_negated(compiled[k]),) + compiled[k + 1 :]
+                with monkeypatch.context() as m:
+                    m.setitem(algebra._COMPILED_TABLES[key], g, mutant)
+                    if all(c.passed for c in run_suite(cfg).checks):
+                        survivors.append(f"{key} {g} {k}: {text}")
+    assert mutants == 46
+    assert survivors == []
 
 
 def test_nan_commutator_fails_matrix_brackets(monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from holoconf import algebra, laplace
-from holoconf.charts import ChartId, ChartPoint, DomainError, embed, embed_coords, invert
+from holoconf.charts import ANGULAR_CHARTS, ChartId, ChartPoint, DomainError, embed, embed_coords, invert
 from holoconf.laplace import (
     SolutionFamily,
     conjugate_derivative,
@@ -71,7 +71,7 @@ def test_functions_of_a_point_read_its_chart():
     p = ChartPoint(ChartId.POLAR, 1.0, 0.5)
     assert solve(1.0, p) == pytest.approx(cmath.exp(0.5j), abs=1e-15)
     assert laplace.rescale_factor(ChartPoint(ChartId.POLAR, 2.0, 0.5)) == 4.0
-    with pytest.raises(DomainError, match="radius -1.0 below guard"):
+    with pytest.raises(DomainError, match=re.escape("radius -1.0 outside [1e-08, inf]")):
         laplace.rescale_factor(ChartPoint(ChartId.POLAR, -1.0, 0.5))
 
 
@@ -99,14 +99,14 @@ def test_residual_examples():
     u = solve(alpha, q)
     assert residual(alpha, q) <= 1e-10 * (1 + abs(u))
 
-    for chart in (ChartId.CARTESIAN, ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL):
+    for chart in ChartId:
         r = chart_points(chart, 1, RNG)[0]
         assert residual(0.0, r) == 0.0
 
 
 def test_residual_random_alphas_all_charts():
     rng = random.Random(32)
-    for chart in (ChartId.CARTESIAN, ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL):
+    for chart in ChartId:
         pts = chart_points(chart, 3, rng)
         for alpha in scale_dimensions(25, rng):
             for p in pts:
@@ -128,7 +128,7 @@ def test_rescaled_vs_standard_factor():
     # polar operator = r^2 * flat Laplacian (similarly sin^2 theta, e^{2 rho})
     rng = random.Random(34)
     poly = lambda x0, x1: x0**3 - 2 * x0 * x1 * x1 + 0.5 * x0 * x1 + x1 * x1
-    for chart in (ChartId.POLAR, ChartId.HOLOGRAPHIC, ChartId.CONFORMAL):
+    for chart in ANGULAR_CHARTS:
         for p in chart_points(chart, 20, rng):
             pulled = lambda y0, y1, c=chart: poly(*embed_coords(c, y0, y1))
             lhs = laplacian(pulled, p)
