@@ -46,9 +46,9 @@ import numpy as np
 
 from . import dual, sampling
 from ._record import Record
-from .bicomplex import reject
+from .bicomplex import plain, reject
 from .charts import ChartId, ChartPoint, DomainError
-from .laplace import SolutionFamily, solve
+from .laplace import SolutionFamily, _log_radius_angle, solve
 
 UPSILON_LINE = "upsilon-line"
 
@@ -168,14 +168,15 @@ def point_args(realization, p):
     of another chart, a ChartPoint on the upsilon line or a bare value in a
     chart raises RealizationMismatchError.  A ChartPoint is inside its
     chart's domain by construction; a non-finite point u on the upsilon line
-    raises DomainError here, naming the first bad sample."""
+    raises DomainError here, naming the first bad sample.  A single u is
+    taken as a 0-d array, so that it rounds as its array sample."""
     key = realization_key(realization)
     given = p.chart.value if isinstance(p, ChartPoint) else UPSILON_LINE
     if given != key:
         raise RealizationMismatchError(f"{given} point given in {key}")
     if key == UPSILON_LINE:
         reject(~np.isfinite(p), DomainError, "coordinate u = {} is not finite", p)
-        return (p,)
+        return (np.asarray(p),)
     return (p.y0, p.y1)
 
 
@@ -197,14 +198,15 @@ def apply_to_function(x: VectorField, f: Callable, p) -> complex:
 
     p may be an array point; the result then has its sample shape."""
     args = point_args(x.realization, p)
-    return _apply_with_gradient(x, args, [_partial(f, k, args) for k in range(x.arity)])
+    grad = [_partial(f, k, args) for k in range(x.arity)]
+    return plain(_apply_with_gradient([c(*args) for c in x.coeffs], grad))
 
 
-def _apply_with_gradient(x: VectorField, args, grad) -> complex:
-    """sum_k x_k grad[k], the coefficients of x evaluated at args."""
+def _apply_with_gradient(coeffs, grad) -> complex:
+    """sum_k coeffs[k] grad[k], for the coefficient values coeffs."""
     acc = 0j
-    for k in range(x.arity):
-        acc = acc + dual.value(x.coeffs[k](*args)) * grad[k]
+    for c, d in zip(coeffs, grad):
+        acc = acc + dual.value(c) * d
     return acc
 
 
@@ -276,25 +278,39 @@ _COEFF_NAMESPACE = {
 }
 
 
-def _compile_coefficient(text: str, names: tuple) -> Callable:
-    """Jet-aware callable of a table string such as "r^2 cos(phi)".
+def _expression(text: str) -> str:
+    """The Python expression of a table string such as "r^2 cos(phi)".
 
     Whitespace between two operands is a product, and `name^n` is the name
     multiplied by itself n times (not `**`, which rounds differently).
     Only the module's own table strings are compiled, never outside input.
     """
     expr = re.sub(r"(?<=[\w)])\s+(?=[\w(])", "*", text)
-    expr = re.sub(r"(\w+)\^(\d+)", lambda m: "*".join([m[1]] * int(m[2])), expr)
-    return eval(f"lambda {', '.join(names)}: {expr}", _COEFF_NAMESPACE)
+    return re.sub(r"(\w+)\^(\d+)", lambda m: "*".join([m[1]] * int(m[2])), expr)
 
 
-_COMPILED_TABLES = {
-    key: {
-        g: tuple(_compile_coefficient(c, COORDINATE_NAMES[key]) for c in row)
-        for g, row in rows.items()
-    }
-    for key, rows in GENERATOR_TABLE_STRINGS.items()
-}
+def _compile(key: str) -> tuple:
+    """The two compiled forms of realization key's table: each generator's
+    coefficient callables, and one jet-aware function of the coordinates
+    giving every coefficient, one tuple per generator in GENERATORS order.
+
+    Both compile each table string's expression (_expression).  The table
+    function binds each distinct elementary call once, for all coefficients,
+    so the two forms agree bitwise.  Polar's reads: lambda r, phi: (lambda
+    _0, _1: ((r, 0, ), ..., (r*r*_1, -r*_0, )))(cos(phi), sin(phi))"""
+    rows, head = GENERATOR_TABLE_STRINGS[key], f"lambda {', '.join(COORDINATE_NAMES[key])}: "
+    callables = {g: tuple(eval(head + _expression(c), _COEFF_NAMESPACE) for c in row) for g, row in rows.items()}
+    calls = {}
+    bind = lambda m: calls.setdefault(m[0], f"_{len(calls)}")
+    shared = lambda text: re.sub(r"\b\w+\([^()]*\)", bind, _expression(text)) + ", "
+    body = ", ".join("(" + "".join(map(shared, rows[g])) + ")" for g in GENERATORS)
+    table = f"(lambda {', '.join(calls.values())}: ({body}))({', '.join(calls)})"
+    return callables, eval(head + table, _COEFF_NAMESPACE)
+
+
+_COMPILED_TABLES, _TABLE_FUNCTIONS = {}, {}
+for _key in GENERATOR_TABLE_STRINGS:
+    _COMPILED_TABLES[_key], _TABLE_FUNCTIONS[_key] = _compile(_key)
 
 
 def generator(g: GeneratorId, realization) -> VectorField:
@@ -363,7 +379,7 @@ def generator_tensors(realization, points, hessian: bool = False) -> TaylorField
     of fields in GENERATORS order with values and gradients (and Hessians on
     request).
 
-    Each compiled coefficient is evaluated once, as one jet whose derivative
+    The table function (_compile) is evaluated once, on jets whose derivative
     parts carry every direction on a leading axis: the coordinate axes (the
     gradient and the diagonal of the Hessian) and, for the Hessian, e_j + e_l
     for j < l, whose second derivative gives the mixed partial by
@@ -374,7 +390,6 @@ def generator_tensors(realization, points, hessian: bool = False) -> TaylorField
     key = realization_key(realization)
     args = [np.atleast_1d(a) for a in point_args(realization, points)]
     m, shape = len(args), np.shape(args[0])
-    table = [_COMPILED_TABLES[key][g] for g in GENERATORS]
     mixed = [(j, l) for j in range(m) for l in range(j + 1, m)] if hessian else []
     # one row per direction: the coordinate axes, then e_j + e_l
     directions = np.array([[float(j in d) for j in range(m)] for d in [(j,) for j in range(m)] + mixed])
@@ -384,12 +399,11 @@ def generator_tensors(realization, points, hessian: bool = False) -> TaylorField
     jets = [dual.Jet(a, directions[:, j, None], 0.0 if hessian else None) for j, a in enumerate(args)]
 
     dtype = np.result_type(*args)
-    v = np.empty((len(table), m, *shape), dtype)
-    g = np.empty((len(table), m, m, *shape), dtype)
-    h = np.empty((len(table), m, m, m, *shape), dtype) if hessian else None
-    for i, row in enumerate(table):
-        for k, c in enumerate(row):
-            jet = c(*jets)
+    v = np.empty((len(GENERATORS), m, *shape), dtype)
+    g = np.empty((len(GENERATORS), m, m, *shape), dtype)
+    h = np.empty((len(GENERATORS), m, m, m, *shape), dtype) if hessian else None
+    for i, row in enumerate(_TABLE_FUNCTIONS[key](*jets)):
+        for k, jet in enumerate(row):
             v[i, k] = dual.value(jet)
             g[i, k] = np.broadcast_to(dual.d1(jet), stacked)[:m]
             if hessian:
@@ -537,11 +551,12 @@ def _bracket_defects(fields: TaylorField, rows) -> tuple:
     d_plus, d_minus = [], []
     for i, j, terms in rows:
         bra = taylor_bracket(fields[i], fields[j]).v
-        rhs = np.zeros_like(bra)
+        rhs = 0.0
         for c, k in terms:
             rhs = rhs + c * fields.v[k]
         d_plus.append(np.max(np.abs(bra - rhs)))
-        d_minus.append(np.max(np.abs(bra + rhs)))
+        # a zero right-hand side has one defect for both signs
+        d_minus.append(np.max(np.abs(bra + rhs)) if terms else d_plus[-1])
     return d_plus, d_minus
 
 
@@ -589,14 +604,17 @@ def eigenaction_expected(g: GeneratorId, alpha: complex, p: ChartPoint) -> compl
 
 def eigenactions(alpha: complex, p: ChartPoint) -> list:
     """(act(g, alpha, p), eigenaction_expected(g, alpha, p)) for each g in
-    GENERATORS, from one gradient of the alpha-solution and one solution at
-    each of the dimensions alpha, alpha - 1 and alpha + 1."""
+    GENERATORS, from one evaluation of the generator table, one gradient of
+    the alpha-solution and the solutions of dimensions alpha, alpha - 1 and
+    alpha + 1 from one log-radius and angle (as solve computes them)."""
     args = point_args(p.chart, p)
     f = SolutionFamily(alpha, p.chart)
     grad = [_partial(f, k, args) for k in range(len(args))]
-    u = {shift: solve(alpha + shift, p) for shift in (0, -1, 1)}
+    log_r, phi = _log_radius_angle(p.chart, *args)
+    u = {shift: dual.exp((alpha + shift) * (log_r + 1j * phi)) for shift in (0, -1, 1)}
+    coeffs = dict(zip(GENERATORS, _TABLE_FUNCTIONS[p.chart.value](*args)))
     return [
-        (_apply_with_gradient(generator(g, p.chart), args, grad), factor * alpha * u[shift])
+        (_apply_with_gradient(coeffs[g], grad), factor * alpha * u[shift])
         for g, (factor, shift) in _EIGENACTIONS.items()
     ]
 

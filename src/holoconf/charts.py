@@ -86,7 +86,8 @@ class ChartPoint(Record, frozen=True):
         _require((lo <= y0) & (y0 <= hi), y0, f"{name} {{}} outside [{lo}, {hi}]")
 
     def __len__(self) -> int:
-        return len(self.y0)
+        """The number of samples, of the broadcast coordinates."""
+        return np.broadcast(self.y0, self.y1).size
 
     def __getitem__(self, index) -> "ChartPoint":
         """The samples at index of an array point."""

@@ -379,11 +379,10 @@ def laplace_checks(cfg: SuiteConfig):
             rng = _rng(cfg, f"lap.res.{chart.value}")
             alphas = sampling.scale_dimensions(cfg.samples, rng)
             pts = sampling.chart_points(chart, 3, rng)
-            # the alpha x point grid, flattened: every point for each alpha
-            alpha = np.repeat(alphas, len(pts))
-            grid = ChartPoint(chart, np.tile(pts.y0, len(alphas)), np.tile(pts.y1, len(alphas)))
-            u = laplace.solve(alpha, grid)
-            yield laplace.residual(alpha, grid) / (1.0 + np.abs(u))
+            # the alpha x point grid, broadcast: every point for each alpha
+            alpha = alphas[:, None]
+            u = laplace.solve(alpha, pts)
+            yield laplace.residual(alpha, pts) / (1.0 + np.abs(u))
 
     for chart in charts.ANGULAR_CHARTS:
 

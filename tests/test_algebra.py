@@ -260,8 +260,25 @@ def test_a_single_point_is_one_sample(realization, point, one):
     assert minkowski_check(realization, points=point) == minkowski_check(realization, points=one)
     values = field_values(generator(Q0, realization), point)
     assert values.shape == (1, len(algebra.COORDINATE_NAMES[algebra.realization_key(realization)]))
-    # a Python complex product may round differently from numpy's
-    assert np.allclose(values, field_values(generator(Q0, realization), one), rtol=1e-15, atol=0)
+    # a single u is computed as a 0-d array, so it rounds as its array sample
+    assert values.tobytes() == field_values(generator(Q0, realization), one).tobytes()
+    got = apply_to_function(generator(Q0, realization), lambda *ys: ys[-1] * ys[-1], point)
+    assert type(got) is complex
+
+
+@pytest.mark.parametrize(
+    "y0, y1, n",
+    [
+        (1.0, 0.5, 1),
+        (1.0, np.array([0.1, 0.2]), 2),
+        (np.array([1.0, 2.0, 3.0]), 0.5, 3),
+        (np.array([1.0, 2.0]), np.array([0.1, 0.2]), 2),
+        (np.array([]), np.array([]), 0),
+    ],
+    ids=["single", "broadcast-y0", "broadcast-y1", "array", "empty"],
+)
+def test_len_of_a_point_counts_its_broadcast_samples(y0, y1, n):
+    assert len(ChartPoint(ChartId.POLAR, y0, y1)) == n
 
 
 # every algebra path that takes sample points, as a call on (realization, points)

@@ -162,6 +162,37 @@ def test_generator_tensors_are_the_per_direction_jets(realization):
         assert_close(got[..., 0], want[..., 3])
 
 
+def jet_parts(x):
+    """The value and derivative parts of a jet (one part for a plain value),
+    as arrays."""
+    if not isinstance(x, dual.Jet):
+        return [np.asarray(x)]
+    return [np.asarray(part) for part in (x.f, x.d1, x.d2) if part is not None]
+
+
+@pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
+def test_table_functions_are_the_coefficient_callables(realization):
+    # the shared-call table function and generator()'s per-coefficient
+    # callables compile from one expression of each table string, so every
+    # part of every coefficient agrees bitwise
+    args = algebra.point_args(realization, algebra.default_points(realization, n=20, seed=5))
+    m = len(args)
+    inputs = {
+        "plain": args,
+        "first-order": [dual.Jet(a, 1.0, None) for a in args],
+        "hessian": [dual.Jet(a, np.eye(m)[:, j, None], 0.0) for j, a in enumerate(args)],
+    }
+    for kind, ys in inputs.items():
+        table = algebra._TABLE_FUNCTIONS[algebra.realization_key(realization)](*ys)
+        assert len(table) == len(GENERATORS)
+        for gid, row in zip(GENERATORS, table):
+            closures = algebra.generator(gid, realization).coeffs
+            assert len(row) == len(closures)
+            for k, (got, c) in enumerate(zip(row, closures)):
+                want = [part.tobytes() for part in jet_parts(c(*ys))]
+                assert [part.tobytes() for part in jet_parts(got)] == want, (kind, gid, k)
+
+
 @pytest.mark.parametrize("hessian", (False, True), ids=("values", "hessians"))
 @pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
 def test_stacked_brackets_are_the_per_pair_brackets(realization, hessian):

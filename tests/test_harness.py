@@ -274,15 +274,13 @@ def test_a_wrong_operator_entry_fails_its_laplace_checks(monkeypatch, chart):
         assert c.max_defect > 1e-3 and c.message is None
 
 
-def _negated(coefficient):
-    return lambda *ys: -coefficient(*ys)
-
-
 def test_every_negated_generator_entry_fails_a_check(monkeypatch):
     # mutation catalogue: each non-zero entry of the generator tables,
     # negated on its own, must fail at least one check of the suites that
     # read the tables; a realization left out of a check family lets its
-    # mutants survive
+    # mutants survive.  The mutant is made in the table string, and both
+    # compiled forms (the coefficient callables and the table function) are
+    # rebuilt from it
     cfg = SuiteConfig(seed=7, samples=3, suites=("charts", "algebra", "projective"))
     mutants, survivors = 0, []
     for key, rows in algebra.GENERATOR_TABLE_STRINGS.items():
@@ -291,10 +289,11 @@ def test_every_negated_generator_entry_fails_a_check(monkeypatch):
                 if text == "0":
                     continue
                 mutants += 1
-                compiled = algebra._COMPILED_TABLES[key][g]
-                mutant = compiled[:k] + (_negated(compiled[k]),) + compiled[k + 1 :]
                 with monkeypatch.context() as m:
-                    m.setitem(algebra._COMPILED_TABLES[key], g, mutant)
+                    m.setitem(rows, g, row[:k] + (f"-({text})",) + row[k + 1 :])
+                    callables, table = algebra._compile(key)
+                    m.setitem(algebra._COMPILED_TABLES, key, callables)
+                    m.setitem(algebra._TABLE_FUNCTIONS, key, table)
                     if all(c.passed for c in run_suite(cfg).checks):
                         survivors.append(f"{key} {g} {k}: {text}")
     assert mutants == 46
