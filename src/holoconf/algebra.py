@@ -393,7 +393,6 @@ def generator_tensors(realization, points, hessian: bool = False) -> TaylorField
     mixed = [(j, l) for j in range(m) for l in range(j + 1, m)] if hessian else []
     # one row per direction: the coordinate axes, then e_j + e_l
     directions = np.array([[float(j in d) for j in range(m)] for d in [(j,) for j in range(m)] + mixed])
-    stacked = (len(directions), *shape)
     # each argument in one fresh jet level, as _partial lifts them, with the
     # direction axis before the sample axis
     jets = [dual.Jet(a, directions[:, j, None], 0.0 if hessian else None) for j, a in enumerate(args)]
@@ -402,17 +401,28 @@ def generator_tensors(realization, points, hessian: bool = False) -> TaylorField
     v = np.empty((len(GENERATORS), m, *shape), dtype)
     g = np.empty((len(GENERATORS), m, m, *shape), dtype)
     h = np.empty((len(GENERATORS), m, m, m, *shape), dtype) if hessian else None
+    # a derivative part holds one row per direction (a constant's is 0.0)
+    d = np.empty((len(directions), *shape), dtype)
     for i, row in enumerate(_TABLE_FUNCTIONS[key](*jets)):
         for k, jet in enumerate(row):
             v[i, k] = dual.value(jet)
-            g[i, k] = np.broadcast_to(dual.d1(jet), stacked)[:m]
+            d[...] = dual.d1(jet)
+            g[i, k] = d[:m]
             if hessian:
-                d2 = np.broadcast_to(dual.d2(jet), stacked)
-                for j in range(m):
-                    h[i, k, j, j] = d2[j]
+                d[...] = dual.d2(jet)
+                h[i, k, range(m), range(m)] = d[:m]
                 for n, (j, l) in enumerate(mixed):
-                    h[i, k, j, l] = h[i, k, l, j] = (d2[m + n] - h[i, k, j, j] - h[i, k, l, l]) / 2
+                    h[i, k, j, l] = h[i, k, l, j] = (d[m + n] - h[i, k, j, j] - h[i, k, l, l]) / 2
     return TaylorField(v, g, h)
+
+
+def _bracket_values(xv, xg, yv, yg) -> np.ndarray:
+    """The values of [x, y] from the values and gradients of x and y."""
+    v = 0.0
+    for j in range(xv.shape[-2]):
+        v = v + xv[..., j, None, :] * yg[..., j, :]
+        v = v - yv[..., j, None, :] * xg[..., j, :]
+    return v
 
 
 def taylor_bracket(x: TaylorField, y: TaylorField) -> TaylorField:
@@ -427,12 +437,10 @@ def taylor_bracket(x: TaylorField, y: TaylorField) -> TaylorField:
     brackets of its pairs bitwise.
     """
     # axes from the end: v (k, n), g (k, j, n), h (k, j, l, n)
-    v = g = 0.0
-    for j in range(x.v.shape[-2]):
-        v = v + x.v[..., j, None, :] * y.g[..., j, :]
-        v = v - y.v[..., j, None, :] * x.g[..., j, :]
+    v = _bracket_values(x.v, x.g, y.v, y.g)
     if x.h is None or y.h is None:
         return TaylorField(v)
+    g = 0.0
     for j in range(x.v.shape[-2]):
         g = g + (x.v[..., j, None, None, :] * y.h[..., j, :, :] + x.g[..., None, j, :, :] * y.g[..., j, None, :])
         g = g - (y.v[..., j, None, None, :] * x.h[..., j, :, :] + y.g[..., None, j, :, :] * x.g[..., j, None, :])
@@ -547,16 +555,16 @@ def _bracket_defects(fields: TaylorField, rows) -> tuple:
     """For each row (i, j, [(c, k), ...]), the largest |[f_i, f_j] - sum c f_k|
     and the largest |[f_i, f_j] + sum c f_k| over the samples (NaN kept), as
     two lists.  fields is a stack of value and gradient tensors, bracketed
-    one pair at a time."""
+    one pair at a time, as taylor_bracket brackets them."""
     d_plus, d_minus = [], []
     for i, j, terms in rows:
-        bra = taylor_bracket(fields[i], fields[j]).v
+        bra = _bracket_values(fields.v[i], fields.g[i], fields.v[j], fields.g[j])
         rhs = 0.0
         for c, k in terms:
             rhs = rhs + c * fields.v[k]
-        d_plus.append(np.max(np.abs(bra - rhs)))
+        d_plus.append(np.abs(bra - rhs).max())
         # a zero right-hand side has one defect for both signs
-        d_minus.append(np.max(np.abs(bra + rhs)) if terms else d_plus[-1])
+        d_minus.append(np.abs(bra + rhs).max() if terms else d_plus[-1])
     return d_plus, d_minus
 
 

@@ -101,16 +101,13 @@ def _require(ok, value, message: str) -> None:
 
 
 def _tensor(rows, p: ChartPoint) -> np.ndarray:
-    """Nested rows as one array, scalar entries broadcast to p's samples
-    (sample axis last)."""
-    shape = np.broadcast_shapes(np.shape(p.y0), np.shape(p.y1))
-
-    def fill(r):
-        if isinstance(r, list):
-            return np.stack([fill(e) for e in r])
-        return np.broadcast_to(r, shape)
-
-    return fill(rows)
+    """Two rows of two entries as one float array, each entry broadcast to
+    p's samples (sample axis last)."""
+    out = np.empty((2, 2, *np.broadcast(p.y0, p.y1).shape))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[i, j] = entry
+    return out
 
 
 class _Radius(NamedTuple):
@@ -187,17 +184,17 @@ def basis(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
         args = [p.y0, p.y1]
         args[var] = dual.Jet(args[var], 1.0, None)
         x0, x1 = embed_coords(p.chart, *args)
-        cols.append(_tensor([dual.d1(x0), dual.d1(x1)], p))
-    return cols[0], cols[1]
+        cols.append([dual.d1(x0), dual.d1(x1)])
+    return tuple(_tensor(cols, p))
 
 
 def basis_closed_form(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
     """Basis vectors (R' cos, R' sin) and (-R sin, R cos), R' from the table."""
     if p.chart is ChartId.CARTESIAN:
-        return _tensor([1.0, 0.0], p), _tensor([0.0, 1.0], p)
+        return tuple(_tensor([[1.0, 0.0], [0.0, 1.0]], p))
     r, dr = _RADII[p.chart].radius(p.y0), _RADII[p.chart].derivative(p.y0)
     c, s = dual.cos(p.y1), dual.sin(p.y1)
-    return _tensor([dr * c, dr * s], p), _tensor([-r * s, r * c], p)
+    return tuple(_tensor([[dr * c, dr * s], [-r * s, r * c]], p))
 
 
 def metric_closed_form(p: ChartPoint) -> np.ndarray:

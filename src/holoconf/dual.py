@@ -150,7 +150,10 @@ def cos(x):
 
 
 def tan(x):
-    return sin(x) / cos(x)
+    if not isinstance(x, Jet):
+        return np.sin(x) / np.cos(x)
+    s, c = sin(x.f), cos(x.f)  # once for both jets of the quotient
+    return _chain(x, s, c, None if x.d2 is None else -s) / _chain(x, c, -s, None if x.d2 is None else -c)
 
 
 def exp(x):

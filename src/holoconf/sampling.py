@@ -46,10 +46,11 @@ def uniform(n: int, rng: random.Random, *ranges) -> tuple[np.ndarray, ...]:
     """n samples of one rng.uniform(lo, hi) draw per (lo, hi) range, as one
     array per range: the draws of the per-sample loop, in order and bitwise
     equal (lo + (hi - lo) * u is what random.uniform computes)."""
-    u = np.empty((n, len(ranges)))
-    for part in np.split(u.ravel(), range(8192, u.size, 8192)):  # bounds the transient memory
+    u = np.empty(n * len(ranges))  # sample-major: u[k::len(ranges)] is range k
+    for start in range(0, u.size, 8192):  # blocks bound the transient memory
+        part = u[start : start + 8192]
         part[:] = _doubles(words(rng, 2 * part.size))
-    return tuple(lo + (hi - lo) * u[:, k] for k, (lo, hi) in enumerate(ranges))
+    return tuple(lo + (hi - lo) * u[k :: len(ranges)] for k, (lo, hi) in enumerate(ranges))
 
 
 def chart_points(chart: ChartId, n: int, rng: random.Random) -> ChartPoint:

@@ -66,7 +66,7 @@ def _worst(defects) -> float:
         if isinstance(d, np.ndarray):
             if not d.size:
                 continue  # every sample skipped
-            d = np.max(d)  # propagates NaN
+            d = d.max()  # propagates NaN
         if d != d:
             return math.nan
         if d > worst:

@@ -212,6 +212,70 @@ def test_stacked_brackets_are_the_per_pair_brackets(realization, hessian):
         assert not hessian or np.array_equal(got.g, want.g)
 
 
+def table_rows(packed):
+    """The bracket rows (i, j, [(c, k), ...]) of structure_table, or of
+    minkowski_check on the SO(3,1) packing."""
+    if not packed:
+        index = GENERATORS.index
+        return [
+            (index(g1), index(g2), [(c, index(g)) for g, c in algebra.BRACKET_RELATIONS[(g1, g2)].items()])
+            for g1, g2 in algebra.BRACKET_PAIRS
+        ]
+    index = algebra.SO31_INDEX_PAIRS.index
+    return [
+        (index(a), index(b), [(c, index(ab)) for c, ab in algebra._so31_rhs_terms(a, b, algebra.MINKOWSKI_METRIC)])
+        for a, b in itertools.combinations(algebra.SO31_INDEX_PAIRS, 2)
+    ]
+
+
+@pytest.mark.parametrize("packed", (False, True), ids=("generators", "so31-packing"))
+@pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
+def test_bracket_defects_are_the_per_pair_taylor_bracket_defects(realization, packed):
+    # _bracket_defects brackets straight from the stacked tensors; each
+    # defect is bitwise the one of taylor_bracket on the indexed pair, a NaN
+    # sample included
+    fields = algebra.generator_tensors(realization, algebra.default_points(realization, n=30, seed=17))
+    if packed:
+        fields = fields.combine(algebra.SO31_PACK_MATRIX)
+    poisoned = fields.v.copy()
+    poisoned[2, 0, 7] = np.nan
+    rows = table_rows(packed)
+    for stack in (fields, algebra.TaylorField(poisoned, fields.g)):
+        d_plus, d_minus = algebra._bracket_defects(stack, rows)
+        assert len(d_plus) == len(d_minus) == len(rows)
+        for (i, j, terms), dp, dm in zip(rows, d_plus, d_minus):
+            bra = algebra.taylor_bracket(stack[i], stack[j]).v
+            rhs = sum((c * stack.v[k] for c, k in terms), 0.0)
+            assert np.asarray(dp).tobytes() == np.max(np.abs(bra - rhs)).tobytes()
+            assert np.asarray(dm).tobytes() == np.max(np.abs(bra + rhs)).tobytes()
+    assert any(map(math.isnan, d_plus))
+
+
+def stacked_tensor(rows, p):
+    """charts._tensor as a recursive np.stack of entries broadcast to p's
+    samples: the reference for its in-place fill."""
+    if isinstance(rows, list):
+        return np.stack([stacked_tensor(r, p) for r in rows])
+    return np.broadcast_to(rows, np.broadcast_shapes(np.shape(p.y0), np.shape(p.y1)))
+
+
+@pytest.mark.parametrize("chart", ALL_CHARTS, ids=str)
+def test_chart_tensors_are_the_stacked_entries(chart, monkeypatch):
+    # a single point, a one-element array point and an n-point array point,
+    # the cartesian constants included
+    p = chart_points(chart, 9, random.Random(23))
+    fns = (charts.basis, charts.basis_closed_form, charts.metric_closed_form, charts.jacobian_mixed_closed_form)
+    for q, shape in ((p[4], ()), (p[4:5], (1,)), (p, (9,))):
+        got = [fn(q) for fn in fns]
+        with monkeypatch.context() as m:
+            m.setattr(charts, "_tensor", stacked_tensor)
+            want = [fn(q) for fn in fns]
+        for fn, a, b in zip(fns, got, want):
+            assert np.shape(a) == np.shape(b) == (2, 2, *shape), fn.__name__
+            assert np.asarray(a).dtype == np.asarray(b).dtype == np.float64
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), fn.__name__
+
+
 @pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
 def test_stacked_jacobiator_is_the_per_triple_jacobiator(realization):
     pts = algebra.default_points(realization, n=7, seed=13)

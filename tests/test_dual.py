@@ -47,6 +47,30 @@ def test_log_sqrt_tan():
     assert dual.tan(dual.seed(x0)).d1 == pytest.approx(1 / math.cos(x0) ** 2)
 
 
+def jet_bytes(x):
+    """Every part of a (possibly nested) jet as bytes, None kept."""
+    if isinstance(x, dual.Jet):
+        return [jet_bytes(x.f), jet_bytes(x.d1), None if x.d2 is None else jet_bytes(x.d2)]
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "x",
+    (
+        0.6,
+        np.array([0.3, -1.1, 2.0]),
+        dual.Jet(np.array([0.3, -1.1, 2.0]), np.array([1.0, 0.5, -2.0]), None),
+        dual.seed(np.array([0.3, -1.1, 2.0])),
+        dual.Jet(dual.seed(0.8), dual.Jet(1.0, 0.0, 0.0), dual.Jet(0.0, 0.0, 0.0)),
+        dual.Jet(dual.Jet(0.8, 1.0, None), 0.5, None),
+    ),
+    ids=("float", "array", "first-order", "second-order", "nested", "nested-first-order"),
+)
+def test_tan_is_bitwise_sin_over_cos(x):
+    # tan builds both jets of the quotient from one sin and one cos
+    assert jet_bytes(dual.tan(x)) == jet_bytes(dual.sin(x) / dual.cos(x))
+
+
 def test_atan2_gradient():
     # d/dt atan2(y0 + t a, x0 + t b) at t=0 is (x0 a - y0 b)/r^2
     x0, y0, a, b = 1.2, -0.7, 0.3, 0.9
