@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -100,5 +101,28 @@ def main(argv=None) -> int:
     return handler(args, parser)
 
 
+def entry() -> int:
+    """Process entry of ``holoconf`` and ``python -m holoconf``: run main,
+    flush its output, and freeze the heap before the interpreter exits.
+
+    A stdout that cannot be written is reported in one line, with status 2.
+    gc.freeze() keeps the shutdown collections from walking every object of
+    numpy and holoconf; it lives here, not in main, which tests and the
+    benchmark call in-process, where a frozen heap would never be freed."""
+    try:
+        try:
+            status = main()
+        finally:  # also after argparse's own output and exit
+            sys.stdout.flush()
+    except OSError as exc:  # main's one other file, grid's --out, fails inside it
+        # fd 1 now discards, so the shutdown flush cannot fail a second time
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), 1)
+        print(f"holoconf: error: cannot write to stdout: {exc}", file=sys.stderr)
+        status = 2
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

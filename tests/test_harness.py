@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import gc
 import importlib
 import importlib.util
 import inspect
@@ -30,6 +31,7 @@ TABLE_GOLDEN = Path(__file__).parent / "data" / "table_golden.txt"
 RINGS_GOLDEN = Path(__file__).parent / "data" / "rings_seed7_golden.json"
 GRID_GOLDEN = Path(__file__).parent / "data" / "grids"
 TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 
 def test_default_run_passes():
@@ -605,7 +607,95 @@ def test_cli_table():
 
 
 def test_cli_grid(tmp_path):
-    out = tmp_path / "grid.csv"
-    proc = _run_cli("grid", "--kind", "hopf-fibers", "--res", "6", "--out", str(out))
-    assert proc.returncode == 0
-    assert out.exists()
+    for kind in ("joukowski", "hopf-fibers", "conformal-flow"):
+        out = tmp_path / f"{kind}.csv"
+        proc = _run_cli("grid", "--kind", kind, "--res", "9", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text() == (GRID_GOLDEN / f"{kind}.csv").read_text()
+
+
+def test_cli_verify_seed7_matches_golden():
+    # the whole report as a user sees it: through the process entry, with
+    # print's newline after the JSON
+    proc = _run_cli("verify", "--seed", "7")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == REPORT_GOLDEN.read_bytes() + b"\n"
+
+
+def test_cli_usage_error_exits_2_through_the_entry():
+    proc = _run_cli("verify", "--samples", "0")
+    assert proc.returncode == 2
+    assert b"holoconf: error:" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+def test_entry_returns_the_status_of_main_and_freezes_the_heap():
+    code = (
+        "import gc, sys\n"
+        "from holoconf import cli\n"
+        "seen = []\n"
+        "for status in (0, 1, 2, 7):\n"
+        "    cli.main = lambda: status\n"
+        "    seen.append(cli.entry())\n"
+        "print(seen, gc.get_freeze_count() > 0, gc.isenabled())\n"
+        "sys.exit(cli.entry())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 7, proc.stderr
+    assert proc.stdout.split("\n") == ["[0, 1, 2, 7] True True", ""]
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # pytest and the benchmark's traced worker call main in-process: a
+    # frozen heap there would keep every later cycle of the process alive
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert cli.main(["table", "--realization", "polar"]) == 0
+    assert cli.main(["verify", "--suite", "bicomplex", "--samples", "3"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+    capsys.readouterr()
+
+
+def test_console_script_is_the_entry():
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)^\[", PYPROJECT.read_text(), re.M | re.S).group(1)
+    assert re.findall(r'^(\S+) = "(\S+)"$', scripts, re.M) == [("holoconf", "holoconf.cli:entry")]
+
+
+@pytest.mark.parametrize("unbuffered", (True, False), ids=("unbuffered", "buffered"))
+@pytest.mark.parametrize("sink", ("closed-pipe", "dev-full"))
+@pytest.mark.parametrize(
+    "argv",
+    [("verify",), ("verify", "--format", "text"), ("table", "--realization", "polar")],
+    ids=("verify-json", "verify-text", "table"),
+)
+def test_unwritable_stdout_is_a_usage_error(argv, sink, unbuffered):
+    _assert_unwritable_stdout_is_a_usage_error(argv, sink, unbuffered)
+
+
+@pytest.mark.parametrize("sink", ("closed-pipe", "dev-full"))
+def test_unwritable_stdout_after_help_is_a_usage_error(sink):
+    # argparse ends main by SystemExit after its help; the entry flushes the
+    # buffered help all the same.  Unbuffered, argparse drops its own write
+    # error and the process exits 0
+    _assert_unwritable_stdout_is_a_usage_error(("--help",), sink, unbuffered=False)
+
+
+def _assert_unwritable_stdout_is_a_usage_error(argv, sink, unbuffered):
+    # a JSON report overflows the 8 KiB stdout buffer and fails in print; the
+    # text report and the table fail in the flush after main, or, unbuffered,
+    # at their first write.  Neither may wait for the shutdown flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        out = open("/dev/full", "wb")
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out = os.fdopen(write_end, "wb")
+    with out:
+        proc = subprocess.run([sys.executable, "-m", "holoconf", *argv], stdout=out, stderr=subprocess.PIPE, env=env)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("holoconf: error: cannot write to stdout: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
