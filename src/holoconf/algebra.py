@@ -75,16 +75,7 @@ class GeneratorId(enum.Enum):
         return self.value
 
 
-B, S01, P0, P1, Q0, Q1 = (
-    GeneratorId.B,
-    GeneratorId.S01,
-    GeneratorId.P0,
-    GeneratorId.P1,
-    GeneratorId.Q0,
-    GeneratorId.Q1,
-)
-
-GENERATORS = (B, S01, P0, P1, Q0, Q1)
+GENERATORS = B, S01, P0, P1, Q0, Q1 = tuple(GeneratorId)
 
 
 def realization_key(realization) -> str:
@@ -389,7 +380,7 @@ def generator_tensors(realization, points, hessian: bool = False) -> TaylorField
     """
     key = realization_key(realization)
     args = [np.atleast_1d(a) for a in point_args(realization, points)]
-    m, shape = len(args), np.shape(args[0])
+    m, shape = len(args), np.broadcast(*args).shape
     mixed = [(j, l) for j in range(m) for l in range(j + 1, m)] if hessian else []
     # one row per direction: the coordinate axes, then e_j + e_l
     directions = np.array([[float(j in d) for j in range(m)] for d in [(j,) for j in range(m)] + mixed])
@@ -604,17 +595,13 @@ def act(g: GeneratorId, alpha: complex, p: ChartPoint) -> complex:
 _EIGENACTIONS = {B: (1, 0), S01: (1j, 0), P0: (1, -1), P1: (1j, -1), Q0: (1, 1), Q1: (-1j, 1)}
 
 
-def eigenaction_expected(g: GeneratorId, alpha: complex, p: ChartPoint) -> complex:
-    """Table value of g acting on the alpha-solution (_EIGENACTIONS)."""
-    factor, shift = _EIGENACTIONS[g]
-    return factor * alpha * solve(alpha + shift, p)
-
-
 def eigenactions(alpha: complex, p: ChartPoint) -> list:
-    """(act(g, alpha, p), eigenaction_expected(g, alpha, p)) for each g in
-    GENERATORS, from one evaluation of the generator table, one gradient of
-    the alpha-solution and the solutions of dimensions alpha, alpha - 1 and
-    alpha + 1 from one log-radius and angle (as solve computes them)."""
+    """(act(g, alpha, p), factor * alpha * solve(alpha + shift, p)) for each
+    g in GENERATORS, its (factor, shift) from _EIGENACTIONS: the acted and
+    the table value of g on the alpha-solution.  They come from one
+    evaluation of the generator table, one gradient of the alpha-solution
+    and the solutions of dimensions alpha, alpha - 1 and alpha + 1 from one
+    log-radius and angle (as solve computes them)."""
     args = point_args(p.chart, p)
     f = SolutionFamily(alpha, p.chart)
     grad = [_partial(f, k, args) for k in range(len(args))]

@@ -90,8 +90,10 @@ class ChartPoint(Record, frozen=True):
         return np.broadcast(self.y0, self.y1).size
 
     def __getitem__(self, index) -> "ChartPoint":
-        """The samples at index of an array point."""
-        return ChartPoint(self.chart, self.y0[index], self.y1[index])
+        """The samples at index of an array point, of the broadcast
+        coordinates."""
+        y0, y1 = np.broadcast_arrays(self.y0, self.y1)
+        return ChartPoint(self.chart, y0[index], y1[index])
 
 
 def _require(ok, value, message: str) -> None:

@@ -10,8 +10,6 @@ from .algebra import B, S01, cn, sn
 from .bicomplex import _complex
 from .projective import Ring, S3Point, exp_one_param, hopf, mobius_apply
 
-GRID_KINDS = ("joukowski", "hopf-fibers", "conformal-flow")
-
 
 def _joukowski_rows(resolution: int):
     yield ("radius", "phi", "u_re", "u_im", "cn_re", "cn_im", "sn_re", "sn_im")
@@ -53,23 +51,24 @@ def _conformal_flow_rows(resolution: int):
                 yield (g.value, e, u0.real, u0.imag, re, im)
 
 
+# the rows of each grid kind, header first
+_ROWS = {"joukowski": _joukowski_rows, "hopf-fibers": _hopf_rows, "conformal-flow": _conformal_flow_rows}
+
+GRID_KINDS = tuple(_ROWS)
+
+
 def emit_grid(kind: str, resolution: int, path: str) -> int:
     """Write the named sample grid as CSV; returns the number of data rows."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    rows = {
-        "joukowski": _joukowski_rows,
-        "hopf-fibers": _hopf_rows,
-        "conformal-flow": _conformal_flow_rows,
-    }
-    if kind not in rows:
+    if kind not in _ROWS:
         raise ValueError(f"unknown grid kind {kind!r}; choose from {GRID_KINDS}")
     import csv  # only grid writes CSV: verify does not pay for the module
 
     count = -1  # header excluded
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        for row in rows[kind](resolution):
+        for row in _ROWS[kind](resolution):
             writer.writerow(row)
             count += 1
     return count

@@ -79,8 +79,6 @@ class UnsupportedGeneratorError(ValueError):
     """The requested generator has no matrix over the requested ring."""
 
 
-REAL_GENERATORS = (B, P0, Q0)
-
 # a matrix commutator within this defect of +RHS or -RHS takes that sign
 MATRIX_MATCH_TOL = 1e-12
 # projectively_equal's bound on |v1 w2 - v2 w1|, relative to the points' sizes
@@ -182,6 +180,8 @@ def commutator(m: SpinMatrix, n: SpinMatrix) -> SpinMatrix:
 
 # entries (a, b, c, d) of b, p0 and q0 over the real and complex rings
 _REAL_ENTRIES = {B: (0.5, 0.0, 0.0, -0.5), P0: (0.0, 1.0, 0.0, 0.0), Q0: (0.0, 0.0, -1.0, 0.0)}
+
+REAL_GENERATORS = tuple(_REAL_ENTRIES)
 
 
 def supported_generators(ring: Ring) -> tuple:

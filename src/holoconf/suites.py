@@ -19,6 +19,9 @@ ledger.  The runner
 - turns an exception raised in the body into a failed check with no defect
   and the message ``"<ExceptionType>: <text>"``; the later checks still run.
 
+A check family declares its members once, as ``over=``: the runner calls
+the body once per member and records each result as ``name[member]``.
+
 Failed checks are report entries; they never raise.
 """
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import random
 from typing import NamedTuple
@@ -104,33 +108,37 @@ class _Runner:
         self.results = []
 
     def check(
-        self, name: str, identity: str, threshold: str | float, inf_message: str = "structural mismatch"
+        self, name: str, identity: str, threshold: str | float, inf_message: str = "structural mismatch", over=None
     ):
         """Decorator that runs the body at once and records its result (the
-        decorated name is left bound to None)."""
+        decorated name is left bound to None).  With over, a tuple of
+        members, it runs body(member) for each and records its result as
+        name[member]; an exception fails only that member's entry."""
 
         def run(body):
-            try:
-                out = body()
-                if not isinstance(out, _Outcome):
-                    out = _Outcome(_worst(out))
-            except Exception as exc:
-                out = _Outcome(math.nan, message=f"{type(exc).__name__}: {exc}")
-            defect, ledger, message = out
-            finite = math.isfinite(defect)
-            if not finite and message is None:
-                message = "non-finite defect" if math.isnan(defect) else inf_message
-            self.results.append(
-                CheckResult(
-                    suite=self.suite,
-                    name=name,
-                    identity=identity,
-                    passed=bool(finite and defect <= self.limits.get(threshold, threshold)),
-                    max_defect=float(defect) if finite else None,
-                    sign_ledger=ledger,
-                    message=message,
+            calls = [(name, body)] if over is None else [(f"{name}[{m}]", functools.partial(body, m)) for m in over]
+            for entry, call in calls:
+                try:
+                    out = call()
+                    if not isinstance(out, _Outcome):
+                        out = _Outcome(_worst(out))
+                except Exception as exc:
+                    out = _Outcome(math.nan, message=f"{type(exc).__name__}: {exc}")
+                defect, ledger, message = out
+                finite = math.isfinite(defect)
+                if not finite and message is None:
+                    message = "non-finite defect" if math.isnan(defect) else inf_message
+                self.results.append(
+                    CheckResult(
+                        suite=self.suite,
+                        name=entry,
+                        identity=identity,
+                        passed=bool(finite and defect <= self.limits.get(threshold, threshold)),
+                        max_defect=float(defect) if finite else None,
+                        sign_ledger=ledger,
+                        message=message,
+                    )
                 )
-            )
 
         return run
 
@@ -368,46 +376,44 @@ def _polynomial(coeffs: np.ndarray, x0, x1):
 def laplace_checks(cfg: SuiteConfig):
     run = _Runner("laplace", cfg)
 
-    for chart in ALL_CHARTS:
+    @run.check(
+        "solution_residual",
+        "the rescaled operator annihilates the scale-dimension family",
+        "tol",
+        over=ALL_CHARTS,
+    )
+    def _(chart):
+        rng = _rng(cfg, f"lap.res.{chart}")
+        alphas = sampling.scale_dimensions(cfg.samples, rng)
+        pts = sampling.chart_points(chart, 3, rng)
+        # the alpha x point grid, broadcast: every point for each alpha
+        alpha = alphas[:, None]
+        u = laplace.solve(alpha, pts)
+        yield laplace.residual(alpha, pts) / (1.0 + np.abs(u))
 
-        @run.check(
-            f"solution_residual[{chart.value}]",
-            "the rescaled operator annihilates the scale-dimension family",
-            "tol",
-        )
-        def _():
-            rng = _rng(cfg, f"lap.res.{chart.value}")
-            alphas = sampling.scale_dimensions(cfg.samples, rng)
-            pts = sampling.chart_points(chart, 3, rng)
-            # the alpha x point grid, broadcast: every point for each alpha
-            alpha = alphas[:, None]
-            u = laplace.solve(alpha, pts)
-            yield laplace.residual(alpha, pts) / (1.0 + np.abs(u))
+    @run.check(
+        "rescaled_operator_factor",
+        "chart operator equals (r^2 | sin^2 theta | e^{2 rho}) times "
+        "the flat Laplacian of the pulled-back function",
+        "tol",
+        over=charts.ANGULAR_CHARTS,
+    )
+    def _(chart):
+        rng = _rng(cfg, f"lap.scale.{chart}")
+        p = sampling.chart_points(chart, 10, rng)
+        flat_p = ChartPoint(ChartId.CARTESIAN, *charts.embed(p))
+        # three cubics, stacked: each laplacian evaluates all of them
+        coeffs = _random_polynomial(rng, 3)
 
-    for chart in charts.ANGULAR_CHARTS:
+        def flat(x0, x1):
+            return _polynomial(coeffs, x0, x1)
 
-        @run.check(
-            f"rescaled_operator_factor[{chart.value}]",
-            "chart operator equals (r^2 | sin^2 theta | e^{2 rho}) times "
-            "the flat Laplacian of the pulled-back function",
-            "tol",
-        )
-        def _():
-            rng = _rng(cfg, f"lap.scale.{chart.value}")
-            p = sampling.chart_points(chart, 10, rng)
-            flat_p = ChartPoint(ChartId.CARTESIAN, *charts.embed(p))
-            # three cubics, stacked: each laplacian evaluates all of them
-            coeffs = _random_polynomial(rng, 3)
+        def pulled(y0, y1):
+            return flat(*charts.embed_coords(chart, y0, y1))
 
-            def flat(x0, x1):
-                return _polynomial(coeffs, x0, x1)
-
-            def pulled(y0, y1):
-                return flat(*charts.embed_coords(chart, y0, y1))
-
-            lhs = laplace.laplacian(pulled, p)
-            rhs = laplace.rescale_factor(p) * laplace.laplacian(flat, flat_p)
-            yield np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
+        lhs = laplace.laplacian(pulled, p)
+        rhs = laplace.rescale_factor(p) * laplace.laplacian(flat, flat_p)
+        yield np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
 
     @run.check(
         "chart_consistency",
@@ -464,37 +470,37 @@ _FIELD_LEDGER = {
     algebra.pair_label(g1, g2): sign for (g1, g2), sign in algebra.EXPECTED_FIELD_SIGNS.items()
 }
 
+# the 20 triples of distinct generators, as one index array per bracket slot
+_JACOBI_TRIPLES = np.array(list(itertools.combinations(range(len(GENERATORS)), 3))).T
+
 
 def algebra_checks(cfg: SuiteConfig):
     run = _Runner("algebra", cfg)
 
-    for r in REALIZATIONS:
-        name = algebra.realization_key(r)
+    @run.check(
+        "bracket_table",
+        "all 15 brackets match the table, as written except the "
+        "four negated [q, p] entries",
+        "tol",
+        over=REALIZATIONS,
+    )
+    def _(r):
+        pts = algebra.default_points(r, n=cfg.samples, seed=_seed(cfg, f"alg.bracket.{r}"))
+        return _signed(algebra.structure_table(r, points=pts), _FIELD_LEDGER)
 
-        @run.check(
-            f"bracket_table[{name}]",
-            "all 15 brackets match the table, as written except the "
-            "four negated [q, p] entries",
-            "tol",
-        )
-        def _():
-            pts = algebra.default_points(r, n=cfg.samples, seed=_seed(cfg, f"alg.bracket.{name}"))
-            return _signed(algebra.structure_table(r, points=pts), _FIELD_LEDGER)
-
-    for chart in ALL_CHARTS:
-
-        @run.check(
-            f"eigenactions[{chart.value}]",
-            "generators scale the solution family and shift its dimension "
-            "by -1 (translations) / +1 (special conformal)",
-            "tol",
-        )
-        def _():
-            rng = _rng(cfg, f"alg.eig.{chart.value}")
-            p = sampling.chart_points(chart, cfg.samples, rng)
-            alpha = sampling.scale_dimensions(cfg.samples, rng)
-            for acted, expected in algebra.eigenactions(alpha, p):
-                yield np.abs(acted - expected) / (1.0 + np.abs(expected))
+    @run.check(
+        "eigenactions",
+        "generators scale the solution family and shift its dimension "
+        "by -1 (translations) / +1 (special conformal)",
+        "tol",
+        over=ALL_CHARTS,
+    )
+    def _(chart):
+        rng = _rng(cfg, f"alg.eig.{chart}")
+        p = sampling.chart_points(chart, cfg.samples, rng)
+        alpha = sampling.scale_dimensions(cfg.samples, rng)
+        for acted, expected in algebra.eigenactions(alpha, p):
+            yield np.abs(acted - expected) / (1.0 + np.abs(expected))
 
     @run.check(
         "degree_shift",
@@ -512,41 +518,34 @@ def algebra_checks(cfg: SuiteConfig):
             yield abs(algebra.apply_to_function(p0, mono, u) - expected_p)
             yield abs(algebra.apply_to_function(q0, mono, u) - n * u ** (n + 1))
 
-    for r in REALIZATIONS:
-        name = algebra.realization_key(r)
+    @run.check("jacobi", "cyclic double brackets cancel", "tol", over=REALIZATIONS)
+    def _(r):
+        pts = algebra.default_points(r, n=5, seed=_seed(cfg, f"alg.jacobi.points.{r}"))
+        gens = algebra.generator_tensors(r, pts, hessian=True)
+        # every triple, bracketed as one stack per slot
+        yield np.abs(algebra.jacobiator(*(gens[t] for t in _JACOBI_TRIPLES)))
 
-        @run.check(f"jacobi[{name}]", "cyclic double brackets cancel", "tol")
-        def _():
-            rng = _rng(cfg, f"alg.jacobi.{name}")
-            pts = algebra.default_points(r, n=5, seed=_seed(cfg, f"alg.jacobi.points.{name}"))
-            gens = algebra.generator_tensors(r, pts, hessian=True)
-            # ten drawn triples, bracketed as one stack per slot
-            triples = [[GENERATORS.index(g) for g in rng.sample(GENERATORS, 3)] for _ in range(10)]
-            yield np.abs(algebra.jacobiator(*(gens[t] for t in np.transpose(triples))))
-
-    for r in REALIZATIONS:
-        name = algebra.realization_key(r)
-
-        @run.check(
-            f"minkowski_packing[{name}]",
-            "packed rotations satisfy the single relation with metric "
-            "diag(1,1,1,-1); every other diagonal sign pattern breaks "
-            "a bracket",
-            "tol",
+    @run.check(
+        "minkowski_packing",
+        "packed rotations satisfy the single relation with metric "
+        "diag(1,1,1,-1); every other diagonal sign pattern breaks "
+        "a bracket",
+        "tol",
+        over=REALIZATIONS,
+    )
+    def _(r):
+        n = max(10, cfg.samples // 2)
+        pts = algebra.default_points(r, n=n, seed=_seed(cfg, f"alg.minkowski.{r}"))
+        res = algebra.minkowski_check(r, points=pts)
+        out = _signed(
+            res.ledger,
+            {key: algebra.MINKOWSKI_FIELD_SIGNS.get(key, 1) for key in res.ledger.signs},
         )
-        def _():
-            n = max(10, cfg.samples // 2)
-            pts = algebra.default_points(r, n=n, seed=_seed(cfg, f"alg.minkowski.{name}"))
-            res = algebra.minkowski_check(r, points=pts)
-            out = _signed(
-                res.ledger,
-                {key: algebra.MINKOWSKI_FIELD_SIGNS.get(key, 1) for key in res.ledger.signs},
-            )
-            if res.metric_forced:
-                return out
-            return out._replace(
-                defect=math.inf, message=f"passing metrics: {res.passing_metrics}"
-            )
+        if res.metric_forced:
+            return out
+        return out._replace(
+            defect=math.inf, message=f"passing metrics: {res.passing_metrics}"
+        )
 
     @run.check(
         "angular_tensor",
@@ -624,8 +623,8 @@ def algebra_checks(cfg: SuiteConfig):
 
 def _mobius_draws(n: int, rng: random.Random) -> tuple:
     """n samples of an ordered pair of distinct generator indices (first,
-    second, as floats), uniform as rng.sample(GENERATORS, 2) is, then eps_m,
-    eps_n and a Mobius argument v."""
+    second, as floats), uniform over the 30 such pairs, then eps_m, eps_n
+    and a Mobius argument v."""
     size = len(GENERATORS)
     u0, u1, eps_m, eps_n, re, im = sampling.uniform(
         n, rng, (0, size), (0, size - 1), *[(-0.8, 0.8)] * 2, *[(-1, 1)] * 2
@@ -655,17 +654,15 @@ def _off_pole(m: projective.SpinMatrix, v: np.ndarray) -> np.ndarray:
 def projective_checks(cfg: SuiteConfig):
     run = _Runner("projective", cfg)
 
-    for ring in (projective.Ring.BICOMPLEX, projective.Ring.REAL, projective.Ring.COMPLEX):
-
-        @run.check(
-            f"matrix_brackets[{ring.value}]",
-            "spin-matrix commutators match the table with the "
-            "documented per-ring signs (bicomplex: all as written)",
-            "exact",
-        )
-        def _():
-            ledger = projective.matrix_bracket_table(ring)
-            return _signed(ledger, projective.EXPECTED_MATRIX_SIGNS[ring])
+    @run.check(
+        "matrix_brackets",
+        "spin-matrix commutators match the table with the "
+        "documented per-ring signs (bicomplex: all as written)",
+        "exact",
+        over=(projective.Ring.BICOMPLEX, projective.Ring.REAL, projective.Ring.COMPLEX),
+    )
+    def _(ring):
+        return _signed(projective.matrix_bracket_table(ring), projective.EXPECTED_MATRIX_SIGNS[ring])
 
     @run.check(
         "real_ledger_negation",

@@ -31,7 +31,6 @@ from holoconf.algebra import (
     bracket,
     cn,
     default_points,
-    eigenaction_expected,
     field_values,
     generator,
     generator_by_transport,
@@ -144,6 +143,15 @@ def test_act_examples():
     assert act(P0, 0.0, q) == pytest.approx(0.0, abs=1e-12)
 
 
+# the paper's eigen-action table: g u^alpha = factor * alpha * u^(alpha + shift)
+EIGENACTION_TABLE = {B: (1, 0), S01: (1j, 0), P0: (1, -1), P1: (1j, -1), Q0: (1, 1), Q1: (-1j, 1)}
+
+
+def table_action(g, alpha, p):
+    factor, shift = EIGENACTION_TABLE[g]
+    return factor * alpha * solve(alpha + shift, p)
+
+
 def test_eigenactions_all_transported_realizations():
     rng = random.Random(42)
     for chart in ChartId:
@@ -151,11 +159,11 @@ def test_eigenactions_all_transported_realizations():
         alphas = scale_dimensions(50, rng)
         for g in GENERATORS:
             for p, alpha in zip(pts, alphas):
-                expected = eigenaction_expected(g, alpha, p)
+                expected = table_action(g, alpha, p)
                 assert abs(act(g, alpha, p) - expected) <= 1e-10 * (1 + abs(expected))
 
 
-def test_eigenactions_are_act_and_eigenaction_expected():
+def test_eigenactions_are_act_and_the_table_value():
     rng = random.Random(44)
     for chart in ChartId:
         pts = chart_points(chart, 50, rng)
@@ -164,7 +172,7 @@ def test_eigenactions_are_act_and_eigenaction_expected():
         assert len(got) == len(GENERATORS)
         for g, (acted, expected) in zip(GENERATORS, got):
             assert np.array_equal(acted, act(g, alphas, pts))
-            assert np.array_equal(expected, eigenaction_expected(g, alphas, pts))
+            assert np.array_equal(expected, table_action(g, alphas, pts))
 
 
 def test_degree_shift_on_monomials():
@@ -279,6 +287,26 @@ def test_a_single_point_is_one_sample(realization, point, one):
 )
 def test_len_of_a_point_counts_its_broadcast_samples(y0, y1, n):
     assert len(ChartPoint(ChartId.POLAR, y0, y1)) == n
+
+
+@pytest.mark.parametrize("chart", ChartId, ids=str)
+@pytest.mark.parametrize("scalar_y0", (True, False), ids=("scalar-y0", "scalar-y1"))
+def test_a_point_with_one_scalar_coordinate_is_its_broadcast_point(chart, scalar_y0):
+    # the sample shape is that of both coordinates, not of y0 alone
+    y0, y1 = np.array([0.1, 0.4, 0.7]), np.array([0.2, 1.1, 3.0])
+    if scalar_y0:
+        p, y0 = ChartPoint(chart, 0.5, y1), np.full(3, 0.5)
+    else:
+        p, y1 = ChartPoint(chart, y0, 0.5), np.full(3, 0.5)
+    q = ChartPoint(chart, y0, y1)
+    assert len(p) == 3
+    for k in range(3):
+        assert p[k] == q[k]
+    got, want = algebra.generator_tensors(chart, p, hessian=True), algebra.generator_tensors(chart, q, hessian=True)
+    for a, b in ((got.v, want.v), (got.g, want.g), (got.h, want.h)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert structure_table(chart, points=p) == structure_table(chart, points=q)
+    assert minkowski_check(chart, points=p) == minkowski_check(chart, points=q)
 
 
 # every algebra path that takes sample points, as a call on (realization, points)

@@ -20,7 +20,7 @@ import pytest
 
 from holoconf import algebra, charts, dual, grids, laplace, projective, suites
 from holoconf import bicomplex as bc
-from holoconf.algebra import GENERATORS, P0, Q0, Q1, UPSILON_LINE
+from holoconf.algebra import B, GENERATORS, P0, P1, Q0, Q1, S01, UPSILON_LINE
 from holoconf.bicomplex import Bicomplex
 from holoconf.charts import ChartId, ChartPoint, DomainError
 from holoconf.projective import ProjectivePoint, Ring, S3Point, SpinMatrix
@@ -398,10 +398,11 @@ def test_act_solve_laplacian_with_array_alpha(chart):
         assert_close(
             algebra.act(g, alpha, p), [algebra.act(g, a, q) for a, q in zip(alpha, p)]
         )
-        assert_close(
-            algebra.eigenaction_expected(g, alpha, p),
-            [algebra.eigenaction_expected(g, a, q) for a, q in zip(alpha, p)],
-        )
+    # the paper's eigen-action table: g u^alpha = factor * alpha * u^(alpha + shift)
+    table = {B: (1, 0), S01: (1j, 0), P0: (1, -1), P1: (1j, -1), Q0: (1, 1), Q1: (-1j, 1)}
+    for g, (_, expected) in zip(GENERATORS, algebra.eigenactions(alpha, p)):
+        factor, shift = table[g]
+        assert_close(expected, [factor * a * laplace.solve(a + shift, q) for a, q in zip(alpha, p)])
 
 
 @pytest.mark.parametrize("chart", ALL_CHARTS, ids=str)

@@ -6,6 +6,7 @@ import gc
 import importlib
 import importlib.util
 import inspect
+import itertools
 import json
 import math
 import os
@@ -191,6 +192,39 @@ def test_exception_in_a_check_fails_only_that_check(monkeypatch, capsys):
     assert data["summary"]["failed"] == len(broken)
 
 
+def test_a_check_family_records_one_entry_per_member():
+    # the runner calls the body once per member and names each entry
+    # name[member]; an exception in one member fails only its entry
+    run = suites._Runner("fam-suite", SuiteConfig(seed=3, samples=5))
+
+    @run.check("fam", "one body per member", "exact", over=("a", ChartId.POLAR, "c"))
+    def _(m):
+        if m is ChartId.POLAR:
+            raise ArithmeticError(f"no value at {m}")
+        yield 0.0 if m == "a" else 1e-13
+
+    assert [c.name for c in run.results] == ["fam[a]", "fam[polar]", "fam[c]"]
+    assert [c.passed for c in run.results] == [True, False, True]
+    assert [c.max_defect for c in run.results] == [0.0, None, 1e-13]
+    assert run.results[1].message == "ArithmeticError: no value at polar"
+    assert run.results[0].message is None and run.results[2].message is None
+
+
+@pytest.mark.parametrize("realization", algebra.REALIZATIONS, ids=str)
+def test_jacobi_checks_every_generator_triple(realization):
+    # jacobi[*] reports the largest jacobiator defect over all 20 triples of
+    # distinct generators, at the points of its labelled stream
+    cfg = SuiteConfig(seed=7, suites=("algebra",))
+    pts = algebra.default_points(realization, n=5, seed=suites._seed(cfg, f"alg.jacobi.points.{realization}"))
+    gens = algebra.generator_tensors(realization, pts, hessian=True)
+    want = max(
+        np.abs(algebra.jacobiator(gens[x], gens[y], gens[z])).max()
+        for x, y, z in itertools.combinations(range(6), 3)
+    )
+    (check,) = [c for c in run_suite(cfg).checks if c.name == f"jacobi[{realization}]"]
+    assert check.max_defect == float(want)
+
+
 def test_unmatched_bracket_fails_its_check(monkeypatch):
     # [b, p0] = -3 p0 holds with neither sign
     monkeypatch.setitem(algebra.BRACKET_RELATIONS, (algebra.B, algebra.P0), {algebra.P0: -3.0})
@@ -299,6 +333,49 @@ def test_every_negated_generator_entry_fails_a_check(monkeypatch):
                     if all(c.passed for c in run_suite(cfg).checks):
                         survivors.append(f"{key} {g} {k}: {text}")
     assert mutants == 46
+    assert survivors == []
+
+
+def _constant_mutants():
+    """(label, suite, table, key, value) of each mutant table[key] = value
+    of the constant tables: a negated non-zero SO31_PACKING entry; an
+    _EIGENACTIONS row with its factor negated or times i, or its shift plus
+    1; a negated non-zero spin-matrix entry or _REAL_ENTRIES entry."""
+    for pair, row in algebra.SO31_PACKING.items():
+        for g, c in row.items():
+            yield f"SO31_PACKING {pair} {g}", "algebra", algebra.SO31_PACKING, pair, {**row, g: -c}
+    for g, (factor, shift) in algebra._EIGENACTIONS.items():
+        for row in ((-factor, shift), (1j * factor, shift), (factor, shift + 1)):
+            yield f"_EIGENACTIONS {g} {row}", "algebra", algebra._EIGENACTIONS, g, row
+    for (g, ring), matrix in projective._MATRICES.items():
+        entries = matrix.entries()
+        for k, e in enumerate(entries):
+            if projective.absval(e):
+                negated = projective.SpinMatrix(ring, *entries[:k], -1 * e, *entries[k + 1 :])
+                yield f"_MATRICES {g} {ring} {k}", "projective", projective._MATRICES, (g, ring), negated
+    for g, row in projective._REAL_ENTRIES.items():
+        for k, x in enumerate(row):
+            if x:
+                negated = row[:k] + (-x,) + row[k + 1 :]
+                yield f"_REAL_ENTRIES {g} {k}", "projective", projective._REAL_ENTRIES, g, negated
+
+
+def test_every_mutant_of_the_constant_tables_fails_a_check(monkeypatch):
+    # mutation catalogue of the packing, eigen-action and spin-matrix
+    # tables: each mutant must fail a check of the suite that reads it
+    mutants, survivors = 0, []
+    for label, suite, table, key, value in _constant_mutants():
+        mutants += 1
+        with monkeypatch.context() as m:
+            m.setitem(table, key, value)
+            # the tables built from a mutated one at import
+            pack = [[row.get(g, 0.0) for g in algebra.GENERATORS] for row in algebra.SO31_PACKING.values()]
+            m.setattr(algebra, "SO31_PACK_MATRIX", np.array(pack))
+            if table is projective._REAL_ENTRIES:
+                m.setattr(projective, "_MATRICES", {k: projective._build_matrix(*k) for k in projective._MATRICES})
+            if all(c.passed for c in run_suite(SuiteConfig(seed=7, samples=3, suites=(suite,))).checks):
+                survivors.append(label)
+    assert mutants == 56
     assert survivors == []
 
 
