@@ -87,67 +87,70 @@ def realization_key(realization) -> str:
 
 
 class VectorField(Record, frozen=True):
-    """First-order operator sum_k coeffs[k] * d/dy_k on one realization.
+    """First-order operator sum_k c_k * d/dy_k on one realization, where
+    coeffs(*ys) returns the tuple (c_0, c_1, ...) at the coordinates ys.
 
-    Chart realizations carry two coefficient functions of (y0, y1); the
-    upsilon line carries a single holomorphic coefficient of u.
+    Chart realizations carry two coefficients of (y0, y1); the upsilon line
+    carries a single holomorphic coefficient of u.
     """
 
     __slots__ = ("realization", "coeffs")
 
-    def __init__(self, realization: object, coeffs: tuple):
+    def __init__(self, realization: object, coeffs: Callable):
         self._assign(realization, coeffs)
 
     @property
     def arity(self) -> int:
-        return len(self.coeffs)
+        return len(COORDINATE_NAMES[realization_key(self.realization)])
 
 
-def _partial(fn: Callable, var: int, args) -> object:
-    # lift every argument into a fresh first-order jet level (non-seeded
-    # ones as constants) so that jets from an enclosing differentiation never
-    # share a level with this one
-    seeded = [
-        dual.Jet(a, 1.0 if i == var else 0.0, None) for i, a in enumerate(args)
-    ]
-    return dual.d1(fn(*seeded))
+def _lift(args, var: int) -> list:
+    """args, each lifted into a fresh first-order jet level (seeded along
+    coordinate var, the others as constants), so that jets from an enclosing
+    differentiation never share a level with this one."""
+    return [dual.Jet(a, 1.0 if i == var else 0.0, None) for i, a in enumerate(args)]
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Commutator [x, y] with coefficients x(y_k) - y(x_k)."""
+    """Commutator [x, y] with coefficients x(y_k) - y(x_k).
+
+    Each evaluation calls each operand once for its values and once per
+    coordinate for its partials, and sums each coefficient over j as
+    taylor_bracket does."""
     if realization_key(x.realization) != realization_key(y.realization):
         raise RealizationMismatchError(
             f"{realization_key(x.realization)} vs {realization_key(y.realization)}"
         )
     n = x.arity
 
-    def mk(k):
-        def coeff(*ys):
+    def coeffs(*ys):
+        xv, yv = x.coeffs(*ys), y.coeffs(*ys)
+        # [j][k]: the partial along coordinate j of coefficient k
+        dx, dy = ([tuple(map(dual.d1, f.coeffs(*_lift(ys, j)))) for j in range(n)] for f in (x, y))
+        out = []
+        for k in range(n):
             acc = 0.0
             for j in range(n):
-                acc = acc + x.coeffs[j](*ys) * _partial(y.coeffs[k], j, ys)
-                acc = acc - y.coeffs[j](*ys) * _partial(x.coeffs[k], j, ys)
-            return acc
+                acc = acc + xv[j] * dy[j][k]
+                acc = acc - yv[j] * dx[j][k]
+            out.append(acc)
+        return tuple(out)
 
-        return coeff
-
-    return VectorField(x.realization, tuple(mk(k) for k in range(n)))
+    return VectorField(x.realization, coeffs)
 
 
 def lincomb(terms, realization) -> VectorField:
-    """Pointwise linear combination sum_i c_i * field_i."""
+    """Pointwise linear combination sum_i c_i * field_i; each evaluation
+    calls each field once."""
     arity = len(COORDINATE_NAMES[realization_key(realization)])
 
-    def mk(k):
-        def coeff(*ys):
-            acc = 0.0
-            for c, f in terms:
-                acc = acc + c * f.coeffs[k](*ys)
-            return acc
+    def coeffs(*ys):
+        acc = [0.0] * arity
+        for c, f in terms:
+            acc = [a + c * v for a, v in zip(acc, f.coeffs(*ys))]
+        return tuple(acc)
 
-        return coeff
-
-    return VectorField(realization, tuple(mk(k) for k in range(arity)))
+    return VectorField(realization, coeffs)
 
 
 def point_args(realization, p):
@@ -179,8 +182,8 @@ def field_values(x: VectorField, pts) -> np.ndarray:
     constant coefficients are broadcast."""
     args = point_args(x.realization, pts)
     out = np.empty((np.broadcast(*args).size, x.arity), dtype=complex)
-    for k, c in enumerate(x.coeffs):
-        out[:, k] = dual.value(c(*args))
+    for k, c in enumerate(x.coeffs(*args)):
+        out[:, k] = dual.value(c)
     return out
 
 
@@ -189,8 +192,8 @@ def apply_to_function(x: VectorField, f: Callable, p) -> complex:
 
     p may be an array point; the result then has its sample shape."""
     args = point_args(x.realization, p)
-    grad = [_partial(f, k, args) for k in range(x.arity)]
-    return plain(_apply_with_gradient([c(*args) for c in x.coeffs], grad))
+    grad = [dual.d1(f(*_lift(args, k))) for k in range(x.arity)]
+    return plain(_apply_with_gradient(x.coeffs(*args), grad))
 
 
 def _apply_with_gradient(coeffs, grad) -> complex:
@@ -280,34 +283,31 @@ def _expression(text: str) -> str:
     return re.sub(r"(\w+)\^(\d+)", lambda m: "*".join([m[1]] * int(m[2])), expr)
 
 
-def _compile(key: str) -> tuple:
-    """The two compiled forms of realization key's table: each generator's
-    coefficient callables, and one jet-aware function of the coordinates
-    giving every coefficient, one tuple per generator in GENERATORS order.
+def _compile(key: str) -> Callable:
+    """The table function of realization key: one jet-aware function of the
+    coordinates giving every coefficient, one tuple per generator in
+    GENERATORS order.
 
-    Both compile each table string's expression (_expression).  The table
-    function binds each distinct elementary call once, for all coefficients,
-    so the two forms agree bitwise.  Polar's reads: lambda r, phi: (lambda
-    _0, _1: ((r, 0, ), ..., (r*r*_1, -r*_0, )))(cos(phi), sin(phi))"""
-    rows, head = GENERATOR_TABLE_STRINGS[key], f"lambda {', '.join(COORDINATE_NAMES[key])}: "
-    callables = {g: tuple(eval(head + _expression(c), _COEFF_NAMESPACE) for c in row) for g, row in rows.items()}
+    It compiles each table string's expression (_expression) and binds each
+    distinct elementary call once, for all coefficients.  Polar's reads:
+    lambda r, phi: (lambda _0, _1: ((r, 0, ), ..., (r*r*_1, -r*_0, )))(cos(phi), sin(phi))"""
     calls = {}
     bind = lambda m: calls.setdefault(m[0], f"_{len(calls)}")
     shared = lambda text: re.sub(r"\b\w+\([^()]*\)", bind, _expression(text)) + ", "
+    rows = GENERATOR_TABLE_STRINGS[key]
     body = ", ".join("(" + "".join(map(shared, rows[g])) + ")" for g in GENERATORS)
     table = f"(lambda {', '.join(calls.values())}: ({body}))({', '.join(calls)})"
-    return callables, eval(head + table, _COEFF_NAMESPACE)
+    return eval(f"lambda {', '.join(COORDINATE_NAMES[key])}: {table}", _COEFF_NAMESPACE)
 
 
-_COMPILED_TABLES, _TABLE_FUNCTIONS = {}, {}
-for _key in GENERATOR_TABLE_STRINGS:
-    _COMPILED_TABLES[_key], _TABLE_FUNCTIONS[_key] = _compile(_key)
+_TABLE_FUNCTIONS = {key: _compile(key) for key in GENERATOR_TABLE_STRINGS}
 
 
 def generator(g: GeneratorId, realization) -> VectorField:
-    """Closed-form vector field of generator g in the given realization."""
-    key = realization_key(realization)
-    return VectorField(realization, _COMPILED_TABLES[key][g])
+    """Closed-form vector field of generator g in the given realization: its
+    row of the table function."""
+    table, row = _TABLE_FUNCTIONS[realization_key(realization)], GENERATORS.index(g)
+    return VectorField(realization, lambda *ys: table(*ys)[row])
 
 
 def generator_by_transport(g: GeneratorId, chart: ChartId) -> VectorField:
@@ -318,18 +318,15 @@ def generator_by_transport(g: GeneratorId, chart: ChartId) -> VectorField:
     """
     from .charts import embed, jacobian_mixed
 
-    flat = _COMPILED_TABLES[ChartId.CARTESIAN.value][g]
+    flat = generator(g, ChartId.CARTESIAN).coeffs
 
-    def mk(alpha):
-        def coeff(y0, y1):
-            p = ChartPoint(chart, y0, y1)
-            x0, x1 = embed(p)
-            a = jacobian_mixed(p)
-            return flat[0](x0, x1) * a[0, alpha] + flat[1](x0, x1) * a[1, alpha]
+    def coeffs(y0, y1):
+        p = ChartPoint(chart, y0, y1)
+        f0, f1 = flat(*embed(p))
+        a = jacobian_mixed(p)
+        return tuple(f0 * a[0, alpha] + f1 * a[1, alpha] for alpha in (0, 1))
 
-        return coeff
-
-    return VectorField(chart, (mk(0), mk(1)))
+    return VectorField(chart, coeffs)
 
 
 # --- Taylor tensors: brackets as contractions --------------------------------
@@ -384,7 +381,7 @@ def generator_tensors(realization, points, hessian: bool = False) -> TaylorField
     mixed = [(j, l) for j in range(m) for l in range(j + 1, m)] if hessian else []
     # one row per direction: the coordinate axes, then e_j + e_l
     directions = np.array([[float(j in d) for j in range(m)] for d in [(j,) for j in range(m)] + mixed])
-    # each argument in one fresh jet level, as _partial lifts them, with the
+    # each argument in one fresh jet level, as _lift lifts them, with the
     # direction axis before the sample axis
     jets = [dual.Jet(a, directions[:, j, None], 0.0 if hessian else None) for j, a in enumerate(args)]
 
@@ -471,15 +468,16 @@ BRACKET_PAIRS = tuple(BRACKET_RELATIONS)
 
 QP_PAIRS = frozenset({(Q0, P0), (Q0, P1), (Q1, P0), (Q1, P1)})
 
-# every vector-field realization satisfies the table with exactly the
-# four [q, p] brackets negated
-EXPECTED_FIELD_SIGNS = {
-    pair: (-1 if pair in QP_PAIRS else 1) for pair in BRACKET_PAIRS
-}
-
 
 def pair_label(g1: GeneratorId, g2: GeneratorId) -> str:
     return f"[{g1.value},{g2.value}]"
+
+
+# every vector-field realization satisfies the table with exactly the
+# four [q, p] brackets negated; keyed by the ledger's bracket labels
+EXPECTED_FIELD_SIGNS = {
+    pair_label(*pair): (-1 if pair in QP_PAIRS else 1) for pair in BRACKET_PAIRS
+}
 
 
 def match_sign(label: str, d_plus: float, d_minus: float, tol: float) -> tuple:
@@ -604,7 +602,7 @@ def eigenactions(alpha: complex, p: ChartPoint) -> list:
     log-radius and angle (as solve computes them)."""
     args = point_args(p.chart, p)
     f = SolutionFamily(alpha, p.chart)
-    grad = [_partial(f, k, args) for k in range(len(args))]
+    grad = [dual.d1(f(*_lift(args, k))) for k in range(len(args))]
     log_r, phi = _log_radius_angle(p.chart, *args)
     u = {shift: dual.exp((alpha + shift) * (log_r + 1j * phi)) for shift in (0, -1, 1)}
     coeffs = dict(zip(GENERATORS, _TABLE_FUNCTIONS[p.chart.value](*args)))
@@ -766,13 +764,7 @@ def angular_tensor(u: complex) -> np.ndarray:
 def paravector_substitute(re_part: Callable, im_part: Callable) -> VectorField:
     """Turn a paravector decomposition f = re*1 + im*i into a holographic
     field by substituting 1 -> tan(theta) d_theta and i -> d_phi."""
-    return VectorField(
-        ChartId.HOLOGRAPHIC,
-        (
-            lambda t, f: re_part(t, f) * dual.tan(t),
-            lambda t, f: im_part(t, f),
-        ),
-    )
+    return VectorField(ChartId.HOLOGRAPHIC, lambda t, f: (re_part(t, f) * dual.tan(t), im_part(t, f)))
 
 
 def tangent_curve(eps: float, p: ChartPoint) -> complex:

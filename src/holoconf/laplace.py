@@ -147,7 +147,8 @@ def ylm(l: int, m: int, theta: float, phi: float) -> complex:
 
 
 def ylm_ratio(l: int, grid: ChartPoint, negative_branch: bool = False) -> complex:
-    """Common ratio Y_l^{+-l} / solution^l over a holographic array point.
+    """Common ratio Y_l^{+-l} / solution^l over a holographic point (an
+    array point, or a single point as one sample).
 
     The ratio of the extremal harmonic to the l-th power solution (or its
     conjugate branch for m = -l) is a constant; a relative spread above
@@ -161,7 +162,9 @@ def ylm_ratio(l: int, grid: ChartPoint, negative_branch: bool = False) -> comple
     if grid.chart is not ChartId.HOLOGRAPHIC:
         raise ValueError("grid must consist of holographic points")
     m = -l if negative_branch else l
-    ratios = ylm(l, m, grid.y0, grid.y1) / (np.sin(grid.y0) ** l * _phase(m * grid.y1))
+    # a single point is one sample
+    theta, phi = np.atleast_1d(grid.y0, grid.y1)
+    ratios = ylm(l, m, theta, phi) / (np.sin(theta) ** l * _phase(m * phi))
     mean = sum(ratios.tolist()) / len(ratios)
     spread = math.sqrt(np.mean(np.abs(ratios - mean) ** 2))
     if spread > 1e-10 * abs(mean):

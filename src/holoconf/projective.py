@@ -324,7 +324,7 @@ def flow_consistency(g: GeneratorId, v0: complex, eps: float) -> float:
     be an array of start points."""
     v0 = np.asarray(v0, dtype=complex)
     moved = mobius_apply(exp_one_param(g, eps, Ring.COMPLEX), v0)
-    x = generator(g, UPSILON_LINE).coeffs[0](v0)
+    (x,) = generator(g, UPSILON_LINE).coeffs(v0)
     return plain(np.abs(moved - (v0 + eps * x)))
 
 

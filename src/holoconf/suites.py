@@ -335,15 +335,15 @@ def charts_checks(cfg: SuiteConfig):
             cfg.samples, _rng(cfg, "ch.sct"), (0, 2 * math.pi), (0.5, 2.0), (0, 2 * math.pi)
         )
         x = (r * np.cos(ang), r * np.sin(ang))
-        q0 = algebra.generator(Q0, ChartId.CARTESIAN)
-        q1 = algebra.generator(Q1, ChartId.CARTESIAN)
+        # the quadratic fields' coefficients at x
+        q0, q1 = (algebra.generator(g, ChartId.CARTESIAN).coeffs(*x) for g in (Q0, Q1))
 
         def defect(scale):
             c = (scale * np.cos(cang), scale * np.sin(cang))
             y = charts.special_conformal(x, c)
             # first-order step is minus the quadratic fields
-            dx0 = -(c[0] * q0.coeffs[0](*x) + c[1] * q1.coeffs[0](*x))
-            dx1 = -(c[0] * q0.coeffs[1](*x) + c[1] * q1.coeffs[1](*x))
+            dx0 = -(c[0] * q0[0] + c[1] * q1[0])
+            dx1 = -(c[0] * q0[1] + c[1] * q1[1])
             return np.hypot(y[0] - (x[0] + dx0), y[1] - (x[1] + dx1))
 
         yield _ratio_defect(defect(1e-3), defect(5e-4))
@@ -465,11 +465,6 @@ def laplace_checks(cfg: SuiteConfig):
 
 # --- algebra -----------------------------------------------------------------
 
-# EXPECTED_FIELD_SIGNS keyed by the ledger's bracket labels
-_FIELD_LEDGER = {
-    algebra.pair_label(g1, g2): sign for (g1, g2), sign in algebra.EXPECTED_FIELD_SIGNS.items()
-}
-
 # the 20 triples of distinct generators, as one index array per bracket slot
 _JACOBI_TRIPLES = np.array(list(itertools.combinations(range(len(GENERATORS)), 3))).T
 
@@ -486,7 +481,7 @@ def algebra_checks(cfg: SuiteConfig):
     )
     def _(r):
         pts = algebra.default_points(r, n=cfg.samples, seed=_seed(cfg, f"alg.bracket.{r}"))
-        return _signed(algebra.structure_table(r, points=pts), _FIELD_LEDGER)
+        return _signed(algebra.structure_table(r, points=pts), algebra.EXPECTED_FIELD_SIGNS)
 
     @run.check(
         "eigenactions",

@@ -37,7 +37,6 @@ from holoconf.algebra import (
     match_sign,
     minkowski_check,
     paravector_substitute,
-    pair_label,
     sn,
     so31_pack,
     structure_table,
@@ -55,16 +54,16 @@ def vf_defect(x, y, pts):
 def test_generator_examples():
     b = generator(B, ChartId.HOLOGRAPHIC)
     t, f = 0.6, 1.1
-    assert b.coeffs[0](t, f) == pytest.approx(math.tan(t))
-    assert b.coeffs[1](t, f) == 0.0
+    assert b.coeffs(t, f)[0] == pytest.approx(math.tan(t))
+    assert b.coeffs(t, f)[1] == 0.0
 
     q0 = generator(Q0, UPSILON_LINE)
     u = 0.3 + 0.7j
-    assert q0.coeffs[0](u) == pytest.approx(u * u)
+    assert q0.coeffs(u)[0] == pytest.approx(u * u)
 
     p1 = generator(P1, ChartId.CARTESIAN)
-    assert p1.coeffs[0](0.4, -0.9) == 0.0
-    assert p1.coeffs[1](0.4, -0.9) == 1.0
+    assert p1.coeffs(0.4, -0.9)[0] == 0.0
+    assert p1.coeffs(0.4, -0.9)[1] == 1.0
 
 
 def test_generators_match_transport_from_flat():
@@ -89,10 +88,10 @@ def test_bracket_examples():
     got = bracket(s01, q0)
     for p in pts[:10]:
         x0, x1 = p.y0, p.y1
-        assert complex(dual.value(got.coeffs[0](x0, x1))) == pytest.approx(
+        assert complex(dual.value(got.coeffs(x0, x1)[0])) == pytest.approx(
             -2 * x0 * x1, abs=1e-12
         )
-        assert complex(dual.value(got.coeffs[1](x0, x1))) == pytest.approx(
+        assert complex(dual.value(got.coeffs(x0, x1)[1])) == pytest.approx(
             x0 * x0 - x1 * x1, abs=1e-12
         )
 
@@ -100,6 +99,75 @@ def test_bracket_examples():
     qp = bracket(generator(Q0, UPSILON_LINE), generator(P0, UPSILON_LINE))
     minus_2b = algebra.lincomb([(-2.0, generator(B, UPSILON_LINE))], UPSILON_LINE)
     assert vf_defect(qp, minus_2b, upts) <= 1e-12
+
+
+def constructed_fields(realization) -> dict:
+    """A field of each VectorField constructor in the realization, by name;
+    the jet-aware ones, then generator_by_transport (plain and array points
+    only) in a chart."""
+    g = {gid: generator(gid, realization) for gid in GENERATORS}
+    fields = {
+        "generator": g[Q0],
+        "bracket": bracket(g[Q0], g[P1]),
+        "nested bracket": bracket(bracket(g[Q0], g[P0]), g[Q1]),
+        "lincomb": algebra.lincomb([(2.0, g[B]), (-0.5, g[Q1])], realization),
+        **{f"so31_pack {ab}": f for ab, f in so31_pack(realization).items()},
+    }
+    if realization == ChartId.HOLOGRAPHIC:
+        fields["paravector_substitute"] = paravector_substitute(lambda t, f: dual.cos(f), lambda t, f: dual.sin(t))
+    if realization != UPSILON_LINE:
+        fields["generator_by_transport"] = generator_by_transport(Q0, realization)
+    return fields
+
+
+@pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
+def test_every_field_returns_all_its_coefficients_from_one_call(realization):
+    pts = default_points(realization, n=4, seed=3)
+    array = algebra.point_args(realization, pts)
+    inputs = {
+        "plain": [a.item() for a in algebra.point_args(realization, pts[1])],
+        "array": array,
+        "jet": [dual.Jet(a, 1.0, None) for a in array],
+    }
+    for name, field in constructed_fields(realization).items():
+        assert field.arity == len(array)
+        for kind, ys in inputs.items():
+            if kind == "jet" and name == "generator_by_transport":
+                continue
+            out = field.coeffs(*ys)
+            assert type(out) is tuple and len(out) == field.arity, (name, kind)
+        # the plain point's coefficients are the array's at that sample
+        plain, arr = field.coeffs(*inputs["plain"]), field.coeffs(*array)
+        for c, a in zip(plain, arr):
+            assert complex(c) == pytest.approx(complex(np.broadcast_to(a, np.shape(array[0]))[1]), abs=1e-13)
+
+
+def counted(x: algebra.VectorField, calls: list) -> algebra.VectorField:
+    """x, recording the arguments of each call of its coefficients."""
+    def coeffs(*ys):
+        calls.append(ys)
+        return x.coeffs(*ys)
+
+    return algebra.VectorField(x.realization, coeffs)
+
+
+@pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
+def test_bracket_and_lincomb_call_each_operand_once_per_evaluation(realization):
+    # an evaluation calls a bracket's operand once for its values and once
+    # per coordinate for its partials, and a combination's terms once each,
+    # however many coefficients they have
+    pts = default_points(realization, n=4, seed=3)
+    array = algebra.point_args(realization, pts)
+    n = len(array)
+    for ys in ([a.item() for a in algebra.point_args(realization, pts[2])], array, [dual.Jet(a, 1.0, None) for a in array]):
+        cx, cy, cz = [], [], []
+        x, y, z = (counted(generator(g, realization), c) for g, c in ((Q0, cx), (P1, cy), (B, cz)))
+        bracket(x, y).coeffs(*ys)
+        assert (len(cx), len(cy)) == (1 + n, 1 + n)
+        assert cx[0] == cy[0] == tuple(ys)
+        cx.clear()
+        algebra.lincomb([(2.0, x), (-0.5, z), (1.0, x)], realization).coeffs(*ys)
+        assert len(cx) == 2 and len(cz) == 1
 
 
 def test_bracket_realization_mismatch():
@@ -122,8 +190,7 @@ def test_structure_tables_all_realizations():
     for r in REALIZATIONS:
         led = structure_table(r)
         assert led.max_defect <= 1e-10
-        for (g1, g2), sign in EXPECTED_FIELD_SIGNS.items():
-            assert led.signs[pair_label(g1, g2)] == sign
+        assert led.signs == EXPECTED_FIELD_SIGNS
         ledgers[led.realization] = led.signs
     # identical ledger across realizations
     base = ledgers["cartesian"]
@@ -211,11 +278,11 @@ def test_jacobi_identity():
 def test_so31_pack_coefficients():
     pack = so31_pack(UPSILON_LINE)
     for u in (0.7 + 0.2j, -0.4 + 1.1j):
-        s02 = complex(dual.value(pack[(0, 2)].coeffs[0](u)))
+        s02 = complex(dual.value(pack[(0, 2)].coeffs(u)[0]))
         assert s02 == pytest.approx((u * u - 1) / 2, abs=1e-13)
-        s13 = complex(dual.value(pack[(1, 3)].coeffs[0](u)))
+        s13 = complex(dual.value(pack[(1, 3)].coeffs(u)[0]))
         assert s13 == pytest.approx(1j * (u * u - 1) / 2, abs=1e-13)
-        s23 = complex(dual.value(pack[(2, 3)].coeffs[0](u)))
+        s23 = complex(dual.value(pack[(2, 3)].coeffs(u)[0]))
         assert s23 == pytest.approx(u, abs=1e-13)
 
 
@@ -467,7 +534,7 @@ def test_angular_tensor():
     # entries reproduce the packed coefficients over the common factor u d/du
     pack = so31_pack(UPSILON_LINE)
     for (a, b), fld in pack.items():
-        coeff = complex(dual.value(fld.coeffs[0](u)))
+        coeff = complex(dual.value(fld.coeffs(u)[0]))
         assert m[a, b] * u == pytest.approx(coeff, abs=1e-13)
     with pytest.raises(ZeroDivisionError):
         angular_tensor(0)

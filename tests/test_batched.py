@@ -47,7 +47,7 @@ def scalar_field_values(x, pts):
     rows = []
     for p in pts:
         args = algebra.point_args(x.realization, p)
-        rows.append([complex(dual.value(c(*args))) for c in x.coeffs])
+        rows.append([complex(dual.value(c)) for c in x.coeffs(*args)])
     return np.array(rows)
 
 
@@ -74,17 +74,10 @@ def closure_gradient(x, pts):
     """d_j of each coefficient of x by jet-lifting the stacked arguments,
     shape (arity, arity, npts) as TaylorField.g."""
     args = algebra.point_args(x.realization, pts)
+    # [j][k]: coefficient k of x along coordinate j
+    along = [x.coeffs(*(dual.Jet(a, float(i == j), 0.0) for i, a in enumerate(args))) for j in range(x.arity)]
     return np.array(
-        [
-            [
-                np.broadcast_to(
-                    dual.d1(c(*(dual.Jet(a, float(i == j), 0.0) for i, a in enumerate(args)))),
-                    np.shape(args[0]),
-                )
-                for j in range(x.arity)
-            ]
-            for c in x.coeffs
-        ]
+        [[np.broadcast_to(dual.d1(along[j][k]), np.shape(args[0])) for j in range(x.arity)] for k in range(x.arity)]
     )
 
 
@@ -107,11 +100,22 @@ def test_taylor_brackets_match_the_closure_path(realization):
     assert_close(got.v.T, algebra.field_values(nested, pts), tol=1e-13)
 
 
+@pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
+def test_taylor_brackets_are_the_closure_brackets_bitwise(realization):
+    # taylor_bracket sums in bracket()'s order, so all 15 table brackets
+    # agree to the last bit
+    pts = algebra.default_points(realization, n=30, seed=7)
+    tensors = algebra.generator_tensors(realization, pts)
+    for g1, g2 in algebra.BRACKET_PAIRS:
+        got = algebra.taylor_bracket(tensors[GENERATORS.index(g1)], tensors[GENERATORS.index(g2)])
+        ref = algebra.bracket(algebra.generator(g1, realization), algebra.generator(g2, realization))
+        want = algebra.field_values(ref, pts)
+        assert got.v.T.astype(complex).tobytes() == want.tobytes(), (g1, g2)
+
+
 def test_taylor_structure_table_covers_polar():
     ledger = algebra.structure_table(ChartId.POLAR, points=algebra.default_points(ChartId.POLAR, n=200))
-    assert ledger.signs == {
-        algebra.pair_label(g1, g2): sign for (g1, g2), sign in algebra.EXPECTED_FIELD_SIGNS.items()
-    }
+    assert ledger.signs == algebra.EXPECTED_FIELD_SIGNS
     assert ledger.max_defect <= 1e-12
 
 
@@ -120,7 +124,7 @@ def per_direction_tensors(realization, points, hessian):
     a time: the reference for its single all-directions pass."""
     args = algebra.point_args(realization, points)
     m, shape = len(args), np.shape(args[0])
-    table = [algebra.generator(gid, realization).coeffs for gid in GENERATORS]
+    fields = [algebra.generator(gid, realization) for gid in GENERATORS]
     dtype = np.result_type(*args)
     v = np.empty((6, m, *shape), dtype)
     g = np.empty((6, m, m, *shape), dtype)
@@ -128,9 +132,9 @@ def per_direction_tensors(realization, points, hessian):
 
     def along(*axes):
         jets = [dual.Jet(a, float(j in axes), 0.0) for j, a in enumerate(args)]
-        for i, row in enumerate(table):
-            for k, c in enumerate(row):
-                yield i, k, c(*jets)
+        for i, x in enumerate(fields):
+            for k, c in enumerate(x.coeffs(*jets)):
+                yield i, k, c
 
     for j in range(m):
         for i, k, jet in along(j):
@@ -172,9 +176,15 @@ def jet_parts(x):
 
 @pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
 def test_table_functions_are_the_coefficient_callables(realization):
-    # the shared-call table function and generator()'s per-coefficient
-    # callables compile from one expression of each table string, so every
-    # part of every coefficient agrees bitwise
+    # the shared-call table function and generator()'s rows of it against
+    # each table string compiled on its own: every part of every coefficient
+    # agrees bitwise
+    key = algebra.realization_key(realization)
+    head = f"lambda {', '.join(algebra.COORDINATE_NAMES[key])}: "
+    own = {
+        gid: [eval(head + algebra._expression(text), algebra._COEFF_NAMESPACE) for text in row]
+        for gid, row in algebra.GENERATOR_TABLE_STRINGS[key].items()
+    }
     args = algebra.point_args(realization, algebra.default_points(realization, n=20, seed=5))
     m = len(args)
     inputs = {
@@ -183,14 +193,14 @@ def test_table_functions_are_the_coefficient_callables(realization):
         "hessian": [dual.Jet(a, np.eye(m)[:, j, None], 0.0) for j, a in enumerate(args)],
     }
     for kind, ys in inputs.items():
-        table = algebra._TABLE_FUNCTIONS[algebra.realization_key(realization)](*ys)
+        table = algebra._TABLE_FUNCTIONS[key](*ys)
         assert len(table) == len(GENERATORS)
         for gid, row in zip(GENERATORS, table):
-            closures = algebra.generator(gid, realization).coeffs
-            assert len(row) == len(closures)
-            for k, (got, c) in enumerate(zip(row, closures)):
-                want = [part.tobytes() for part in jet_parts(c(*ys))]
-                assert [part.tobytes() for part in jet_parts(got)] == want, (kind, gid, k)
+            for got in (row, algebra.generator(gid, realization).coeffs(*ys)):
+                assert len(got) == len(own[gid]) == m
+                for k, (jet, c) in enumerate(zip(got, own[gid])):
+                    want = [part.tobytes() for part in jet_parts(c(*ys))]
+                    assert [part.tobytes() for part in jet_parts(jet)] == want, (kind, gid, k)
 
 
 @pytest.mark.parametrize("hessian", (False, True), ids=("values", "hessians"))

@@ -151,7 +151,7 @@ def test_zero_richardson_denominator_fails_with_message(monkeypatch):
     def first_order_step(x, c):
         # exactly the step the check compares against: zero defect at every eps
         return tuple(
-            x[k] - (c[0] * q0.coeffs[k](*x) + c[1] * q1.coeffs[k](*x)) for k in (0, 1)
+            x[k] - (c[0] * q0.coeffs(*x)[k] + c[1] * q1.coeffs(*x)[k]) for k in (0, 1)
         )
 
     def sine_curve(eps, p):
@@ -314,9 +314,8 @@ def test_every_negated_generator_entry_fails_a_check(monkeypatch):
     # mutation catalogue: each non-zero entry of the generator tables,
     # negated on its own, must fail at least one check of the suites that
     # read the tables; a realization left out of a check family lets its
-    # mutants survive.  The mutant is made in the table string, and both
-    # compiled forms (the coefficient callables and the table function) are
-    # rebuilt from it
+    # mutants survive.  The mutant is made in the table string, and the
+    # table function, which generator() reads too, is rebuilt from it
     cfg = SuiteConfig(seed=7, samples=3, suites=("charts", "algebra", "projective"))
     mutants, survivors = 0, []
     for key, rows in algebra.GENERATOR_TABLE_STRINGS.items():
@@ -327,9 +326,7 @@ def test_every_negated_generator_entry_fails_a_check(monkeypatch):
                 mutants += 1
                 with monkeypatch.context() as m:
                     m.setitem(rows, g, row[:k] + (f"-({text})",) + row[k + 1 :])
-                    callables, table = algebra._compile(key)
-                    m.setitem(algebra._COMPILED_TABLES, key, callables)
-                    m.setitem(algebra._TABLE_FUNCTIONS, key, table)
+                    m.setitem(algebra._TABLE_FUNCTIONS, key, algebra._compile(key))
                     if all(c.passed for c in run_suite(cfg).checks):
                         survivors.append(f"{key} {g} {k}: {text}")
     assert mutants == 46

@@ -170,6 +170,19 @@ def test_ylm_ratio_constants():
     )
 
 
+@pytest.mark.parametrize("negative_branch", (False, True), ids=("m=l", "m=-l"))
+def test_ylm_ratio_of_a_single_point_is_its_one_sample(negative_branch):
+    # the README's single point is one sample: bitwise its one-element array
+    for p in chart_points(ChartId.HOLOGRAPHIC, 5, random.Random(38)):
+        point = ChartPoint(ChartId.HOLOGRAPHIC, float(p.y0), float(p.y1))
+        one = ChartPoint(ChartId.HOLOGRAPHIC, np.array([p.y0]), np.array([p.y1]))
+        for l in range(1, 5):
+            got = ylm_ratio(l, point, negative_branch=negative_branch)
+            want = ylm_ratio(l, one, negative_branch=negative_branch)
+            assert type(got) is complex
+            assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
 def test_ylm_ratio_errors():
     rng = random.Random(37)
     grid = chart_points(ChartId.HOLOGRAPHIC, 5, rng)

@@ -62,11 +62,10 @@ CASES = [
     ),
     Case(
         VectorField,
-        {"realization": ChartId.CARTESIAN, "coeffs": (math.cos, math.sin)},
-        "VectorField(realization=<ChartId.CARTESIAN: 'cartesian'>, coeffs=(<built-in function cos>,"
-        " <built-in function sin>))",
+        {"realization": ChartId.CARTESIAN, "coeffs": math.cos},
+        "VectorField(realization=<ChartId.CARTESIAN: 'cartesian'>, coeffs=<built-in function cos>)",
         True,
-        {"coeffs": (math.sin, math.cos)},
+        {"coeffs": math.sin},
     ),
     Case(
         TaylorField,
