@@ -104,13 +104,6 @@ class VectorField(Record, frozen=True):
         return len(COORDINATE_NAMES[realization_key(self.realization)])
 
 
-def _lift(args, var: int) -> list:
-    """args, each lifted into a fresh first-order jet level (seeded along
-    coordinate var, the others as constants), so that jets from an enclosing
-    differentiation never share a level with this one."""
-    return [dual.Jet(a, 1.0 if i == var else 0.0, None) for i, a in enumerate(args)]
-
-
 def bracket(x: VectorField, y: VectorField) -> VectorField:
     """Commutator [x, y] with coefficients x(y_k) - y(x_k).
 
@@ -126,7 +119,7 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     def coeffs(*ys):
         xv, yv = x.coeffs(*ys), y.coeffs(*ys)
         # [j][k]: the partial along coordinate j of coefficient k
-        dx, dy = ([tuple(map(dual.d1, f.coeffs(*_lift(ys, j)))) for j in range(n)] for f in (x, y))
+        dx, dy = ([tuple(map(dual.d1, c)) for c in dual.partials(f.coeffs, ys)] for f in (x, y))
         out = []
         for k in range(n):
             acc = 0.0
@@ -192,7 +185,7 @@ def apply_to_function(x: VectorField, f: Callable, p) -> complex:
 
     p may be an array point; the result then has its sample shape."""
     args = point_args(x.realization, p)
-    grad = [dual.d1(f(*_lift(args, k))) for k in range(x.arity)]
+    grad = [dual.d1(g) for g in dual.partials(f, args)]
     return plain(_apply_with_gradient(x.coeffs(*args), grad))
 
 
@@ -381,8 +374,8 @@ def generator_tensors(realization, points, hessian: bool = False) -> TaylorField
     mixed = [(j, l) for j in range(m) for l in range(j + 1, m)] if hessian else []
     # one row per direction: the coordinate axes, then e_j + e_l
     directions = np.array([[float(j in d) for j in range(m)] for d in [(j,) for j in range(m)] + mixed])
-    # each argument in one fresh jet level, as _lift lifts them, with the
-    # direction axis before the sample axis
+    # each argument in one fresh jet level, as dual.partials lifts them, but
+    # with all directions on one axis before the sample axis: one evaluation
     jets = [dual.Jet(a, directions[:, j, None], 0.0 if hessian else None) for j, a in enumerate(args)]
 
     dtype = np.result_type(*args)
@@ -602,7 +595,7 @@ def eigenactions(alpha: complex, p: ChartPoint) -> list:
     log-radius and angle (as solve computes them)."""
     args = point_args(p.chart, p)
     f = SolutionFamily(alpha, p.chart)
-    grad = [dual.d1(f(*_lift(args, k))) for k in range(len(args))]
+    grad = [dual.d1(g) for g in dual.partials(f, args)]
     log_r, phi = _log_radius_angle(p.chart, *args)
     u = {shift: dual.exp((alpha + shift) * (log_r + 1j * phi)) for shift in (0, -1, 1)}
     coeffs = dict(zip(GENERATORS, _TABLE_FUNCTIONS[p.chart.value](*args)))
@@ -627,6 +620,15 @@ SO31_PACKING = {
 
 SO31_INDEX_PAIRS = tuple(SO31_PACKING)
 
+# the 15 brackets of two distinct packed rotations, in the ledger's order
+SO31_BRACKET_PAIRS = tuple(itertools.combinations(SO31_INDEX_PAIRS, 2))
+
+
+def packed_label(a: tuple, b: tuple) -> str:
+    """The ledger label of the packed bracket [s_a, s_b], such as "[s02,s03]"."""
+    return f"[s{a[0]}{a[1]},s{b[0]}{b[1]}]"
+
+
 # SO31_PACKING as a 6x6 matrix: rows s_ab, columns GENERATORS
 SO31_PACK_MATRIX = np.array([[row.get(g, 0.0) for g in GENERATORS] for row in SO31_PACKING.values()])
 
@@ -635,12 +637,11 @@ MINKOWSKI_METRIC = (1.0, 1.0, 1.0, -1.0)
 # more than this fails minkowski_check's scan
 SCAN_TOL = 1e-8
 
-# brackets that reduce to a [q, p] commutator inherit its negated sign
+# every vector-field realization negates exactly the four packed brackets
+# that reduce to [q, p] brackets; keyed by the ledger's bracket labels
+_QP_PACKED_PAIRS = frozenset({((0, 2), (0, 3)), ((0, 2), (1, 2)), ((0, 3), (1, 3)), ((1, 2), (1, 3))})
 MINKOWSKI_FIELD_SIGNS = {
-    "[s02,s03]": -1,
-    "[s02,s12]": -1,
-    "[s03,s13]": -1,
-    "[s12,s13]": -1,
+    packed_label(a, b): (-1 if (a, b) in _QP_PACKED_PAIRS else 1) for a, b in SO31_BRACKET_PAIRS
 }
 
 
@@ -702,18 +703,17 @@ def minkowski_check(realization, points=None) -> MinkowskiResult:
     broken bracket.  An empty point set raises ValueError.
     """
     points = _sample_points(realization, points)
-    pairs = list(itertools.combinations(SO31_INDEX_PAIRS, 2))
-    labels = [f"[s{a[0]}{a[1]},s{b[0]}{b[1]}]" for a, b in pairs]
+    labels = [packed_label(a, b) for a, b in SO31_BRACKET_PAIRS]
     index = SO31_INDEX_PAIRS.index
     rows = [
         (index(a), index(b), [(c, index(ab)) for c, ab in _so31_rhs_terms(a, b, MINKOWSKI_METRIC)])
-        for a, b in pairs
+        for a, b in SO31_BRACKET_PAIRS
     ]
     pack = generator_tensors(realization, points).combine(SO31_PACK_MATRIX)
     d_plus, d_minus = _bracket_defects(pack, rows)
     key = realization_key(realization)
     ledger = SignLedger.matched(key, labels, d_plus, d_minus, MATCH_TOL)
-    shared = [_shared_index(a, b) for a, b in pairs]
+    shared = [_shared_index(a, b) for a, b in SO31_BRACKET_PAIRS]
     passing = []
     for bits in range(16):
         metric = tuple(1.0 if bits & (1 << k) == 0 else -1.0 for k in range(4))

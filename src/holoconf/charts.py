@@ -3,16 +3,16 @@
 Four charts cover the constructions in this package: the cartesian one,
 embedded by the identity, and three angular ones, which put (y0, phi) at
 R(y0) (cos phi, sin phi).  One private table, _RADII, declares each angular
-chart once: R, R', R^-1, the domain of y0 and the coefficients (k, k') of
-its rescaled Laplace operator (k d0)^2 + d11, where k = R/R':
+chart once: R, R', R^-1 and the domain of y0.  The (k, k') of its rescaled
+Laplace operator (k d0)^2 + d11 are derived from R and R' (laplace.laplacian):
 
-===========  ============  =========  =========  ========  ===========  ============
-chart        (y0, y1)      R(y0)      R'(y0)     R^-1(r)   y0 in        (k, k')
-===========  ============  =========  =========  ========  ===========  ============
+===========  ============  =========  =========  ========  ===========  =================
+chart        (y0, y1)      R(y0)      R'(y0)     R^-1(r)   y0 in        k = R/R', derived
+===========  ============  =========  =========  ========  ===========  =================
 polar        (r, phi)      r          1          r         (0, inf)     (r, 1)
 holographic  (theta, phi)  sin theta  cos theta  arcsin r  (0, pi/2)    (tan, sec^2)
 conformal    (rho, phi)    e^rho      e^rho      log r     (-inf, inf)  (1, 0)
-===========  ============  =========  =========  ========  ===========  ============
+===========  ============  =========  =========  ========  ===========  =================
 
 Angles live in [0, 2*pi); the holographic chart covers the open unit disk
 -- its metric degenerates at theta = pi/2, so a ChartPoint within GUARD of
@@ -115,10 +115,9 @@ def _tensor(rows, p: ChartPoint) -> np.ndarray:
 class _Radius(NamedTuple):
     """One angular chart: (y0, y1) lies at R(y0) (cos y1, sin y1)."""
     radius: Callable  # R(y0); jet-aware, so basis differentiates it
-    derivative: Callable  # R'(y0), read by the closed forms
+    derivative: Callable  # R'(y0), jet-aware: the closed forms and laplacian's k = R/R' read it
     inverse: Callable  # y0 = R^-1(|x|), for |x| >= GUARD
     domain: tuple  # (name, lo, hi): the y0 a ChartPoint accepts
-    operator: Callable  # (k, k') of y0, k = R/R': the rescaled Laplacian (k d0)^2 + d11
 
 
 def _disk_arcsin(r):
@@ -126,21 +125,10 @@ def _disk_arcsin(r):
     return np.arcsin(r)
 
 
-def _tan_operator(y0):
-    t = np.tan(y0)
-    return t, 1.0 + t * t
-
-
 _RADII = {
-    ChartId.POLAR: _Radius(
-        lambda y0: y0, lambda y0: 1.0, lambda r: r, ("radius", GUARD, math.inf), lambda y0: (y0, 1.0)
-    ),
-    ChartId.HOLOGRAPHIC: _Radius(
-        dual.sin, dual.cos, _disk_arcsin, ("theta", GUARD, math.pi / 2 - GUARD), _tan_operator
-    ),
-    ChartId.CONFORMAL: _Radius(
-        dual.exp, dual.exp, np.log, ("rho", -math.inf, math.inf), lambda y0: (1.0, 0.0)
-    ),
+    ChartId.POLAR: _Radius(lambda y0: y0, lambda y0: 1.0, lambda r: r, ("radius", GUARD, math.inf)),
+    ChartId.HOLOGRAPHIC: _Radius(dual.sin, dual.cos, _disk_arcsin, ("theta", GUARD, math.pi / 2 - GUARD)),
+    ChartId.CONFORMAL: _Radius(dual.exp, dual.exp, np.log, ("rho", -math.inf, math.inf)),
 }
 
 ANGULAR_CHARTS = tuple(_RADII)
@@ -180,14 +168,9 @@ def invert(chart: ChartId, x0: float, x1: float) -> ChartPoint:
 
 def basis(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate basis vectors d(embed)/dy_alpha, via first-order dual
-    numbers."""
-    cols = []
-    for var in (0, 1):
-        args = [p.y0, p.y1]
-        args[var] = dual.Jet(args[var], 1.0, None)
-        x0, x1 = embed_coords(p.chart, *args)
-        cols.append([dual.d1(x0), dual.d1(x1)])
-    return tuple(_tensor(cols, p))
+    numbers (dual.partials)."""
+    partials = dual.partials(lambda y0, y1: embed_coords(p.chart, y0, y1), (p.y0, p.y1))
+    return tuple(_tensor([[dual.d1(x0), dual.d1(x1)] for x0, x1 in partials], p))
 
 
 def basis_closed_form(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,12 @@ operand gives a first-order jet.  Seed first-order jets where only d1 is
 read; d2() of a first-order jet raises ValueError rather than return a value
 that was never computed.
 
+First partials follow one rule, partials: every argument is lifted into a
+fresh jet level, so a jet of an enclosing derivative is never taken for one
+of this level and a nested derivative is exact (Siskind and Pearlmutter's
+"perturbation confusion", IFL 2005).  A jet captured in a closure is not an
+argument, is not lifted and shares the level of whatever it meets.
+
 Plain values go through numpy whatever their shape: a Python float or
 complex leaves as the numpy scalar of the same value type.  numpy's exp,
 log, tan and arctan2 differ from math's in the last bit for up to a few
@@ -125,6 +131,13 @@ def d2(x):
 def seed(x):
     """Jet representing the identity function at x (derivative 1)."""
     return Jet(x, 1.0, 0.0)
+
+
+def partials(f, args) -> list:
+    """f evaluated once per argument k, with every argument lifted into one
+    fresh first-order jet level seeded along k; d1 of result k is the
+    partial along argument k.  Jets f captures in closures are not lifted."""
+    return [f(*(Jet(a, 1.0 if i == k else 0.0, None) for i, a in enumerate(args))) for k in range(len(args))]
 
 
 def _chain(x, f0, f1, f2):

@@ -3,7 +3,8 @@
 The operator applied here is the conformally rescaled one, chosen so that
 in every chart it is a polynomial in the coordinate derivative operators:
 d00 + d11 on the cartesian chart and (k d0)(k d0) + d11 = R^2 * standard
-on an angular one, with k = R/R' from the chart table (charts._RADII):
+on an angular one, with k = R/R' derived from the chart table's R and R'
+(charts._RADII) by one first-order jet:
 
 * polar:        (r dr)(r dr) + dpp            = r^2 * standard
 * holographic:  (tan t dt)(tan t dt) + dpp    = sin^2(t) * standard
@@ -83,15 +84,19 @@ def solve(alpha: complex, p: ChartPoint) -> complex:
 def laplacian(f: Callable, p: ChartPoint) -> complex:
     """Apply the rescaled Laplace operator of p's chart to f at p (a plain
     or an array point)."""
+    # seed one coordinate, not dual.partials' lift of both: a ChartPoint holds
+    # no jets to confuse, and lifting made a verify run 2-4 % slower (at 1000
+    # samples and at 50)
     j0 = f(dual.seed(p.y0), p.y1)
     j1 = f(p.y0, dual.seed(p.y1))
     f0, f00 = dual.d1(j0), dual.d2(j0)
     f11 = dual.d2(j1)
     if p.chart is ChartId.CARTESIAN:
         return f00 + f11
-    # (k d0)^2 + d11, with k' = dk/dy0 from the chart table
-    k, dk = _RADII[p.chart].operator(p.y0)
-    return k * dk * f0 + k * k * f00 + f11
+    # (k d0)^2 + d11, with k = R/R' and k' = dk/dy0 from the chart table's R, R'
+    row = _RADII[p.chart]
+    (k,) = dual.partials(lambda y0: row.radius(y0) / row.derivative(y0), (p.y0,))
+    return k.f * k.d1 * f0 + k.f * k.f * f00 + f11
 
 
 def residual(alpha: complex, p: ChartPoint) -> float:
@@ -106,9 +111,9 @@ def rescale_factor(p: ChartPoint) -> float:
 
 
 def conjugate_derivative(f: Callable, x0: float, x1: float) -> complex:
-    """(d/dx0 + i d/dx1) f in cartesian coordinates, from first-order jets."""
-    g0 = f(dual.Jet(x0, 1.0, None), x1)
-    g1 = f(x0, dual.Jet(x1, 1.0, None))
+    """(d/dx0 + i d/dx1) f in cartesian coordinates, from first-order jets
+    (dual.partials, so x0 and x1 may be jets of an outer derivative)."""
+    g0, g1 = dual.partials(f, (x0, x1))
     return dual.d1(g0) + 1j * dual.d1(g1)
 
 

@@ -532,10 +532,7 @@ def algebra_checks(cfg: SuiteConfig):
         n = max(10, cfg.samples // 2)
         pts = algebra.default_points(r, n=n, seed=_seed(cfg, f"alg.minkowski.{r}"))
         res = algebra.minkowski_check(r, points=pts)
-        out = _signed(
-            res.ledger,
-            {key: algebra.MINKOWSKI_FIELD_SIGNS.get(key, 1) for key in res.ledger.signs},
-        )
+        out = _signed(res.ledger, algebra.MINKOWSKI_FIELD_SIGNS)
         if res.metric_forced:
             return out
         return out._replace(

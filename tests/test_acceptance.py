@@ -157,8 +157,7 @@ def test_criterion_4_algebra_suite():
 
         res = minkowski_check(r, points=default_points(r, n=15, seed=1043))
         ok = ok and res.metric_forced and res.passing_metrics == [MINKOWSKI_METRIC]
-        for key, sign in res.ledger.signs.items():
-            ok = ok and sign == MINKOWSKI_FIELD_SIGNS.get(key, 1)
+        ok = ok and res.ledger.signs == MINKOWSKI_FIELD_SIGNS
         ok = ok and res.ledger.max_defect <= 1e-10
 
     pack = so31_pack(UPSILON_LINE)

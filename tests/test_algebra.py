@@ -43,7 +43,7 @@ from holoconf.algebra import (
     tangent_curve,
 )
 from holoconf.charts import ANGULAR_CHARTS, ChartId, ChartPoint, DomainError
-from holoconf.laplace import SolutionFamily, solve
+from holoconf.laplace import SolutionFamily, conjugate_derivative, solve
 from holoconf.sampling import chart_points, scale_dimensions, upsilon_points
 
 
@@ -257,6 +257,26 @@ def test_degree_shift_on_monomials():
             )
 
 
+@pytest.mark.parametrize("g, expected", [(P1, 1.0), (P0, 1j), (B, 1.3 + 0.7j)])
+def test_a_derivative_of_a_conjugate_derivative_is_exact(g, expected):
+    # conjugate_derivative differentiates inside apply_to_function's jets:
+    # (d0 + i d1)(x0 x1) = x1 + i x0, so d1 of it is 1, d0 is i and
+    # b = x0 d0 + x1 d1 gives x0 i + x1 at (0.7, 1.3)
+    f = lambda x0, x1: x0 * x1
+    p = ChartPoint(ChartId.CARTESIAN, 0.7, 1.3)
+    got = apply_to_function(generator(g, ChartId.CARTESIAN), lambda y0, y1: conjugate_derivative(f, y0, y1), p)
+    assert got == pytest.approx(expected, abs=1e-15)
+
+
+def test_a_bracket_of_a_field_that_differentiates_is_exact():
+    # v = (x1 + i x0) d0, its coefficient a conjugate derivative of x0 x1:
+    # [p1, v] = (d1 (x1 + i x0)) d0 = d0
+    f = lambda x0, x1: x0 * x1
+    v = algebra.VectorField(ChartId.CARTESIAN, lambda y0, y1: (conjugate_derivative(f, y0, y1), 0.0))
+    got = field_values(bracket(generator(P1, ChartId.CARTESIAN), v), ChartPoint(ChartId.CARTESIAN, 0.7, 1.3))
+    assert got.tolist() == [[1.0, 0.0]]
+
+
 def test_jacobi_identity():
     rng = random.Random(44)
     for r in REALIZATIONS:
@@ -298,8 +318,7 @@ def test_minkowski_check_flat_examples():
 def test_minkowski_metric_forced_everywhere():
     for r in REALIZATIONS:
         res = minkowski_check(r, points=default_points(r, n=15))
-        for key, sign in res.ledger.signs.items():
-            assert sign == MINKOWSKI_FIELD_SIGNS.get(key, 1)
+        assert res.ledger.signs == MINKOWSKI_FIELD_SIGNS
         assert res.metric_forced
         assert res.passing_metrics == [MINKOWSKI_METRIC]
 

@@ -119,6 +119,20 @@ def test_nested_jets_mixed_partial():
     )
 
 
+def test_partials_lift_every_argument_into_one_fresh_level():
+    x0, y0 = 0.9, 1.4
+    assert [(j.f, j.d1, j.d2) for j in dual.partials(lambda x, y: (x, y), (x0, y0))[1]] == [
+        (x0, 0.0, None),
+        (y0, 1.0, None),
+    ]
+    # partials of partials: the outer jets are arguments, so the inner
+    # level never takes them for its own; d/dy [d/dx sin(x y)] as above
+    inner = lambda x, y: dual.d1(dual.partials(lambda a, b: dual.sin(a * b), (x, y))[0])
+    mixed = dual.partials(inner, (x0, y0))[1]
+    assert dual.value(mixed) == pytest.approx(y0 * math.cos(x0 * y0), abs=1e-13)
+    assert dual.d1(mixed) == pytest.approx(math.cos(x0 * y0) - x0 * y0 * math.sin(x0 * y0), abs=1e-12)
+
+
 def test_value_helpers_on_plain_numbers():
     assert dual.value(2.5) == 2.5
     assert dual.d1(2.5) == 0.0

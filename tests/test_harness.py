@@ -253,6 +253,25 @@ def test_unmatched_packed_bracket_fails_its_check(monkeypatch):
     assert [c.name for c in report.checks if not c.passed] == [c.name for c in packed] + ["angular_tensor"]
 
 
+def test_a_dropped_packed_bracket_fails_its_check(monkeypatch):
+    # the ledger is compared with all 15 expected signs, so a ledger that
+    # lost a bracket fails rather than pass on the 14 it kept
+    check = algebra.minkowski_check
+
+    def dropping(r, points):
+        res = check(r, points=points)
+        del res.ledger.signs["[s02,s03]"]
+        return res
+
+    monkeypatch.setattr(algebra, "minkowski_check", dropping)
+    report = run_suite(SuiteConfig(seed=3, samples=5, suites=("algebra",)))
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [f"minkowski_packing[{r}]" for r in algebra.REALIZATIONS]
+    for c in failed:
+        assert c.max_defect is None and c.message == "structural mismatch"
+        assert "[s02,s03]" not in c.sign_ledger
+
+
 def test_a_raising_basis_fails_each_check_that_reads_it(monkeypatch):
     # the charts suite computes each chart's basis once for the four checks
     # that read it; a basis that raises is not cached, so it fails all four
@@ -276,36 +295,44 @@ def test_a_raising_basis_fails_each_check_that_reads_it(monkeypatch):
     assert calls == [ChartId.CARTESIAN, ChartId.POLAR] + [ChartId.HOLOGRAPHIC] * 4 + [ChartId.CONFORMAL]
 
 
+CLOSED_FORM_CHECKS = ("basis_dual_vs_closed", "metric_closed_form", "jacobian_mixed_closed")
+
+
 @pytest.mark.parametrize(
-    "entry, wrong, fails",
+    "chart, entry, wrong, fails",
     [
         # R' = sin for R = sin: basis differentiates R, the closed forms read R'
-        ("derivative", dual.sin, ("basis_dual_vs_closed", "metric_closed_form", "jacobian_mixed_closed")),
-        # R^-1 = arctan: a plane point comes back elsewhere on its ray
-        ("inverse", np.arctan, ("embed_roundtrip",)),
+        (ChartId.HOLOGRAPHIC, "derivative", dual.sin, CLOSED_FORM_CHECKS),
+        # a wrong R^-1 sends a plane point back elsewhere on its ray
+        (ChartId.POLAR, "inverse", lambda r: 1.5 * r, ("embed_roundtrip",)),
+        (ChartId.HOLOGRAPHIC, "inverse", np.arctan, ("embed_roundtrip",)),
+        (ChartId.CONFORMAL, "inverse", lambda r: np.log(r) + 0.5, ("embed_roundtrip",)),
     ],
+    ids=["holographic-derivative-sin", "polar-inverse-1.5r", "holographic-inverse-arctan", "conformal-inverse-log+0.5"],
 )
-def test_a_wrong_radius_table_entry_fails_its_chart_checks(monkeypatch, entry, wrong, fails):
+def test_a_wrong_radius_table_entry_fails_its_chart_checks(monkeypatch, chart, entry, wrong, fails):
     # the closed forms and the inverse read the one radius table; a wrong
     # entry there must show in the checks of that chart and no others
-    radius = charts._RADII[ChartId.HOLOGRAPHIC]
-    monkeypatch.setitem(charts._RADII, ChartId.HOLOGRAPHIC, radius._replace(**{entry: wrong}))
+    radius = charts._RADII[chart]
+    monkeypatch.setitem(charts._RADII, chart, radius._replace(**{entry: wrong}))
     report = run_suite(SuiteConfig(seed=3, samples=10, suites=("charts",)))
     failed = [c for c in report.checks if not c.passed]
-    assert [c.name for c in failed] == [f"{name}[holographic]" for name in fails]
+    assert [c.name for c in failed] == [f"{name}[{chart}]" for name in fails]
     for c in failed:
         assert c.max_defect > 1e-3 and c.message is None
 
 
 @pytest.mark.parametrize("chart", charts.ANGULAR_CHARTS, ids=str)
-def test_a_wrong_operator_entry_fails_its_laplace_checks(monkeypatch, chart):
-    # (k, k') = (1, 1) is no chart's operator; laplacian alone reads the
-    # entry, so exactly the two operator checks of that chart fail
+def test_a_wrong_derivative_entry_fails_its_chart_and_laplace_checks(monkeypatch, chart):
+    # R' doubled: the closed forms read R', and laplacian derives its
+    # operator's k = R/R' from it, so exactly the chart's three closed-form
+    # checks and its two operator checks fail
     radius = charts._RADII[chart]
-    monkeypatch.setitem(charts._RADII, chart, radius._replace(operator=lambda y0: (1.0, 1.0)))
+    monkeypatch.setitem(charts._RADII, chart, radius._replace(derivative=lambda y0: 2 * radius.derivative(y0)))
     report = run_suite(SuiteConfig(seed=3, samples=10, suites=("charts", "laplace")))
     failed = [c for c in report.checks if not c.passed]
-    assert [c.name for c in failed] == [f"solution_residual[{chart}]", f"rescaled_operator_factor[{chart}]"]
+    fails = (*CLOSED_FORM_CHECKS, "solution_residual", "rescaled_operator_factor")
+    assert [c.name for c in failed] == [f"{name}[{chart}]" for name in fails]
     for c in failed:
         assert c.max_defect > 1e-3 and c.message is None
 
