@@ -48,7 +48,7 @@ from . import dual, sampling
 from ._record import Record
 from .bicomplex import plain, reject
 from .charts import ChartId, ChartPoint, DomainError
-from .laplace import SolutionFamily, _log_radius_angle, solve
+from .laplace import SolutionFamily, solve
 
 UPSILON_LINE = "upsilon-line"
 
@@ -591,13 +591,13 @@ def eigenactions(alpha: complex, p: ChartPoint) -> list:
     g in GENERATORS, its (factor, shift) from _EIGENACTIONS: the acted and
     the table value of g on the alpha-solution.  They come from one
     evaluation of the generator table, one gradient of the alpha-solution
-    and the solutions of dimensions alpha, alpha - 1 and alpha + 1 from one
-    log-radius and angle (as solve computes them)."""
+    and one SolutionFamily call on the dimensions alpha, alpha - 1 and
+    alpha + 1 stacked on a leading axis."""
     args = point_args(p.chart, p)
-    f = SolutionFamily(alpha, p.chart)
-    grad = [dual.d1(g) for g in dual.partials(f, args)]
-    log_r, phi = _log_radius_angle(p.chart, *args)
-    u = {shift: dual.exp((alpha + shift) * (log_r + 1j * phi)) for shift in (0, -1, 1)}
+    grad = [dual.d1(g) for g in dual.partials(SolutionFamily(alpha, p.chart), args)]
+    # alpha broadcast to the samples first, or a scalar's shifts pair with them
+    dims = np.add.outer((0, -1, 1), np.broadcast_to(alpha, np.broadcast(alpha, *args).shape))
+    u = dict(zip((0, -1, 1), SolutionFamily(dims, p.chart)(*args)))
     coeffs = dict(zip(GENERATORS, _TABLE_FUNCTIONS[p.chart.value](*args)))
     return [
         (_apply_with_gradient(coeffs[g], grad), factor * alpha * u[shift])

@@ -255,22 +255,31 @@ def compactify(x0: float, x1: float, rescaled: bool = False) -> ConformalVector:
 
     Unrescaled: (x0, x1, (1-x^2)/2, (1+x^2)/2).  Rescaled: divided by the
     last component, so u3 = 1 and (u0, u1, u2) lies on the unit sphere.
-    A non-finite point raises DomainError, naming the first bad sample.
+    A non-finite point raises DomainError and one whose x^2 overflows
+    OverflowError, each naming the first bad sample.
     """
-    ChartPoint(ChartId.CARTESIAN, x0, x1)
-    xsq = x0 * x0 + x1 * x1
+    xsq = _squared_norm(x0, x1)
     u = (x0, x1, (1.0 - xsq) / 2.0, (1.0 + xsq) / 2.0)
     if rescaled:
         u = tuple(c / u[3] for c in u)
     return ConformalVector(*u)
 
 
+def _squared_norm(x0, x1):
+    """|x|^2 of a plane point.  A non-finite point raises DomainError and one
+    whose |x|^2 overflows OverflowError, each naming the first bad sample."""
+    ChartPoint(ChartId.CARTESIAN, x0, x1)
+    with np.errstate(over="ignore"):
+        nsq = x0 * x0 + x1 * x1
+    reject(np.isinf(nsq), OverflowError, "|x|^2 of ({}, {}) overflows", x0, x1)
+    return nsq
+
+
 def invert_point(x: tuple[float, float]) -> tuple[float, float]:
     """Inversion x -> x/|x|^2; the origin maps to infinity (pole).  The
     coordinates may be arrays over samples; a non-finite point raises
-    DomainError."""
-    ChartPoint(ChartId.CARTESIAN, *x)
-    nsq = x[0] * x[0] + x[1] * x[1]
+    DomainError and one whose |x|^2 overflows OverflowError."""
+    nsq = _squared_norm(*x)
     reject(nsq < GUARD * GUARD, PoleCrossingError, "inversion pole at the origin")
     return (x[0] / nsq, x[1] / nsq)
 
@@ -282,8 +291,10 @@ def special_conformal(
 
     Infinitesimally this is the flow of minus the quadratic generator
     fields: the first-order change in x is -(c0*q0 + c1*q1) evaluated at x.
-    Points driven to a pole raise PoleCrossingError instead of overflowing;
-    for arrays over samples the message names the first such sample.
+    Points driven to a pole raise PoleCrossingError instead of overflowing,
+    and a point whose |x|^2 overflows (before or after the translation)
+    OverflowError; for arrays over samples the message names the first such
+    sample.
     """
     y = invert_point(x)
     y = (y[0] + c[0], y[1] + c[1])

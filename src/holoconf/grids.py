@@ -8,6 +8,7 @@ import numpy as np
 
 from .algebra import B, S01, cn, sn
 from .bicomplex import _complex
+from .charts import ChartId, embed_coords
 from .projective import Ring, S3Point, exp_one_param, hopf, mobius_apply
 
 
@@ -15,7 +16,7 @@ def _joukowski_rows(resolution: int):
     yield ("radius", "phi", "u_re", "u_im", "cn_re", "cn_im", "sn_re", "sn_im")
     phi = 2.0 * math.pi * np.arange(resolution) / resolution
     for radius in (1.0, 1.1, 1.3, 1.6, 2.0):
-        u = _complex(radius * np.cos(phi), radius * np.sin(phi))
+        u = _complex(*embed_coords(ChartId.POLAR, radius, phi))
         c, s = cn(u), sn(u)
         columns = (np.full(resolution, radius), phi, u.real, u.imag, c.real, c.imag, s.real, s.imag)
         yield from zip(*(x.tolist() for x in columns))

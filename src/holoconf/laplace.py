@@ -155,10 +155,10 @@ def ylm_ratio(l: int, grid: ChartPoint, negative_branch: bool = False) -> comple
     """Common ratio Y_l^{+-l} / solution^l over a holographic point (an
     array point, or a single point as one sample).
 
-    The ratio of the extremal harmonic to the l-th power solution (or its
-    conjugate branch for m = -l) is a constant; a relative spread above
-    1e-10 across the grid raises ArithmeticError.  The mean is Python's
-    sequential sum over the samples in order, not numpy's pairwise one.
+    solution^l is SolutionFamily(l, HOLOGRAPHIC) for m = l, its conjugate_branch
+    for m = -l; the ratio is a constant, and a relative spread above 1e-10
+    across the grid raises ArithmeticError.  The mean is Python's sequential
+    sum over the samples in order, not numpy's pairwise one.
     """
     if l < 1:
         raise ValueError("ratio is defined for l >= 1")
@@ -169,7 +169,7 @@ def ylm_ratio(l: int, grid: ChartPoint, negative_branch: bool = False) -> comple
     m = -l if negative_branch else l
     # a single point is one sample
     theta, phi = np.atleast_1d(grid.y0, grid.y1)
-    ratios = ylm(l, m, theta, phi) / (np.sin(theta) ** l * _phase(m * phi))
+    ratios = ylm(l, m, theta, phi) / SolutionFamily(l, grid.chart, conjugate_branch=negative_branch)(theta, phi)
     mean = sum(ratios.tolist()) / len(ratios)
     spread = math.sqrt(np.mean(np.abs(ratios - mean) ** 2))
     if spread > 1e-10 * abs(mean):

@@ -31,12 +31,12 @@ from .algebra import (
     B,
     BRACKET_PAIRS,
     BRACKET_RELATIONS,
+    EXPECTED_FIELD_SIGNS,
     GENERATORS,
     P0,
     P1,
     Q0,
     Q1,
-    QP_PAIRS,
     S01,
     UPSILON_LINE,
     GeneratorId,
@@ -248,17 +248,16 @@ def matrix_bracket_table(ring: Ring) -> SignLedger:
     )
 
 
-# the real matrix ledger is the global negation of the upsilon-line field
-# ledger on the shared subalgebra
+# matrices and fields are anti-homomorphic: over the real and complex rings a bracket with a
+# nonzero right-hand side takes minus its field sign; the bicomplex ring holds the table as written
 EXPECTED_MATRIX_SIGNS = {
-    Ring.REAL: {"[b,p0]": -1, "[b,q0]": -1, "[q0,p0]": 1},
-    Ring.COMPLEX: {
-        pair_label(g1, g2): (
-            1 if not BRACKET_RELATIONS[(g1, g2)] or (g1, g2) in QP_PAIRS else -1
-        )
-        for g1, g2 in BRACKET_PAIRS
-    },
-    Ring.BICOMPLEX: {pair_label(g1, g2): 1 for g1, g2 in BRACKET_PAIRS},
+    ring: {
+        pair_label(*pair): 1 if ring is Ring.BICOMPLEX or not BRACKET_RELATIONS[pair]
+        else -EXPECTED_FIELD_SIGNS[pair_label(*pair)]
+        for pair in BRACKET_PAIRS
+        if set(pair) <= set(supported_generators(ring))
+    }
+    for ring in Ring
 }
 
 

@@ -20,7 +20,7 @@ import random
 import numpy as np
 
 from .bicomplex import Bicomplex, _complex
-from .charts import ChartId, ChartPoint
+from .charts import ChartId, ChartPoint, embed_coords
 
 _ANGLE = (0.0, 2.0 * math.pi)
 
@@ -54,11 +54,11 @@ def uniform(n: int, rng: random.Random, *ranges) -> tuple[np.ndarray, ...]:
 
 
 def chart_points(chart: ChartId, n: int, rng: random.Random) -> ChartPoint:
-    """n points of the chart as one array point; per point, the angle is
-    drawn first (a cartesian point is drawn in polar coordinates)."""
+    """n points of the chart as one array point; per point, the angle is drawn
+    first (a cartesian point as polar (r, phi), placed by embed_coords(POLAR, r, phi))."""
     phi, y0 = uniform(n, rng, _ANGLE, _RANGES[chart])
     if chart is ChartId.CARTESIAN:
-        return ChartPoint(chart, y0 * np.cos(phi), y0 * np.sin(phi))
+        return ChartPoint(chart, *embed_coords(ChartId.POLAR, y0, phi))
     return ChartPoint(chart, y0, phi)
 
 
@@ -66,7 +66,7 @@ def upsilon_points(n: int, rng: random.Random, radii=(0.4, 1.6)) -> np.ndarray:
     """Nonzero complex points r e^{i phi} for the solution-coordinate
     realization, with r in radii; per point, r is drawn first."""
     r, phi = uniform(n, rng, radii, _ANGLE)
-    return _complex(r * np.cos(phi), r * np.sin(phi))
+    return _complex(*embed_coords(ChartId.POLAR, r, phi))
 
 
 def scale_dimensions(n: int, rng: random.Random) -> np.ndarray:

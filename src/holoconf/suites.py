@@ -334,12 +334,12 @@ def charts_checks(cfg: SuiteConfig):
         ang, r, cang = sampling.uniform(
             cfg.samples, _rng(cfg, "ch.sct"), (0, 2 * math.pi), (0.5, 2.0), (0, 2 * math.pi)
         )
-        x = (r * np.cos(ang), r * np.sin(ang))
+        x = charts.embed_coords(ChartId.POLAR, r, ang)
         # the quadratic fields' coefficients at x
         q0, q1 = (algebra.generator(g, ChartId.CARTESIAN).coeffs(*x) for g in (Q0, Q1))
 
         def defect(scale):
-            c = (scale * np.cos(cang), scale * np.sin(cang))
+            c = charts.embed_coords(ChartId.POLAR, scale, cang)
             y = charts.special_conformal(x, c)
             # first-order step is minus the quadratic fields
             dx0 = -(c[0] * q0[0] + c[1] * q1[0])

@@ -242,6 +242,22 @@ def test_eigenactions_are_act_and_the_table_value():
             assert np.array_equal(expected, table_action(g, alphas, pts))
 
 
+def test_eigenaction_values_pair_every_shift_with_every_sample():
+    # the expected values come from one call on the stacked dimensions alpha,
+    # alpha - 1 and alpha + 1: a scalar alpha on a 3-sample point and a
+    # 3-sample alpha on a single point both give solve's values, bitwise
+    rng = random.Random(45)
+    for chart in ChartId:
+        pts = chart_points(chart, 3, rng)
+        alphas = scale_dimensions(3, rng)
+        for alpha, p in ((complex(alphas[0]), pts), (alphas, pts[1])):
+            got = algebra.eigenactions(alpha, p)
+            for g, (_, expected) in zip(GENERATORS, got):
+                want = table_action(g, alpha, p)
+                assert np.shape(expected) == np.shape(want) == (3,)
+                assert np.asarray(expected).tobytes() == np.asarray(want).tobytes()
+
+
 def test_degree_shift_on_monomials():
     rng = random.Random(43)
     us = upsilon_points(10, rng)

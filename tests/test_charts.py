@@ -249,6 +249,32 @@ def test_plane_maps_reject_non_finite_points(fn, bad):
         fn(np.array([0.4, 0.6, 0.7, -0.2]), x1)
 
 
+# the maps of a plane point x that square |x|, as a call on the point (x0, x1)
+SQUARING_MAPS = {
+    "invert_point": PLANE_MAPS["invert_point"],
+    "special_conformal-identity": lambda x0, x1: special_conformal((x0, x1), (0.0, 0.0)),
+    "special_conformal-shift": PLANE_MAPS["special_conformal-shift"],
+    "compactify": compactify,
+    "compactify-rescaled": PLANE_MAPS["compactify-rescaled"],
+}
+
+
+@pytest.mark.parametrize("fn", SQUARING_MAPS.values(), ids=SQUARING_MAPS)
+def test_plane_maps_reject_a_point_whose_squared_norm_overflows(fn):
+    # |x| = 1e200 is finite but |x|^2 is not: rather than invert to 0 (not
+    # 1e-200), call the identity map a pole, lift to infinite components or
+    # warn, each map raises OverflowError naming the first bad sample
+    with pytest.raises(OverflowError, match=r"^\|x\|\^2 of \(1e\+200, .*\) overflows$"):
+        fn(1e200, 0.0)
+    with pytest.raises(OverflowError, match=r"^\|x\|\^2 of \(1e\+200, .*\) overflows at sample 1$"):
+        fn(np.array([0.4, 1e200, -1e200]), np.array([0.5, 0.0, 0.0]))
+
+
+def test_a_large_point_whose_squared_norm_is_finite_is_mapped():
+    assert charts.invert_point((1e150, 0.0)) == pytest.approx((1e-150, 0.0), rel=1e-15)
+    assert compactify(1e150, 0.0, rescaled=True).as_array() == pytest.approx([2e-150, 0.0, -1.0, 1.0], rel=1e-15)
+
+
 def test_conformal_vector_fields_and_point_types():
     v = compactify(0.3, -0.8)
     assert isinstance(v.u0, float)

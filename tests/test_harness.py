@@ -272,6 +272,22 @@ def test_a_dropped_packed_bracket_fails_its_check(monkeypatch):
         assert "[s02,s03]" not in c.sign_ledger
 
 
+def test_a_solution_family_that_ignores_its_branch_fails_harmonic_ratio(monkeypatch):
+    # ylm_ratio divides the m = -l harmonic by the conjugate branch of the
+    # solution family, so a family that drops conjugate_branch fails the
+    # mirror ratio, and no other check reads the branch
+    init = laplace.SolutionFamily.__init__
+
+    def branchless(self, alpha, chart, conjugate_branch=False):
+        init(self, alpha, chart)
+
+    monkeypatch.setattr(laplace.SolutionFamily, "__init__", branchless)
+    report = run_suite(SuiteConfig(seed=7))
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["harmonic_ratio"]
+    assert failed[0].message.startswith("ArithmeticError: Y ratio not constant")
+
+
 def test_a_raising_basis_fails_each_check_that_reads_it(monkeypatch):
     # the charts suite computes each chart's basis once for the four checks
     # that read it; a basis that raises is not cached, so it fails all four
