@@ -88,6 +88,8 @@ def cmd_grid(args, parser) -> int:
         n = emit_grid(args.kind, args.res, args.out)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
+    except MemoryError as exc:  # no file is left: emit_grid builds the rows first
+        parser.error(f"--res {args.res} is too large to allocate ({str(exc) or 'MemoryError'})")
     print(f"wrote {n} rows to {args.out}")
     return 0
 

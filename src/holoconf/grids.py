@@ -59,17 +59,15 @@ GRID_KINDS = tuple(_ROWS)
 
 
 def emit_grid(kind: str, resolution: int, path: str) -> int:
-    """Write the named sample grid as CSV; returns the number of data rows."""
+    """Write the named sample grid as CSV; returns the number of data rows.
+    The rows are built before the file opens: a failed build leaves no file."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     if kind not in _ROWS:
         raise ValueError(f"unknown grid kind {kind!r}; choose from {GRID_KINDS}")
     import csv  # only grid writes CSV: verify does not pay for the module
 
-    count = -1  # header excluded
+    rows = list(_ROWS[kind](resolution))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in _ROWS[kind](resolution):
-            writer.writerow(row)
-            count += 1
-    return count
+        csv.writer(fh).writerows(rows)
+    return len(rows) - 1  # header excluded

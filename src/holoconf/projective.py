@@ -261,6 +261,12 @@ EXPECTED_MATRIX_SIGNS = {
 }
 
 
+def on_pole(m: SpinMatrix, v):
+    """Per sample, whether v sits on a pole of m's action over the real or
+    complex ring, |c v + d| <= POLE_TOL: where mobius_apply raises PoleError."""
+    return np.abs(m.c * v + m.d) <= POLE_TOL
+
+
 def mobius_apply(m: SpinMatrix, v):
     """Fractional-linear action (a v + b) / (c v + d) in the matrix's ring.
 
@@ -294,9 +300,8 @@ def mobius_apply(m: SpinMatrix, v):
     reject(~np.isfinite(v), ValueError, "Mobius argument {} is not finite", v)
     if m.ring is Ring.REAL:
         reject(np.imag(v) != 0, ValueError, "the real ring acts on real arguments, not {}", v)
-    den = m.c * v + m.d
-    reject(np.abs(den) <= POLE_TOL, PoleError, "denominator vanished")
-    out = (m.a * v + m.b) / den
+    reject(on_pole(m, v), PoleError, "denominator vanished")
+    out = (m.a * v + m.b) / (m.c * v + m.d)
     return plain(out.real if m.ring is Ring.REAL else out)
 
 

@@ -21,8 +21,9 @@ ledger.  The runner
 
 A check family declares its members once, as ``over=``: the runner calls
 the body once per member and records each result as ``name[member]``.
-
-Failed checks are report entries; they never raise.
+Work that checks share (a draw, a basis) is a cached thunk, taken in the first
+body that reads it: no work runs outside a check body, so every exception of
+a check's work becomes a failed entry.  Failed checks never raise.
 """
 
 from __future__ import annotations
@@ -242,11 +243,10 @@ def charts_checks(cfg: SuiteConfig):
     n = max(cfg.samples, 100)
 
     for chart in ALL_CHARTS:
-        # one draw shared by the five checks of the chart, and one basis of
-        # it shared by the four that read it (computed at first use; a basis
-        # that raises is not cached, so it fails each of them)
-        p = sampling.chart_points(chart, n, _rng(cfg, f"ch.{chart.value}"))
-        lower = functools.cache(lambda: charts.jacobian_lower(p))
+        # one draw shared by the chart's five checks and one basis by the four
+        # that read it, each taken at first use; one that raises fails each reader
+        p = functools.cache(lambda: sampling.chart_points(chart, n, _rng(cfg, f"ch.{chart.value}")))
+        lower = functools.cache(lambda: charts.jacobian_lower(p()))
         mixed = functools.cache(lambda: charts.mixed_from_lower(lower()))
 
         @run.check(
@@ -256,7 +256,7 @@ def charts_checks(cfg: SuiteConfig):
         )
         def _():
             a = lower()
-            c0, c1 = charts.basis_closed_form(p)
+            c0, c1 = charts.basis_closed_form(p())
             yield from (np.abs(a[:, 0] - c0), np.abs(a[:, 1] - c1))
 
         @run.check(
@@ -265,7 +265,7 @@ def charts_checks(cfg: SuiteConfig):
             "tol",
         )
         def _():
-            yield np.abs(charts.gram(lower()) - charts.metric_closed_form(p))
+            yield np.abs(charts.gram(lower()) - charts.metric_closed_form(p()))
 
         @run.check(
             f"jacobian_inverse[{chart.value}]",
@@ -283,7 +283,7 @@ def charts_checks(cfg: SuiteConfig):
             "tol",
         )
         def _():
-            yield np.abs(mixed() - charts.jacobian_mixed_closed_form(p))
+            yield np.abs(mixed() - charts.jacobian_mixed_closed_form(p()))
 
         @run.check(
             f"embed_roundtrip[{chart.value}]",
@@ -291,7 +291,7 @@ def charts_checks(cfg: SuiteConfig):
             "tol",
         )
         def _():
-            x0, x1 = charts.embed(p)
+            x0, x1 = charts.embed(p())
             z0, z1 = charts.embed(charts.invert(chart, x0, x1))
             yield from (np.abs(x0 - z0), np.abs(x1 - z1))
 
@@ -572,8 +572,8 @@ def algebra_checks(cfg: SuiteConfig):
             ref = algebra.generator(target, ChartId.HOLOGRAPHIC)
             yield np.abs(algebra.field_values(sub, pts) - algebra.field_values(ref, pts))
 
-    # one draw shared by the two tangent-curve checks
-    curve = sampling.chart_points(ChartId.HOLOGRAPHIC, 10, _rng(cfg, "alg.curve"))
+    # one draw shared by the two tangent-curve checks, taken at first use
+    curve = functools.cache(lambda: sampling.chart_points(ChartId.HOLOGRAPHIC, 10, _rng(cfg, "alg.curve")))
 
     @run.check(
         "tangent_curve_derivative",
@@ -582,11 +582,11 @@ def algebra_checks(cfg: SuiteConfig):
         "tol",
     )
     def _():
-        u = laplace.solve(1.0, curve)
+        u = laplace.solve(1.0, curve())
         flow_derivative = algebra.apply_to_function(
             algebra.generator(B, ChartId.HOLOGRAPHIC),
             laplace.SolutionFamily(1.0, ChartId.HOLOGRAPHIC),
-            curve,
+            curve(),
         )
         yield abs(flow_derivative - u)
 
@@ -598,11 +598,11 @@ def algebra_checks(cfg: SuiteConfig):
         inf_message=RATIO_UNDEFINED,
     )
     def _():
-        theta, phi = curve.y0, curve.y1
+        theta, phi = curve().y0, curve().y1
 
         def sine_defect(eps):
             approx = np.sin(theta + eps * np.tan(theta)) * (np.cos(phi) + 1j * np.sin(phi))
-            return abs(algebra.tangent_curve(eps, curve) - approx)
+            return abs(algebra.tangent_curve(eps, curve()) - approx)
 
         yield _ratio_defect(sine_defect(1e-3), sine_defect(5e-4)) / 0.4
         quarter = ChartPoint(ChartId.HOLOGRAPHIC, math.pi / 4, 0.0)
@@ -636,11 +636,6 @@ def _exp_per_sample(gens: np.ndarray, eps: np.ndarray) -> projective.SpinMatrix:
         for out, e in zip(entries, m.entries()):
             out[picked] = e
     return projective.SpinMatrix(projective.Ring.COMPLEX, *entries)
-
-
-def _off_pole(m: projective.SpinMatrix, v: np.ndarray) -> np.ndarray:
-    """Per sample, whether mobius_apply(m, v) is defined (complex ring)."""
-    return np.abs(m.c * v + m.d) > projective.POLE_TOL
 
 
 def projective_checks(cfg: SuiteConfig):
@@ -771,10 +766,10 @@ def projective_checks(cfg: SuiteConfig):
         m, n = _exp_per_sample(first, eps_m), _exp_per_sample(second, eps_n)
         mn = m @ n
         # skip the samples that sit on a pole of any of the three maps
-        keep = _off_pole(mn, v) & _off_pole(n, v)
+        keep = ~(projective.on_pole(mn, v) | projective.on_pole(n, v))
         m, n, mn, v = m[keep], n[keep], mn[keep], v[keep]
         inner = projective.mobius_apply(n, v)
-        keep = _off_pole(m, inner)
+        keep = ~projective.on_pole(m, inner)
         lhs = projective.mobius_apply(mn[keep], v[keep])
         rhs = projective.mobius_apply(m[keep], inner[keep])
         yield np.abs(lhs - rhs) / (1.0 + np.abs(lhs))

@@ -273,6 +273,21 @@ def test_plane_maps_reject_a_point_whose_squared_norm_overflows(fn):
 def test_a_large_point_whose_squared_norm_is_finite_is_mapped():
     assert charts.invert_point((1e150, 0.0)) == pytest.approx((1e-150, 0.0), rel=1e-15)
     assert compactify(1e150, 0.0, rescaled=True).as_array() == pytest.approx([2e-150, 0.0, -1.0, 1.0], rel=1e-15)
+    # the identity inverts x near, not onto, the pole (1/|x|^2 is a normal
+    # float), and the second inversion maps it back
+    for size in (1.5e8, 1e150):
+        assert special_conformal((size, 0.0), (0.0, 0.0)) == pytest.approx((size, 0.0), rel=1e-15)
+
+
+def test_inversion_pole_is_where_the_squared_norm_stops_being_normal():
+    # |x|^2 = 1e-200 is a normal float, so x inverts to full precision;
+    # 1e-320 is subnormal and 0 is the origin, both on the pole
+    assert charts.invert_point((1e-100, 0.0)) == pytest.approx((1e100, 0.0), rel=1e-15)
+    for x in ((1e-160, 0.0), (0.0, 0.0)):
+        with pytest.raises(PoleCrossingError, match="^inversion pole at the origin$"):
+            charts.invert_point(x)
+    with pytest.raises(PoleCrossingError, match="^inversion pole at the origin at sample 1$"):
+        charts.invert_point((np.array([1e-100, 1e-160, 0.0]), np.zeros(3)))
 
 
 def test_conformal_vector_fields_and_point_types():

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holoconf import algebra, charts, cli, dual, laplace, projective, suites
+from holoconf import algebra, charts, cli, dual, grids, laplace, projective, sampling, suites
 from holoconf import bicomplex as bc
 from holoconf.algebra import Q0, Q1
 from holoconf.charts import ChartId
@@ -208,6 +208,50 @@ def test_a_check_family_records_one_entry_per_member():
     assert [c.max_defect for c in run.results] == [0.0, None, 1e-13]
     assert run.results[1].message == "ArithmeticError: no value at polar"
     assert run.results[0].message is None and run.results[2].message is None
+
+
+def _failing_draw(monkeypatch, cfg, label, error):
+    """Make sampling.chart_points raise error for the stream labelled label."""
+    draw, state = sampling.chart_points, suites._rng(cfg, label).getstate()
+
+    def failing(chart, n, rng):
+        if rng.getstate() == state:
+            raise error
+        return draw(chart, n, rng)
+
+    monkeypatch.setattr(sampling, "chart_points", failing)
+
+
+def test_a_raising_chart_draw_fails_only_its_charts_entries(monkeypatch, capsys):
+    # each chart's draw is taken inside the first check that reads it, so a
+    # draw that raises (a --samples too large to allocate, say) fails that
+    # chart's five entries rather than escape run_suite
+    cfg = SuiteConfig(seed=3, samples=10, suites=("charts",))
+    want = run_suite(cfg).as_dict()["checks"]
+    _failing_draw(monkeypatch, cfg, "ch.polar", MemoryError("no room for the polar draw"))
+    got = run_suite(cfg).as_dict()["checks"]
+    assert [c["name"] for c in got] == [c["name"] for c in want]
+    failed = [c for c in got if c["status"] != "pass"]
+    assert [c["name"] for c in failed] == [c["name"] for c in want if c["name"].endswith("[polar]")]
+    assert len(failed) == 5
+    for c in failed:
+        assert c["message"] == "MemoryError: no room for the polar draw" and c["max_defect"] is None
+    assert [c for c in got if c not in failed] == [c for c in want if not c["name"].endswith("[polar]")]
+    assert cli.main(["verify", "--suite", "charts", "--seed", "3", "--samples", "10"]) == 1
+    assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 5
+
+
+def test_a_raising_tangent_curve_draw_fails_only_its_two_checks(monkeypatch):
+    cfg = SuiteConfig(seed=3, samples=20, suites=("algebra",))
+    want = run_suite(cfg).as_dict()["checks"]
+    _failing_draw(monkeypatch, cfg, "alg.curve", MemoryError("no room for the curve"))
+    got = run_suite(cfg).as_dict()["checks"]
+    curve_checks = ("tangent_curve_derivative", "tangent_curve_order")
+    assert [c["name"] for c in got if c["status"] != "pass"] == list(curve_checks)
+    for c in got:
+        if c["name"] in curve_checks:
+            assert c["message"] == "MemoryError: no room for the curve" and c["max_defect"] is None
+    assert [c for c in got if c["name"] not in curve_checks] == [c for c in want if c["name"] not in curve_checks]
 
 
 @pytest.mark.parametrize("realization", algebra.REALIZATIONS, ids=str)
@@ -644,6 +688,26 @@ def test_emit_grid_errors(tmp_path):
         emit_grid("joukowski", 1, str(tmp_path / "x.csv"))
     with pytest.raises(ValueError):
         emit_grid("nope", 8, str(tmp_path / "x.csv"))
+
+
+def test_a_grid_too_large_to_allocate_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # the row builder fails as numpy does at a --res it cannot allocate; the
+    # rows are built before the file opens, so none is left behind
+    def unallocatable(resolution):
+        yield ("radius", "phi")
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    monkeypatch.setitem(grids._ROWS, "joukowski", unallocatable)
+    out = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["grid", "--kind", "joukowski", "--res", "10000000000000", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "holoconf: error: --res 10000000000000 is too large to allocate (Unable to allocate 72.8 TiB)"
+    )
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

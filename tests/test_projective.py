@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from holoconf import bicomplex as bc
+from holoconf import projective
 from holoconf.algebra import (
     B,
     P0,
@@ -128,6 +129,35 @@ def test_mobius_pole():
     m = SpinMatrix(Ring.COMPLEX, 1 + 0j, 0j, 1 + 0j, -2 + 0j)
     with pytest.raises(PoleError):
         mobius_apply(m, 2.0 + 0j)
+
+
+@pytest.mark.parametrize(
+    "m, v",
+    [
+        # c v + d = v - 2 vanishes exactly at 2; 4e-15 off it is within
+        # POLE_TOL, 4e-14 off it is not
+        (SpinMatrix(Ring.REAL, 1.0, 0.5, 1.0, -2.0), np.array([0.5, 2.0, 2.0 + 4e-15, 2.0 + 4e-14, -1.0])),
+        # c v + d = 2 v - (0.5 + 1j) vanishes exactly at 0.25 + 0.5j
+        (
+            SpinMatrix(Ring.COMPLEX, 1 + 0j, 0j, 2 + 0j, -(0.5 + 1j)),
+            np.array([1j, 0.25 + 0.5j, 0.25 + 3e-15 + 0.5j, 0.25 + (0.5 + 3e-14) * 1j, 0.3 + 0j]),
+        ),
+    ],
+    ids=["real", "complex"],
+)
+def test_mobius_apply_raises_exactly_where_on_pole_holds(m, v):
+    pole = projective.on_pole(m, v)
+    assert pole.tolist() == [False, True, True, False, False]
+    for x, at_pole in zip(v.tolist(), pole.tolist()):
+        assert projective.on_pole(m, x) == at_pole
+        if at_pole:
+            with pytest.raises(PoleError, match="^denominator vanished$"):
+                mobius_apply(m, x)
+        else:
+            assert np.isfinite(mobius_apply(m, x))
+    with pytest.raises(PoleError, match="^denominator vanished at sample 1$"):
+        mobius_apply(m, v)
+    assert np.isfinite(mobius_apply(m, v[~pole])).all()
 
 
 @pytest.mark.parametrize(
