@@ -1,8 +1,7 @@
 """Base class of holoconf's record types.
 
 A record lists its fields in ``__slots__``, in order, and its ``__init__``
-sets them: through ``_assign``, or one ``object.__setattr__`` per field in
-the hot constructors.  Record gives the repr ``Name(field=value, ...)``,
+sets them through ``_assign``.  Record gives the repr ``Name(field=value, ...)``,
 equality by type and fields, and copies and pickles that restore the fields
 without running ``__init__``.  A frozen record (``class Name(Record,
 frozen=True)``) hashes by its fields and raises AttributeError on assigning

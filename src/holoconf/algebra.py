@@ -4,7 +4,8 @@ Six generators act on the plane: the dilation b, the rotation s01, two
 translations p0/p1 and two quadratic (special conformal) generators q0/q1.
 They are realized as vector fields in each coordinate chart and, through
 the solution coordinate itself, on the punctured complex line ("upsilon
-line"), where every generator is c(u) d/du for a polynomial c.
+line"), where every generator is c(u) d/du for a polynomial c: the one
+statement of how it acts on the solutions, which eigenactions reads.
 
 The reference commutation table is::
 
@@ -337,9 +338,7 @@ class TaylorField(Record, frozen=True):
     __slots__ = ("v", "g", "h")
 
     def __init__(self, v: np.ndarray, g: np.ndarray | None = None, h: np.ndarray | None = None):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
+        self._assign(v, g, h)
 
     def _map(self, fn) -> "TaylorField":
         return TaylorField(*(None if a is None else fn(a) for a in (self.v, self.g, self.h)))
@@ -580,28 +579,20 @@ def act(g: GeneratorId, alpha: complex, p: ChartPoint) -> complex:
     return apply_to_function(x, SolutionFamily(alpha, p.chart), p)
 
 
-# g acting on the alpha-solution gives factor * alpha times the solution of
-# dimension alpha + shift: translations lower the dimension, special
-# conformal generators raise it
-_EIGENACTIONS = {B: (1, 0), S01: (1j, 0), P0: (1, -1), P1: (1j, -1), Q0: (1, 1), Q1: (-1j, 1)}
-
-
 def eigenactions(alpha: complex, p: ChartPoint) -> list:
-    """(act(g, alpha, p), factor * alpha * solve(alpha + shift, p)) for each
-    g in GENERATORS, its (factor, shift) from _EIGENACTIONS: the acted and
-    the table value of g on the alpha-solution.  They come from one
-    evaluation of the generator table, one gradient of the alpha-solution
-    and one SolutionFamily call on the dimensions alpha, alpha - 1 and
-    alpha + 1 stacked on a leading axis."""
+    """(act(g, alpha, p), alpha * c_g(u) * u^(alpha - 1)) for each g in
+    GENERATORS, c_g its upsilon-line coefficient and u the solution
+    coordinate SolutionFamily(1) at p: the acted and the table value of g on
+    the alpha-solution u^alpha, which g acts on as c_g(u) d/du.  They come
+    from one evaluation of each table function, one gradient of the
+    alpha-solution and one SolutionFamily(alpha - 1) call."""
     args = point_args(p.chart, p)
     grad = [dual.d1(g) for g in dual.partials(SolutionFamily(alpha, p.chart), args)]
-    # alpha broadcast to the samples first, or a scalar's shifts pair with them
-    dims = np.add.outer((0, -1, 1), np.broadcast_to(alpha, np.broadcast(alpha, *args).shape))
-    u = dict(zip((0, -1, 1), SolutionFamily(dims, p.chart)(*args)))
-    coeffs = dict(zip(GENERATORS, _TABLE_FUNCTIONS[p.chart.value](*args)))
+    lowered = alpha * SolutionFamily(alpha - 1, p.chart)(*args)
+    line = _TABLE_FUNCTIONS[UPSILON_LINE](SolutionFamily(1, p.chart)(*args))
     return [
-        (_apply_with_gradient(coeffs[g], grad), factor * alpha * u[shift])
-        for g, (factor, shift) in _EIGENACTIONS.items()
+        (_apply_with_gradient(coeffs, grad), c * lowered)
+        for coeffs, (c,) in zip(_TABLE_FUNCTIONS[p.chart.value](*args), line)
     ]
 
 
@@ -729,16 +720,29 @@ def minkowski_check(realization, points=None) -> MinkowskiResult:
 
 # --- circle functions and the packed multiplier tensor -----------------------
 
+def _reciprocal(name: str, u):
+    """(u, 1/u) for cn and sn, a single u as a 0-d array.  A non-finite u
+    raises ValueError, and one whose 1/u overflows ZeroDivisionError, each
+    naming the first bad sample."""
+    u = np.asarray(u)
+    reject(~np.isfinite(u), ValueError, f"{name} argument {{}} is not finite", u)
+    reject(u == 0, ZeroDivisionError, f"{name} undefined at u = 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = 1.0 / u
+    reject(~np.isfinite(inv), ZeroDivisionError, f"{name} undefined at u = {{}}: 1/u overflows", u)
+    return u, inv
+
+
 def cn(u: complex) -> complex:
     """(u + 1/u)/2; the disk-flow (Joukowski) map, cos on the unit circle."""
-    reject(u == 0, ZeroDivisionError, "cn undefined at u = 0")
-    return (u + 1.0 / u) / 2.0
+    u, inv = _reciprocal("cn", u)
+    return plain((u + inv) / 2.0)
 
 
 def sn(u: complex) -> complex:
     """(u - 1/u)/(2i); sin on the unit circle."""
-    reject(u == 0, ZeroDivisionError, "sn undefined at u = 0")
-    return (u - 1.0 / u) / 2j
+    u, inv = _reciprocal("sn", u)
+    return plain((u - inv) / 2j)
 
 
 def angular_tensor(u: complex) -> np.ndarray:

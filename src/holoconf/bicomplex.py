@@ -101,10 +101,7 @@ class Bicomplex(Record, frozen=True):
     __slots__ = ("re", "im_i", "im_j", "im_ij")
 
     def __init__(self, re: float = 0.0, im_i: float = 0.0, im_j: float = 0.0, im_ij: float = 0.0):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im_i", im_i)
-        object.__setattr__(self, "im_j", im_j)
-        object.__setattr__(self, "im_ij", im_ij)
+        self._assign(re, im_i, im_j, im_ij)
 
     # make `ndarray * Bicomplex` defer to Bicomplex.__rmul__ instead of
     # building an object array of per-element products
@@ -189,7 +186,7 @@ class Bicomplex(Record, frozen=True):
         reject(~np.isfinite(self.max_abs()), ValueError, "cannot invert {}: not finite", self)
         zp, zm = self.idempotent_parts()
         reject(
-            (np.abs(zp) <= POLE_TOL) | (np.abs(zm) <= POLE_TOL),
+            np.logical_or(*vanishing_parts(zp, zm)),
             ZeroDivisorError,
             "not invertible: idempotent parts ({}, {})",
             zp,
@@ -201,6 +198,12 @@ class Bicomplex(Record, frozen=True):
     def exp(self) -> "Bicomplex":
         zp, zm = self.idempotent_parts()
         return Bicomplex.from_idempotent_parts(np.exp(zp), np.exp(zm))
+
+
+def vanishing_parts(zp, zm) -> tuple:
+    """Per sample, whether each idempotent part is within POLE_TOL of zero:
+    a number with either one there is a zero divisor."""
+    return np.abs(zp) <= POLE_TOL, np.abs(zm) <= POLE_TOL
 
 
 def _coerce(x) -> Bicomplex:

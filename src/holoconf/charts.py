@@ -68,9 +68,7 @@ class ChartPoint(Record, frozen=True):
         """Raise DomainError, naming the first bad sample, unless every
         sample lies safely inside the chart's domain; ValueError for a chart
         that is not a ChartId or coordinates whose shapes do not broadcast."""
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "y1", y1)
+        self._assign(chart, y0, y1)
         try:
             np.broadcast(y0, y1)
         except ValueError:

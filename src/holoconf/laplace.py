@@ -153,12 +153,12 @@ def ylm(l: int, m: int, theta: float, phi: float) -> complex:
 
 def ylm_ratio(l: int, grid: ChartPoint, negative_branch: bool = False) -> complex:
     """Common ratio Y_l^{+-l} / solution^l over a holographic point (an
-    array point, or a single point as one sample).
+    array point of any shape, or a single point as one sample).
 
     solution^l is SolutionFamily(l, HOLOGRAPHIC) for m = l, its conjugate_branch
     for m = -l; the ratio is a constant, and a relative spread above 1e-10
     across the grid raises ArithmeticError.  The mean is Python's sequential
-    sum over the samples in order, not numpy's pairwise one.
+    sum over all samples in row-major order, not numpy's pairwise one.
     """
     if l < 1:
         raise ValueError("ratio is defined for l >= 1")
@@ -167,8 +167,8 @@ def ylm_ratio(l: int, grid: ChartPoint, negative_branch: bool = False) -> comple
     if grid.chart is not ChartId.HOLOGRAPHIC:
         raise ValueError("grid must consist of holographic points")
     m = -l if negative_branch else l
-    # a single point is one sample
-    theta, phi = np.atleast_1d(grid.y0, grid.y1)
+    # every sample in row-major order (a single point is one sample)
+    theta, phi = (y.ravel() for y in np.broadcast_arrays(grid.y0, grid.y1))
     ratios = ylm(l, m, theta, phi) / SolutionFamily(l, grid.chart, conjugate_branch=negative_branch)(theta, phi)
     mean = sum(ratios.tolist()) / len(ratios)
     spread = math.sqrt(np.mean(np.abs(ratios - mean) ** 2))

@@ -55,6 +55,7 @@ from .bicomplex import (
     null_plane_units,
     plain,
     reject,
+    vanishing_parts,
 )
 
 
@@ -115,11 +116,7 @@ class SpinMatrix(Record, frozen=True):
     __slots__ = ("ring", "a", "b", "c", "d")
 
     def __init__(self, ring: Ring, a: object, b: object, c: object, d: object):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        self._assign(ring, a, b, c, d)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -272,37 +269,35 @@ def mobius_apply(m: SpinMatrix, v):
 
     A non-finite argument, or over the real ring one with a nonzero
     imaginary part, raises ValueError, as does a non-finite matrix entry.
-    On arrays of samples, a sample on a pole raises PoleError; over the
-    bicomplex ring a full pole is reported before a null-line one."""
+    A sample on a pole raises PoleError (over the bicomplex ring a full pole
+    before a null-line one), and then one whose denominator or image
+    overflows OverflowError; on arrays each names the first bad sample."""
     reject(
         ~(_finite(m.a) & _finite(m.b) & _finite(m.c) & _finite(m.d)),
         ValueError,
         "Mobius matrix entries ({}, {}, {}, {}) are not finite",
         *m.entries(),
     )
-    if m.ring is Ring.BICOMPLEX:
-        v = _coerce(v)
-        reject(~np.isfinite(v.max_abs()), ValueError, "Mobius argument {} is not finite", v)
-        den = m.c * v + m.d
-        zp, zm = den.idempotent_parts()
-        dead_p, dead_m = np.abs(zp) <= POLE_TOL, np.abs(zm) <= POLE_TOL
-        reject(dead_p & dead_m, PoleError, "denominator vanished")
-        reject(
-            dead_p | dead_m,
-            NullLinePoleError,
-            "denominator is a zero divisor: idempotent parts ({}, {})",
-            zp,
-            zm,
-        )
-        return (m.a * v + m.b) * den.inverse()
-    # a single point as a 0-d array, so that it rounds as its array sample
-    v = np.asarray(v)
-    reject(~np.isfinite(v), ValueError, "Mobius argument {} is not finite", v)
+    # a single real or complex point as a 0-d array, so that it rounds as its array sample
+    v = _coerce(v) if m.ring is Ring.BICOMPLEX else np.asarray(v)
+    reject(~_finite(v), ValueError, "Mobius argument {} is not finite", v)
     if m.ring is Ring.REAL:
         reject(np.imag(v) != 0, ValueError, "the real ring acts on real arguments, not {}", v)
-    reject(on_pole(m, v), PoleError, "denominator vanished")
-    out = (m.a * v + m.b) / (m.c * v + m.d)
-    return plain(out.real if m.ring is Ring.REAL else out)
+    # an overflow is the one OverflowError below, not numpy's warnings and inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = m.c * v + m.d
+        if m.ring is Ring.BICOMPLEX:
+            zp, zm = den.idempotent_parts()
+            dead_p, dead_m = vanishing_parts(zp, zm)
+            reject(dead_p & dead_m, PoleError, "denominator vanished")
+            reject(dead_p | dead_m, NullLinePoleError, "denominator is a zero divisor: idempotent parts ({}, {})", zp, zm)
+            # den's inverse as Bicomplex.inverse takes it, without testing the pole again
+            out = (m.a * v + m.b) * Bicomplex.from_idempotent_parts(np.divide(1, zp), np.divide(1, zm))
+        else:
+            reject(on_pole(m, v), PoleError, "denominator vanished")
+            out = (m.a * v + m.b) / den
+    reject(~(_finite(den) & _finite(out)), OverflowError, "Mobius image of {} overflows", v)
+    return out if m.ring is Ring.BICOMPLEX else plain(out.real if m.ring is Ring.REAL else out)
 
 
 def exp_one_param(g: GeneratorId, eps: float, ring: Ring) -> SpinMatrix:

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import algebra, bicomplex as bc, charts, dual, laplace, projective, sampling
+from . import algebra, bicomplex as bc, charts, laplace, projective, sampling
 from .algebra import B, GENERATORS, P0, P1, Q0, Q1, REALIZATIONS, S01, UPSILON_LINE
 from .charts import ChartId, ChartPoint
 from .report import SUITE_NAMES, CheckResult, SuiteConfig, VerificationReport
@@ -555,22 +555,16 @@ def algebra_checks(cfg: SuiteConfig):
 
     @run.check(
         "paravector_substitution",
-        "substituting (1, i) -> (tan theta d_theta, d_phi) in the "
-        "solution, its inverse, and the constant 1 reproduces q0, p0, b",
+        "substituting (1, i) -> (tan theta d_theta, d_phi) in c(u)/u, for each "
+        "upsilon-line coefficient c, reproduces the holographic generator rows",
         "exact",
     )
     def _():
         pts = sampling.chart_points(ChartId.HOLOGRAPHIC, cfg.samples, _rng(cfg, "alg.subst"))
-        sub_q0 = algebra.paravector_substitute(
-            lambda t, f: dual.cos(f) * dual.sin(t), lambda t, f: dual.sin(f) * dual.sin(t)
-        )
-        sub_p0 = algebra.paravector_substitute(
-            lambda t, f: dual.cos(f) / dual.sin(t), lambda t, f: -dual.sin(f) / dual.sin(t)
-        )
-        sub_b = algebra.paravector_substitute(lambda t, f: 1.0, lambda t, f: 0.0)
-        for target, sub in ((Q0, sub_q0), (P0, sub_p0), (B, sub_b)):
-            ref = algebra.generator(target, ChartId.HOLOGRAPHIC)
-            yield np.abs(algebra.field_values(sub, pts) - algebra.field_values(ref, pts))
+        u = laplace.solve(1.0, pts)
+        w = algebra.generator_tensors(UPSILON_LINE, u).v[:, 0] / u
+        substituted = np.stack((w.real * np.tan(pts.y0), w.imag), axis=1)
+        yield np.abs(substituted - algebra.generator_tensors(ChartId.HOLOGRAPHIC, pts).v)
 
     # one draw shared by the two tangent-curve checks, taken at first use
     curve = functools.cache(lambda: sampling.chart_points(ChartId.HOLOGRAPHIC, 10, _rng(cfg, "alg.curve")))

@@ -230,6 +230,18 @@ def test_eigenactions_all_transported_realizations():
                 assert abs(act(g, alpha, p) - expected) <= 1e-10 * (1 + abs(expected))
 
 
+def line_action(g, alpha, p):
+    """alpha * c_g(u) * u^(alpha - 1), c_g g's upsilon-line coefficient at
+    the solution u, in the order eigenactions multiplies it."""
+    (c,) = generator(g, UPSILON_LINE).coeffs(solve(1.0, p))
+    return c * (alpha * solve(alpha - 1, p))
+
+
+def assert_table_value(expected, g, alpha, p):
+    want = table_action(g, alpha, p)
+    assert np.all(np.abs(expected - want) <= 1e-10 * (1 + np.abs(want)))
+
+
 def test_eigenactions_are_act_and_the_table_value():
     rng = random.Random(44)
     for chart in ChartId:
@@ -239,13 +251,14 @@ def test_eigenactions_are_act_and_the_table_value():
         assert len(got) == len(GENERATORS)
         for g, (acted, expected) in zip(GENERATORS, got):
             assert np.array_equal(acted, act(g, alphas, pts))
-            assert np.array_equal(expected, table_action(g, alphas, pts))
+            assert np.array_equal(expected, line_action(g, alphas, pts))
+            assert_table_value(expected, g, alphas, pts)
 
 
 def test_eigenaction_values_pair_every_shift_with_every_sample():
-    # the expected values come from one call on the stacked dimensions alpha,
-    # alpha - 1 and alpha + 1: a scalar alpha on a 3-sample point and a
-    # 3-sample alpha on a single point both give solve's values, bitwise
+    # a scalar alpha on a 3-sample point and a 3-sample alpha on a single
+    # point both give 3 expected values: the upsilon-line value bitwise, and
+    # the paper's table value, alpha shifted by -1, 0 or +1, to 1e-10
     rng = random.Random(45)
     for chart in ChartId:
         pts = chart_points(chart, 3, rng)
@@ -253,9 +266,10 @@ def test_eigenaction_values_pair_every_shift_with_every_sample():
         for alpha, p in ((complex(alphas[0]), pts), (alphas, pts[1])):
             got = algebra.eigenactions(alpha, p)
             for g, (_, expected) in zip(GENERATORS, got):
-                want = table_action(g, alpha, p)
+                want = line_action(g, alpha, p)
                 assert np.shape(expected) == np.shape(want) == (3,)
                 assert np.asarray(expected).tobytes() == np.asarray(want).tobytes()
+                assert_table_value(expected, g, alpha, p)
 
 
 def test_degree_shift_on_monomials():
@@ -553,10 +567,18 @@ def test_cn_sn():
     assert cn(u) == pytest.approx(math.cos(phi), abs=1e-14)
     assert sn(u) == pytest.approx(math.sin(phi), abs=1e-14)
     assert cn(0.5) ** 2 + sn(0.5) ** 2 == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ZeroDivisionError):
-        cn(0)
-    with pytest.raises(ZeroDivisionError):
-        sn(0)
+    for fn in (cn, sn):
+        name = fn.__name__
+        with pytest.raises(ZeroDivisionError, match=rf"^{name} undefined at u = 0$"):
+            fn(0)
+        # 1/u of a subnormal u overflows, as undefined as at 0 (cn gave inf+nanj)
+        with pytest.raises(ZeroDivisionError, match=rf"^{name} undefined at u = \(1e-320\+0j\): 1/u overflows$"):
+            fn(1e-320 + 0j)
+        for bad in (math.nan, complex(math.inf, 1.0)):
+            with pytest.raises(ValueError, match=rf"^{name} argument .* is not finite$"):
+                fn(bad)
+        # the smallest normal u still inverts
+        assert math.isfinite(abs(fn(2.3e-308)))
 
 
 def test_angular_tensor():

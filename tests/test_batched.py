@@ -1009,6 +1009,33 @@ def test_chart_transition_on_arrays():
         (lambda: algebra.sn(np.array([0j, 1j])), ZeroDivisionError, "^sn undefined at u = 0 at sample 0$"),
         # angular_tensor has no zero test of its own: cn's names the sample
         (lambda: algebra.angular_tensor(np.array([2j, 0j])), ZeroDivisionError, "^cn undefined at u = 0 at sample 1$"),
+        # a u whose 1/u overflows is as undefined as 0, and a non-finite one is no argument
+        (
+            lambda: algebra.cn(np.array([1.0, 1e-320j, 2.0])),
+            ZeroDivisionError,
+            "^cn undefined at u = 1e-320j: 1/u overflows at sample 1$",
+        ),
+        (
+            lambda: algebra.sn(np.array([0.5, 2.0, -1e-320])),
+            ZeroDivisionError,
+            "^sn undefined at u = -1e-320: 1/u overflows at sample 2$",
+        ),
+        (lambda: algebra.cn(np.array([1.0, math.nan])), ValueError, "^cn argument nan is not finite at sample 1$"),
+        (
+            lambda: algebra.sn(np.array([complex(math.inf, 0.0), 1j])),
+            ValueError,
+            r"^sn argument \(inf\+0j\) is not finite at sample 0$",
+        ),
+        (
+            lambda: algebra.angular_tensor(np.array([2j, 1j, 1e-320 + 0j])),
+            ZeroDivisionError,
+            r"^cn undefined at u = \(1e-320\+0j\): 1/u overflows at sample 2$",
+        ),
+        (
+            lambda: algebra.angular_tensor(np.array([2j, complex(0.0, math.nan)])),
+            ValueError,
+            r"^cn argument nanj is not finite at sample 1$",
+        ),
         (
             lambda: charts.mixed_from_lower(np.array([[[1.0, 1.0], [0.0, 1.0]], [[0.0, 2.0], [1.0, 2.0]]])),
             DomainError,

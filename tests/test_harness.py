@@ -397,12 +397,23 @@ def test_a_wrong_derivative_entry_fails_its_chart_and_laplace_checks(monkeypatch
         assert c.max_defect > 1e-3 and c.message is None
 
 
+def _negated_entry_failures(monkeypatch, key: str, g, k: int, cfg: SuiteConfig) -> list:
+    """The names of the failed checks of cfg's report with entry k of g's
+    row in realization key's generator table negated.  The mutant is made
+    in the table string, and the table function, which generator() reads
+    too, is rebuilt from it."""
+    rows = algebra.GENERATOR_TABLE_STRINGS[key]
+    with monkeypatch.context() as m:
+        m.setitem(rows, g, rows[g][:k] + (f"-({rows[g][k]})",) + rows[g][k + 1 :])
+        m.setitem(algebra._TABLE_FUNCTIONS, key, algebra._compile(key))
+        return [c.name for c in run_suite(cfg).checks if not c.passed]
+
+
 def test_every_negated_generator_entry_fails_a_check(monkeypatch):
     # mutation catalogue: each non-zero entry of the generator tables,
     # negated on its own, must fail at least one check of the suites that
     # read the tables; a realization left out of a check family lets its
-    # mutants survive.  The mutant is made in the table string, and the
-    # table function, which generator() reads too, is rebuilt from it
+    # mutants survive
     cfg = SuiteConfig(seed=7, samples=3, suites=("charts", "algebra", "projective"))
     mutants, survivors = 0, []
     for key, rows in algebra.GENERATOR_TABLE_STRINGS.items():
@@ -411,26 +422,43 @@ def test_every_negated_generator_entry_fails_a_check(monkeypatch):
                 if text == "0":
                     continue
                 mutants += 1
-                with monkeypatch.context() as m:
-                    m.setitem(rows, g, row[:k] + (f"-({text})",) + row[k + 1 :])
-                    m.setitem(algebra._TABLE_FUNCTIONS, key, algebra._compile(key))
-                    if all(c.passed for c in run_suite(cfg).checks):
-                        survivors.append(f"{key} {g} {k}: {text}")
+                if not _negated_entry_failures(monkeypatch, key, g, k, cfg):
+                    survivors.append(f"{key} {g} {k}: {text}")
     assert mutants == 46
     assert survivors == []
 
 
+ALGEBRA_ONLY = SuiteConfig(seed=7, samples=3, suites=("algebra",))
+
+
+@pytest.mark.parametrize("g", algebra.GENERATORS, ids=str)
+def test_a_negated_upsilon_line_entry_fails_eigenactions_in_every_chart(monkeypatch, g):
+    # eigenactions takes its expected values from g's upsilon-line row
+    failed = _negated_entry_failures(monkeypatch, algebra.UPSILON_LINE, g, 0, ALGEBRA_ONLY)
+    assert {f"eigenactions[{c}]" for c in ChartId} <= set(failed)
+
+
+HOLOGRAPHIC_ROWS = algebra.GENERATOR_TABLE_STRINGS[ChartId.HOLOGRAPHIC.value]
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [(g, k) for g in (algebra.S01, algebra.P1, Q1) for k, text in enumerate(HOLOGRAPHIC_ROWS[g]) if text != "0"],
+    ids=str,
+)
+def test_a_negated_holographic_entry_fails_paravector_substitution(monkeypatch, g, k):
+    # the substitution covers all six rows, s01, p1 and q1 among them
+    failed = _negated_entry_failures(monkeypatch, ChartId.HOLOGRAPHIC.value, g, k, ALGEBRA_ONLY)
+    assert "paravector_substitution" in failed
+
+
 def _constant_mutants():
     """(label, suite, table, key, value) of each mutant table[key] = value
-    of the constant tables: a negated non-zero SO31_PACKING entry; an
-    _EIGENACTIONS row with its factor negated or times i, or its shift plus
-    1; a negated non-zero spin-matrix entry or _REAL_ENTRIES entry."""
+    of the constant tables: a negated non-zero SO31_PACKING entry, spin-matrix
+    entry or _REAL_ENTRIES entry."""
     for pair, row in algebra.SO31_PACKING.items():
         for g, c in row.items():
             yield f"SO31_PACKING {pair} {g}", "algebra", algebra.SO31_PACKING, pair, {**row, g: -c}
-    for g, (factor, shift) in algebra._EIGENACTIONS.items():
-        for row in ((-factor, shift), (1j * factor, shift), (factor, shift + 1)):
-            yield f"_EIGENACTIONS {g} {row}", "algebra", algebra._EIGENACTIONS, g, row
     for (g, ring), matrix in projective._MATRICES.items():
         entries = matrix.entries()
         for k, e in enumerate(entries):
@@ -445,8 +473,7 @@ def _constant_mutants():
 
 
 def test_every_mutant_of_the_constant_tables_fails_a_check(monkeypatch):
-    # mutation catalogue of the packing, eigen-action and spin-matrix
-    # tables: each mutant must fail a check of the suite that reads it
+    # mutation catalogue of the packing and spin-matrix tables: each mutant must fail a check of the suite that reads it
     mutants, survivors = 0, []
     for label, suite, table, key, value in _constant_mutants():
         mutants += 1
@@ -459,7 +486,7 @@ def test_every_mutant_of_the_constant_tables_fails_a_check(monkeypatch):
                 m.setattr(projective, "_MATRICES", {k: projective._build_matrix(*k) for k in projective._MATRICES})
             if all(c.passed for c in run_suite(SuiteConfig(seed=7, samples=3, suites=(suite,))).checks):
                 survivors.append(label)
-    assert mutants == 56
+    assert mutants == 38
     assert survivors == []
 
 

@@ -183,6 +183,17 @@ def test_ylm_ratio_of_a_single_point_is_its_one_sample(negative_branch):
             assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
+@pytest.mark.parametrize("negative_branch", (False, True), ids=("m=l", "m=-l"))
+def test_ylm_ratio_of_a_2d_point_takes_every_sample(negative_branch):
+    # a (3, 4) point is its 12 samples in row-major order: bitwise the ratio
+    # of the flat 12-sample point (before, a TypeError from the mean)
+    flat = chart_points(ChartId.HOLOGRAPHIC, 12, random.Random(39))
+    grid = ChartPoint(ChartId.HOLOGRAPHIC, flat.y0.reshape(3, 4), flat.y1.reshape(3, 4))
+    for l in range(1, 5):
+        got = ylm_ratio(l, grid, negative_branch=negative_branch)
+        assert got == ylm_ratio(l, flat, negative_branch=negative_branch)
+
+
 def test_ylm_ratio_errors():
     rng = random.Random(37)
     grid = chart_points(ChartId.HOLOGRAPHIC, 5, rng)

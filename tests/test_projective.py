@@ -185,6 +185,24 @@ def test_mobius_rejects_bad_arguments(ring, bad, fragment):
 
 
 @pytest.mark.parametrize("ring", list(Ring), ids=str)
+@pytest.mark.parametrize(
+    "entries, v",
+    [((1e200, 0.0, 1e200, 1.0), 1e200), ((1.0, 0.0, 1e200, 1.0), 1e200), ((1e300, 0.0, 0.0, 1e-5), 1e10)],
+    ids=["numerator-and-denominator", "denominator", "quotient"],
+)
+def test_mobius_apply_raises_overflow_error_where_the_image_overflows(ring, entries, v):
+    # a finite matrix and argument whose image overflows: before, the complex
+    # ring gave nan+nanj, the real ring nan, inf or 0.0 (after a RuntimeWarning),
+    # and the bicomplex ring "ValueError: cannot invert Bicomplex(re=inf, ...)"
+    m = SpinMatrix(ring, *(projective._ring_scalar(ring, e) for e in entries))
+    with pytest.raises(OverflowError, match="^Mobius image of .* overflows$"):
+        mobius_apply(m, projective._ring_scalar(ring, v))
+    with pytest.raises(OverflowError, match="^Mobius image of .* overflows at sample 1$"):
+        mobius_apply(m, projective._ring_scalar(ring, np.array([0.5, v, v])))
+    assert np.isfinite(projective.absval(mobius_apply(m, projective._ring_scalar(ring, np.array([0.5, 2.0]))))).all()
+
+
+@pytest.mark.parametrize("ring", list(Ring), ids=str)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
 def test_exp_one_param_rejects_non_finite_parameters(ring, bad):
     # a NaN gave NaN entries silently, inf warned first
