@@ -38,10 +38,10 @@ from .algebra import (
     cn,
     generator,
     minkowski_check,
-    paravector_substitute,
     sn,
     so31_pack,
     structure_table,
+    substituted_rows,
     tangent_curve,
 )
 from .projective import (

@@ -5,7 +5,7 @@ translations p0/p1 and two quadratic (special conformal) generators q0/q1.
 They are realized as vector fields in each coordinate chart and, through
 the solution coordinate itself, on the punctured complex line ("upsilon
 line"), where every generator is c(u) d/du for a polynomial c: the one
-statement of how it acts on the solutions, which eigenactions reads.
+statement of how it acts on the solutions, which eigenactions and substituted_rows read.
 
 The reference commutation table is::
 
@@ -48,7 +48,7 @@ import numpy as np
 from . import dual, sampling
 from ._record import Record
 from .bicomplex import plain, reject
-from .charts import ChartId, ChartPoint, DomainError
+from .charts import ChartId, ChartPoint, DomainError, radial_scale
 from .laplace import SolutionFamily, solve
 
 UPSILON_LINE = "upsilon-line"
@@ -302,25 +302,6 @@ def generator(g: GeneratorId, realization) -> VectorField:
     row of the table function."""
     table, row = _TABLE_FUNCTIONS[realization_key(realization)], GENERATORS.index(g)
     return VectorField(realization, lambda *ys: table(*ys)[row])
-
-
-def generator_by_transport(g: GeneratorId, chart: ChartId) -> VectorField:
-    """Flat generator pushed to a chart through the mixed Jacobian.
-
-    Independent of the closed-form tables above (evaluation at plain or array
-    points only, not at jets); used to cross-check them.
-    """
-    from .charts import embed, jacobian_mixed
-
-    flat = generator(g, ChartId.CARTESIAN).coeffs
-
-    def coeffs(y0, y1):
-        p = ChartPoint(chart, y0, y1)
-        f0, f1 = flat(*embed(p))
-        a = jacobian_mixed(p)
-        return tuple(f0 * a[0, alpha] + f1 * a[1, alpha] for alpha in (0, 1))
-
-    return VectorField(chart, coeffs)
 
 
 # --- Taylor tensors: brackets as contractions --------------------------------
@@ -765,10 +746,20 @@ def angular_tensor(u: complex) -> np.ndarray:
 
 # --- tangent-vector identification -------------------------------------------
 
-def paravector_substitute(re_part: Callable, im_part: Callable) -> VectorField:
-    """Turn a paravector decomposition f = re*1 + im*i into a holographic
-    field by substituting 1 -> tan(theta) d_theta and i -> d_phi."""
-    return VectorField(ChartId.HOLOGRAPHIC, lambda t, f: (re_part(t, f) * dual.tan(t), im_part(t, f)))
+def substituted_rows(chart: ChartId, points: ChartPoint) -> np.ndarray:
+    """The upsilon-line fields c_g(u) d/du as chart rows, u = SolutionFamily(1, chart),
+    at the points, shaped as generator_tensors(chart, points).v: (k Re w_g, Im w_g)
+    for w_g = c_g(u)/u and k = R/R' (radial_scale) on an angular chart, where u =
+    R(y0) e^{i phi} gives du/u = dy0/k + i dphi, and (Re c_g, Im c_g) on cartesian."""
+    args = [np.atleast_1d(a) for a in point_args(chart, points)]
+    u = SolutionFamily(1, chart)(*args)
+    w = np.empty((len(GENERATORS), *u.shape), complex)
+    for i, (c,) in enumerate(_TABLE_FUNCTIONS[UPSILON_LINE](u)):
+        w[i] = c
+    if chart is ChartId.CARTESIAN:
+        return np.stack((w.real, w.imag), axis=1)
+    w /= u
+    return np.stack((radial_scale(chart, args[0]) * w.real, w.imag), axis=1)
 
 
 def tangent_curve(eps: float, p: ChartPoint) -> complex:

@@ -3,8 +3,8 @@
 Four charts cover the constructions in this package: the cartesian one,
 embedded by the identity, and three angular ones, which put (y0, phi) at
 R(y0) (cos phi, sin phi).  One private table, _RADII, declares each angular
-chart once: R, R', R^-1 and the domain of y0.  The (k, k') of its rescaled
-Laplace operator (k d0)^2 + d11 are derived from R and R' (laplace.laplacian):
+chart once: R, R', R^-1 and the domain of y0.  radial_scale's k = R/R' is the k
+of the Laplace operator (k d0)^2 + d11 and of the rule algebra.substituted_rows:
 
 ===========  ============  =========  =========  ========  ===========  =================
 chart        (y0, y1)      R(y0)      R'(y0)     R^-1(r)   y0 in        k = R/R', derived
@@ -113,7 +113,7 @@ def _tensor(rows, p: ChartPoint) -> np.ndarray:
 class _Radius(NamedTuple):
     """One angular chart: (y0, y1) lies at R(y0) (cos y1, sin y1)."""
     radius: Callable  # R(y0); jet-aware, so basis differentiates it
-    derivative: Callable  # R'(y0), jet-aware: the closed forms and laplacian's k = R/R' read it
+    derivative: Callable  # R'(y0), jet-aware: read by the closed forms and radial_scale's k = R/R'
     inverse: Callable  # y0 = R^-1(|x|), for |x| >= GUARD
     domain: tuple  # (name, lo, hi): the y0 a ChartPoint accepts
 
@@ -130,6 +130,12 @@ _RADII = {
 }
 
 ANGULAR_CHARTS = tuple(_RADII)
+
+
+def radial_scale(chart: ChartId, y0):
+    """k = R/R' of an angular chart at y0, from its _RADII row; jet-aware."""
+    row = _RADII[chart]
+    return row.radius(y0) / row.derivative(y0)
 
 
 def embed_coords(chart: ChartId, y0, y1):

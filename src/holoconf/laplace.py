@@ -3,8 +3,8 @@
 The operator applied here is the conformally rescaled one, chosen so that
 in every chart it is a polynomial in the coordinate derivative operators:
 d00 + d11 on the cartesian chart and (k d0)(k d0) + d11 = R^2 * standard
-on an angular one, with k = R/R' derived from the chart table's R and R'
-(charts._RADII) by one first-order jet:
+on an angular one, with k = R/R' from the chart table's R and R'
+(charts.radial_scale) and k' from one first-order jet of it:
 
 * polar:        (r dr)(r dr) + dpp            = r^2 * standard
 * holographic:  (tan t dt)(tan t dt) + dpp    = sin^2(t) * standard
@@ -36,7 +36,7 @@ import numpy as np
 from . import dual
 from ._record import Record
 from .bicomplex import _complex, reject
-from .charts import _RADII, GUARD, TWO_PI, ChartId, ChartPoint, DomainError, metric_closed_form
+from .charts import _RADII, GUARD, TWO_PI, ChartId, ChartPoint, DomainError, metric_closed_form, radial_scale
 
 
 def _log_radius_angle(chart: ChartId, y0, y1):
@@ -94,8 +94,7 @@ def laplacian(f: Callable, p: ChartPoint) -> complex:
     if p.chart is ChartId.CARTESIAN:
         return f00 + f11
     # (k d0)^2 + d11, with k = R/R' and k' = dk/dy0 from the chart table's R, R'
-    row = _RADII[p.chart]
-    (k,) = dual.partials(lambda y0: row.radius(y0) / row.derivative(y0), (p.y0,))
+    (k,) = dual.partials(lambda y0: radial_scale(p.chart, y0), (p.y0,))
     return k.f * k.d1 * f0 + k.f * k.f * f00 + f11
 
 

@@ -261,7 +261,12 @@ EXPECTED_MATRIX_SIGNS = {
 def on_pole(m: SpinMatrix, v):
     """Per sample, whether v sits on a pole of m's action over the real or
     complex ring, |c v + d| <= POLE_TOL: where mobius_apply raises PoleError."""
-    return np.abs(m.c * v + m.d) <= POLE_TOL
+    return _vanishes(m.c * v + m.d)
+
+
+def _vanishes(den):
+    """|den| <= POLE_TOL per sample: a real or complex Mobius denominator's pole."""
+    return np.abs(den) <= POLE_TOL
 
 
 def mobius_apply(m: SpinMatrix, v):
@@ -294,7 +299,7 @@ def mobius_apply(m: SpinMatrix, v):
             # den's inverse as Bicomplex.inverse takes it, without testing the pole again
             out = (m.a * v + m.b) * Bicomplex.from_idempotent_parts(np.divide(1, zp), np.divide(1, zm))
         else:
-            reject(on_pole(m, v), PoleError, "denominator vanished")
+            reject(_vanishes(den), PoleError, "denominator vanished")
             out = (m.a * v + m.b) / den
     reject(~(_finite(den) & _finite(out)), OverflowError, "Mobius image of {} overflows", v)
     return out if m.ring is Ring.BICOMPLEX else plain(out.real if m.ring is Ring.REAL else out)

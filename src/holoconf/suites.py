@@ -555,16 +555,14 @@ def algebra_checks(cfg: SuiteConfig):
 
     @run.check(
         "paravector_substitution",
-        "substituting (1, i) -> (tan theta d_theta, d_phi) in c(u)/u, for each "
-        "upsilon-line coefficient c, reproduces the holographic generator rows",
+        "substituting (1, i) -> (k d_y0, d_phi), k = R/R', in c(u)/u (or (d_x0, d_x1) in c(u) on "
+        "cartesian), for each upsilon-line coefficient c, reproduces the chart's generator rows",
         "exact",
+        over=ALL_CHARTS,
     )
-    def _():
-        pts = sampling.chart_points(ChartId.HOLOGRAPHIC, cfg.samples, _rng(cfg, "alg.subst"))
-        u = laplace.solve(1.0, pts)
-        w = algebra.generator_tensors(UPSILON_LINE, u).v[:, 0] / u
-        substituted = np.stack((w.real * np.tan(pts.y0), w.imag), axis=1)
-        yield np.abs(substituted - algebra.generator_tensors(ChartId.HOLOGRAPHIC, pts).v)
+    def _(chart):
+        pts = sampling.chart_points(chart, cfg.samples, _rng(cfg, f"alg.subst.{chart}"))
+        yield np.abs(algebra.substituted_rows(chart, pts) - algebra.generator_tensors(chart, pts).v)
 
     # one draw shared by the two tangent-curve checks, taken at first use
     curve = functools.cache(lambda: sampling.chart_points(ChartId.HOLOGRAPHIC, 10, _rng(cfg, "alg.curve")))

@@ -31,11 +31,12 @@ from holoconf.algebra import (
     default_points,
     field_values,
     generator,
+    generator_tensors,
     lincomb,
     minkowski_check,
-    paravector_substitute,
     so31_pack,
     structure_table,
+    substituted_rows,
 )
 from holoconf.charts import ChartId
 from holoconf.laplace import solve
@@ -217,25 +218,23 @@ def test_criterion_5_projective_suite():
 
 
 def test_criterion_6_substitution_identities():
-    # paravector substitution reproduces q0, p0, b at 50 points, <= 1e-12
-    # (real part of the solution taken with cos phi)
+    # the paravectors w = c(u)/u of q0, p0 and b (c their upsilon-line
+    # coefficients) are the solution u, its inverse 1/u and 1, and
+    # substituting (1, i) -> (tan theta d_theta, d_phi) in them reproduces
+    # the holographic rows, at 50 points, <= 1e-12
     rng = random.Random(106)
     pts = chart_points(ChartId.HOLOGRAPHIC, 50, rng)
-    pairs = (
-        (Q0, paravector_substitute(
-            lambda t, f: dual.cos(f) * dual.sin(t),
-            lambda t, f: dual.sin(f) * dual.sin(t))),
-        (P0, paravector_substitute(
-            lambda t, f: dual.cos(f) / dual.sin(t),
-            lambda t, f: -dual.sin(f) / dual.sin(t))),
-        (B, paravector_substitute(lambda t, f: 1.0, lambda t, f: 0.0)),
-    )
+    u = solve(1.0, pts)
+    coeffs = generator_tensors(UPSILON_LINE, u).v[:, 0]
+    rows = substituted_rows(ChartId.HOLOGRAPHIC, pts)
     ok = True
-    for target, sub in pairs:
-        diff = field_values(sub, pts) - field_values(
-            generator(target, ChartId.HOLOGRAPHIC), pts
-        )
-        ok = ok and float(np.max(np.abs(diff))) <= 1e-12
+    for target, paravector in ((Q0, u), (P0, 1.0 / u), (B, 1.0)):
+        i = GENERATORS.index(target)
+        w = coeffs[i] / u
+        ok = ok and float(np.max(np.abs(w - paravector))) <= 1e-12
+        table = field_values(generator(target, ChartId.HOLOGRAPHIC), pts).T
+        for sub in (np.stack((w.real * np.tan(pts.y0), w.imag)), rows[i]):
+            ok = ok and float(np.max(np.abs(sub - table))) <= 1e-12
     _verdict("6 paravector substitution q0/p0/b @1e-12 x50", ok)
 
 

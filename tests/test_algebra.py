@@ -33,16 +33,15 @@ from holoconf.algebra import (
     default_points,
     field_values,
     generator,
-    generator_by_transport,
     match_sign,
     minkowski_check,
-    paravector_substitute,
     sn,
     so31_pack,
     structure_table,
+    substituted_rows,
     tangent_curve,
 )
-from holoconf.charts import ANGULAR_CHARTS, ChartId, ChartPoint, DomainError
+from holoconf.charts import ChartId, ChartPoint, DomainError
 from holoconf.laplace import SolutionFamily, conjugate_derivative, solve
 from holoconf.sampling import chart_points, scale_dimensions, upsilon_points
 
@@ -67,12 +66,15 @@ def test_generator_examples():
 
 
 def test_generators_match_transport_from_flat():
-    # closed-form chart tables vs pushforward through the mixed Jacobian
+    # every closed-form chart row vs the flat upsilon-line field c(u) d/du
+    # carried into the chart by its solution coordinate u (substituted_rows)
     rng = random.Random(41)
-    for chart in ANGULAR_CHARTS:
+    for chart in ChartId:
         pts = chart_points(chart, 25, rng)
-        for g in GENERATORS:
-            assert vf_defect(generator(g, chart), generator_by_transport(g, chart), pts) <= 1e-10
+        rows = substituted_rows(chart, pts)
+        assert rows.shape == (len(GENERATORS), 2, 25)
+        for g, row in zip(GENERATORS, rows):
+            assert np.max(np.abs(field_values(generator(g, chart), pts).T - row)) <= 1e-12
 
 
 def test_bracket_examples():
@@ -102,9 +104,7 @@ def test_bracket_examples():
 
 
 def constructed_fields(realization) -> dict:
-    """A field of each VectorField constructor in the realization, by name;
-    the jet-aware ones, then generator_by_transport (plain and array points
-    only) in a chart."""
+    """A field of each VectorField constructor in the realization, by name."""
     g = {gid: generator(gid, realization) for gid in GENERATORS}
     fields = {
         "generator": g[Q0],
@@ -113,10 +113,6 @@ def constructed_fields(realization) -> dict:
         "lincomb": algebra.lincomb([(2.0, g[B]), (-0.5, g[Q1])], realization),
         **{f"so31_pack {ab}": f for ab, f in so31_pack(realization).items()},
     }
-    if realization == ChartId.HOLOGRAPHIC:
-        fields["paravector_substitute"] = paravector_substitute(lambda t, f: dual.cos(f), lambda t, f: dual.sin(t))
-    if realization != UPSILON_LINE:
-        fields["generator_by_transport"] = generator_by_transport(Q0, realization)
     return fields
 
 
@@ -132,8 +128,6 @@ def test_every_field_returns_all_its_coefficients_from_one_call(realization):
     for name, field in constructed_fields(realization).items():
         assert field.arity == len(array)
         for kind, ys in inputs.items():
-            if kind == "jet" and name == "generator_by_transport":
-                continue
             out = field.coeffs(*ys)
             assert type(out) is tuple and len(out) == field.arity, (name, kind)
         # the plain point's coefficients are the array's at that sample
@@ -600,19 +594,18 @@ def test_angular_tensor():
 def test_paravector_substitution_reproduces_generators():
     rng = random.Random(45)
     pts = chart_points(ChartId.HOLOGRAPHIC, 50, rng)
+    # the rule's rows: (1, i) -> (tan theta d_theta, d_phi) in c(u)/u
+    rows = dict(zip(GENERATORS, substituted_rows(ChartId.HOLOGRAPHIC, pts)))
+    theta, phi = pts.y0, pts.y1
     # real/imaginary parts of the solution give q0 (with cos phi in the real part)
-    sub_q0 = paravector_substitute(
-        lambda t, f: dual.cos(f) * dual.sin(t), lambda t, f: dual.sin(f) * dual.sin(t)
-    )
-    assert vf_defect(sub_q0, generator(Q0, ChartId.HOLOGRAPHIC), pts) <= 1e-12
+    sub_q0 = (np.cos(phi) * np.sin(theta) * np.tan(theta), np.sin(phi) * np.sin(theta))
     # parts of the inverse solution give p0
-    sub_p0 = paravector_substitute(
-        lambda t, f: dual.cos(f) / dual.sin(t), lambda t, f: -dual.sin(f) / dual.sin(t)
-    )
-    assert vf_defect(sub_p0, generator(P0, ChartId.HOLOGRAPHIC), pts) <= 1e-12
+    sub_p0 = (np.cos(phi) / np.sin(theta) * np.tan(theta), -np.sin(phi) / np.sin(theta))
     # the constant paravector 1 gives the dilation
-    sub_b = paravector_substitute(lambda t, f: 1.0, lambda t, f: 0.0)
-    assert vf_defect(sub_b, generator(B, ChartId.HOLOGRAPHIC), pts) <= 1e-12
+    sub_b = (np.tan(theta), 0.0 * theta)
+    for g, sub in ((Q0, sub_q0), (P0, sub_p0), (B, sub_b)):
+        assert np.max(np.abs(rows[g] - sub)) <= 1e-12
+        assert np.max(np.abs(field_values(generator(g, ChartId.HOLOGRAPHIC), pts).T - rows[g])) <= 1e-12
 
 
 def test_tangent_curve():

@@ -384,14 +384,15 @@ def test_a_wrong_radius_table_entry_fails_its_chart_checks(monkeypatch, chart, e
 
 @pytest.mark.parametrize("chart", charts.ANGULAR_CHARTS, ids=str)
 def test_a_wrong_derivative_entry_fails_its_chart_and_laplace_checks(monkeypatch, chart):
-    # R' doubled: the closed forms read R', and laplacian derives its
-    # operator's k = R/R' from it, so exactly the chart's three closed-form
-    # checks and its two operator checks fail
+    # R' doubled: the closed forms read R', and laplacian and the
+    # substitution rule share k = R/R' (radial_scale), so exactly the chart's
+    # three closed-form checks, its two operator checks and its substitution
+    # check fail
     radius = charts._RADII[chart]
     monkeypatch.setitem(charts._RADII, chart, radius._replace(derivative=lambda y0: 2 * radius.derivative(y0)))
-    report = run_suite(SuiteConfig(seed=3, samples=10, suites=("charts", "laplace")))
+    report = run_suite(SuiteConfig(seed=3, samples=10, suites=("charts", "laplace", "algebra")))
     failed = [c for c in report.checks if not c.passed]
-    fails = (*CLOSED_FORM_CHECKS, "solution_residual", "rescaled_operator_factor")
+    fails = (*CLOSED_FORM_CHECKS, "solution_residual", "rescaled_operator_factor", "paravector_substitution")
     assert [c.name for c in failed] == [f"{name}[{chart}]" for name in fails]
     for c in failed:
         assert c.max_defect > 1e-3 and c.message is None
@@ -438,18 +439,21 @@ def test_a_negated_upsilon_line_entry_fails_eigenactions_in_every_chart(monkeypa
     assert {f"eigenactions[{c}]" for c in ChartId} <= set(failed)
 
 
-HOLOGRAPHIC_ROWS = algebra.GENERATOR_TABLE_STRINGS[ChartId.HOLOGRAPHIC.value]
+CHART_ENTRIES = [
+    (chart, g, k)
+    for chart in ChartId
+    for g, row in algebra.GENERATOR_TABLE_STRINGS[chart.value].items()
+    for k, text in enumerate(row)
+    if text != "0"
+]
 
 
-@pytest.mark.parametrize(
-    "g, k",
-    [(g, k) for g in (algebra.S01, algebra.P1, Q1) for k, text in enumerate(HOLOGRAPHIC_ROWS[g]) if text != "0"],
-    ids=str,
-)
-def test_a_negated_holographic_entry_fails_paravector_substitution(monkeypatch, g, k):
-    # the substitution covers all six rows, s01, p1 and q1 among them
-    failed = _negated_entry_failures(monkeypatch, ChartId.HOLOGRAPHIC.value, g, k, ALGEBRA_ONLY)
-    assert "paravector_substitution" in failed
+@pytest.mark.parametrize("chart, g, k", CHART_ENTRIES, ids=str)
+def test_a_negated_chart_entry_fails_paravector_substitution_in_its_chart(monkeypatch, chart, g, k):
+    # the substitution rule derives all 24 chart rows (40 non-zero entries)
+    # from the upsilon line
+    failed = _negated_entry_failures(monkeypatch, chart.value, g, k, ALGEBRA_ONLY)
+    assert f"paravector_substitution[{chart}]" in failed
 
 
 def _constant_mutants():
