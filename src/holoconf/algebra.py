@@ -22,13 +22,13 @@ whose consistent metric is diag(1, 1, 1, -1); minkowski_check verifies
 both the relation and the uniqueness of that metric among diagonal sign
 patterns.
 
-The checks evaluate each generator once per realization, as value, gradient
-and Hessian tensors at the sample points (generator_tensors), and
-compute brackets as contractions of them (taylor_bracket).  The tensors of
-several fields stack along leading axes, and one contraction then brackets
-every pair of the two stacks at once, elementwise in the same order as one
-pair at a time: the Jacobi check evaluates all its triples in one call.
-Stacking pays only where the operands are tiny; at hundreds of sample
+The checks evaluate each generator table once per point set, only to the
+derivative order they read (generator_tensors): values for substituted_rows
+and the angular tensor, gradients for brackets (contractions of the tensors,
+taylor_bracket), Hessians for brackets of brackets.  Stacked tensors bracket
+every pair of two stacks in one contraction, elementwise in the same order
+as one pair at a time: the Jacobi check evaluates all its triples in one
+call.  Stacking pays only where the operands are tiny; at hundreds of sample
 points the per-pair loop of structure_table and minkowski_check is faster.
 bracket() and lincomb() build the same fields as closures over nested jets;
 they are the independent reference the tests compare the tensors against.
@@ -334,42 +334,46 @@ class TaylorField(Record, frozen=True):
         return self._map(lambda a: np.einsum("ri,i...->r...", matrix, a))
 
 
-def generator_tensors(realization, points, hessian: bool = False) -> TaylorField:
+def generator_tensors(realization, points, order: int = 1) -> TaylorField:
     """The six generators at the sample points (a 1-D array point, or a 1-D
     array on the upsilon line; a single point is one sample), as one stack
-    of fields in GENERATORS order with values and gradients (and Hessians on
-    request).
+    of fields in GENERATORS order: values, gradients from order 1 and
+    Hessians at order 2 (None where not computed).  Another order, a bool
+    included, raises ValueError.
 
-    The table function (_compile) is evaluated once, on jets whose derivative
-    parts carry every direction on a leading axis: the coordinate axes (the
-    gradient and the diagonal of the Hessian) and, for the Hessian, e_j + e_l
-    for j < l, whose second derivative gives the mixed partial by
-    polarization (Griewank and Walther, Evaluating Derivatives, ch. 13).
-    Without the Hessian the jets are first order.  On the upsilon line the
-    one direction is the complex derivative d/du.
+    The table function (_compile) is evaluated once: at order 0 on the plain
+    coordinates, else on jets whose derivative parts carry every direction
+    on a leading axis: the coordinate axes (the gradient and the diagonal of
+    the Hessian) and, at order 2, e_j + e_l for j < l, whose second
+    derivative gives the mixed partial by polarization (Griewank and
+    Walther, Evaluating Derivatives, ch. 13); at order 1 the jets are first
+    order.  On the upsilon line the one direction is the complex derivative.
     """
+    if isinstance(order, bool) or order not in (0, 1, 2):
+        raise ValueError(f"derivative order {order!r} is not 0, 1 or 2")
     key = realization_key(realization)
     args = [np.atleast_1d(a) for a in point_args(realization, points)]
     m, shape = len(args), np.broadcast(*args).shape
-    mixed = [(j, l) for j in range(m) for l in range(j + 1, m)] if hessian else []
+    mixed = [(j, l) for j in range(m) for l in range(j + 1, m)] if order == 2 else []
     # one row per direction: the coordinate axes, then e_j + e_l
     directions = np.array([[float(j in d) for j in range(m)] for d in [(j,) for j in range(m)] + mixed])
     # each argument in one fresh jet level, as dual.partials lifts them, but
     # with all directions on one axis before the sample axis: one evaluation
-    jets = [dual.Jet(a, directions[:, j, None], 0.0 if hessian else None) for j, a in enumerate(args)]
+    jets = [dual.Jet(a, directions[:, j, None], 0.0 if order == 2 else None) for j, a in enumerate(args)] if order else args
 
     dtype = np.result_type(*args)
     v = np.empty((len(GENERATORS), m, *shape), dtype)
-    g = np.empty((len(GENERATORS), m, m, *shape), dtype)
-    h = np.empty((len(GENERATORS), m, m, m, *shape), dtype) if hessian else None
+    g = np.empty((len(GENERATORS), m, m, *shape), dtype) if order else None
+    h = np.empty((len(GENERATORS), m, m, m, *shape), dtype) if order == 2 else None
     # a derivative part holds one row per direction (a constant's is 0.0)
     d = np.empty((len(directions), *shape), dtype)
     for i, row in enumerate(_TABLE_FUNCTIONS[key](*jets)):
         for k, jet in enumerate(row):
             v[i, k] = dual.value(jet)
-            d[...] = dual.d1(jet)
-            g[i, k] = d[:m]
-            if hessian:
+            if order:
+                d[...] = dual.d1(jet)
+                g[i, k] = d[:m]
+            if order == 2:
                 d[...] = dual.d2(jet)
                 h[i, k, range(m), range(m)] = d[:m]
                 for n, (j, l) in enumerate(mixed):
@@ -747,15 +751,13 @@ def angular_tensor(u: complex) -> np.ndarray:
 # --- tangent-vector identification -------------------------------------------
 
 def substituted_rows(chart: ChartId, points: ChartPoint) -> np.ndarray:
-    """The upsilon-line fields c_g(u) d/du as chart rows, u = SolutionFamily(1, chart),
-    at the points, shaped as generator_tensors(chart, points).v: (k Re w_g, Im w_g)
-    for w_g = c_g(u)/u and k = R/R' (radial_scale) on an angular chart, where u =
-    R(y0) e^{i phi} gives du/u = dy0/k + i dphi, and (Re c_g, Im c_g) on cartesian."""
+    """The upsilon-line fields c_g(u) d/du (generator_tensors at order 0, u = SolutionFamily(1,
+    chart)) as chart rows at the points, shaped as generator_tensors(chart, points).v:
+    (k Re w_g, Im w_g) for w_g = c_g(u)/u and k = R/R' (radial_scale) on an angular chart,
+    as u = R(y0) e^{i phi} gives du/u = dy0/k + i dphi, and (Re c_g, Im c_g) on cartesian."""
     args = [np.atleast_1d(a) for a in point_args(chart, points)]
     u = SolutionFamily(1, chart)(*args)
-    w = np.empty((len(GENERATORS), *u.shape), complex)
-    for i, (c,) in enumerate(_TABLE_FUNCTIONS[UPSILON_LINE](u)):
-        w[i] = c
+    w = generator_tensors(UPSILON_LINE, u, order=0).v[:, 0]
     if chart is ChartId.CARTESIAN:
         return np.stack((w.real, w.imag), axis=1)
     w /= u

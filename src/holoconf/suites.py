@@ -335,8 +335,8 @@ def charts_checks(cfg: SuiteConfig):
             cfg.samples, _rng(cfg, "ch.sct"), (0, 2 * math.pi), (0.5, 2.0), (0, 2 * math.pi)
         )
         x = charts.embed_coords(ChartId.POLAR, r, ang)
-        # the quadratic fields' coefficients at x
-        q0, q1 = (algebra.generator(g, ChartId.CARTESIAN).coeffs(*x) for g in (Q0, Q1))
+        # the quadratic fields' coefficients at x: q0 and q1 end GENERATORS
+        q0, q1 = algebra.generator_tensors(ChartId.CARTESIAN, ChartPoint(ChartId.CARTESIAN, *x), order=0).v[-2:]
 
         def defect(scale):
             c = charts.embed_coords(ChartId.POLAR, scale, cang)
@@ -516,7 +516,7 @@ def algebra_checks(cfg: SuiteConfig):
     @run.check("jacobi", "cyclic double brackets cancel", "tol", over=REALIZATIONS)
     def _(r):
         pts = algebra.default_points(r, n=5, seed=_seed(cfg, f"alg.jacobi.points.{r}"))
-        gens = algebra.generator_tensors(r, pts, hessian=True)
+        gens = algebra.generator_tensors(r, pts, order=2)
         # every triple, bracketed as one stack per slot
         yield np.abs(algebra.jacobiator(*(gens[t] for t in _JACOBI_TRIPLES)))
 
@@ -547,7 +547,7 @@ def algebra_checks(cfg: SuiteConfig):
     )
     def _():
         u = sampling.upsilon_points(cfg.samples, _rng(cfg, "alg.tensor"))
-        pack = algebra.generator_tensors(UPSILON_LINE, u).combine(algebra.SO31_PACK_MATRIX)
+        pack = algebra.generator_tensors(UPSILON_LINE, u, order=0).combine(algebra.SO31_PACK_MATRIX)
         m = algebra.angular_tensor(u)
         yield np.abs(m + m.swapaxes(0, 1))
         for (a, b), coeff in zip(algebra.SO31_INDEX_PAIRS, pack.v):
@@ -562,7 +562,7 @@ def algebra_checks(cfg: SuiteConfig):
     )
     def _(chart):
         pts = sampling.chart_points(chart, cfg.samples, _rng(cfg, f"alg.subst.{chart}"))
-        yield np.abs(algebra.substituted_rows(chart, pts) - algebra.generator_tensors(chart, pts).v)
+        yield np.abs(algebra.substituted_rows(chart, pts) - algebra.generator_tensors(chart, pts, order=0).v)
 
     # one draw shared by the two tangent-curve checks, taken at first use
     curve = functools.cache(lambda: sampling.chart_points(ChartId.HOLOGRAPHIC, 10, _rng(cfg, "alg.curve")))

@@ -412,7 +412,7 @@ def test_a_point_with_one_scalar_coordinate_is_its_broadcast_point(chart, scalar
     assert len(p) == 3
     for k in range(3):
         assert p[k] == q[k]
-    got, want = algebra.generator_tensors(chart, p, hessian=True), algebra.generator_tensors(chart, q, hessian=True)
+    got, want = algebra.generator_tensors(chart, p, order=2), algebra.generator_tensors(chart, q, order=2)
     for a, b in ((got.v, want.v), (got.g, want.g), (got.h, want.h)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert structure_table(chart, points=p) == structure_table(chart, points=q)

@@ -85,7 +85,7 @@ def closure_gradient(x, pts):
 def test_taylor_brackets_match_the_closure_path(realization):
     pts = algebra.default_points(realization, n=30, seed=7)
     g = {gid: algebra.generator(gid, realization) for gid in GENERATORS}
-    tensors = algebra.generator_tensors(realization, pts, hessian=True)
+    tensors = algebra.generator_tensors(realization, pts, order=2)
     t = {gid: tensors[i] for i, gid in enumerate(GENERATORS)}
     for gid in GENERATORS:
         assert_close(t[gid].v.T, algebra.field_values(g[gid], pts), tol=1e-13)
@@ -119,7 +119,7 @@ def test_taylor_structure_table_covers_polar():
     assert ledger.max_defect <= 1e-12
 
 
-def per_direction_tensors(realization, points, hessian):
+def per_direction_tensors(realization, points):
     """generator_tensors as one 2-jet pass per direction, one coefficient at
     a time: the reference for its single all-directions pass."""
     args = algebra.point_args(realization, points)
@@ -151,19 +151,31 @@ def per_direction_tensors(realization, points, hessian):
 @pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
 def test_generator_tensors_are_the_per_direction_jets(realization):
     pts = algebra.default_points(realization, n=40, seed=9)
-    v, g, h = per_direction_tensors(realization, pts, hessian=True)
-    first = algebra.generator_tensors(realization, pts)
-    full = algebra.generator_tensors(realization, pts, hessian=True)
-    assert first.h is None
+    v, g, h = per_direction_tensors(realization, pts)
+    values, first, full = (algebra.generator_tensors(realization, pts, order=n) for n in (0, 1, 2))
+    assert values.g is None and values.h is None and first.h is None
     for got in (first, full):
         assert np.array_equal(got.v, v) and np.array_equal(got.g, g)
     assert np.array_equal(full.h, h)
+    # order 0 evaluates the table on the plain coordinates: the same values
+    # to the last bit
+    assert values.v.dtype == full.v.dtype and values.v.tobytes() == first.v.tobytes() == full.v.tobytes()
     # a single point is one sample
-    one = algebra.generator_tensors(realization, pts[3], hessian=True)
+    one_values, one = (algebra.generator_tensors(realization, pts[3], order=n) for n in (0, 2))
     bra = algebra.taylor_bracket(one[:, None], one[None])
     assert one.v.shape == (6, *full.v.shape[1:-1], 1) and bra.g.shape[-1] == 1
     for got, want in ((one.v, v), (one.g, g), (one.h, h)):
         assert_close(got[..., 0], want[..., 3])
+    assert one_values.g is None and one_values.h is None
+    assert one_values.v.shape == one.v.shape and one_values.v.tobytes() == one.v.tobytes()
+
+
+@pytest.mark.parametrize("order", (True, False, -1, 3, 1.5, "2", None), ids=repr)
+def test_generator_tensors_reject_an_order_outside_0_1_2(order):
+    # a positional True once asked for Hessians; read as 1 it would silently
+    # drop them
+    with pytest.raises(ValueError, match=r"^derivative order .* is not 0, 1 or 2$"):
+        algebra.generator_tensors(ChartId.POLAR, algebra.default_points(ChartId.POLAR, n=3), order)
 
 
 def jet_parts(x):
@@ -203,11 +215,11 @@ def test_table_functions_are_the_coefficient_callables(realization):
                     assert [part.tobytes() for part in jet_parts(jet)] == want, (kind, gid, k)
 
 
-@pytest.mark.parametrize("hessian", (False, True), ids=("values", "hessians"))
+@pytest.mark.parametrize("order", (1, 2), ids=("gradients", "hessians"))
 @pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
-def test_stacked_brackets_are_the_per_pair_brackets(realization, hessian):
+def test_stacked_brackets_are_the_per_pair_brackets(realization, order):
     pts = algebra.default_points(realization, n=9, seed=11)
-    gens = algebra.generator_tensors(realization, pts, hessian=hessian)
+    gens = algebra.generator_tensors(realization, pts, order=order)
     # every ordered pair at once: a (6, 1) stack against a (1, 6) stack
     table = algebra.taylor_bracket(gens[:, None], gens[None])
     # index stacks, as the Jacobi check draws its triples
@@ -218,8 +230,8 @@ def test_stacked_brackets_are_the_per_pair_brackets(realization, hessian):
     ]:
         want = algebra.taylor_bracket(gens[i], gens[j])
         assert np.array_equal(got.v, want.v)
-        assert (got.g is None) is (want.g is None) is (not hessian)
-        assert not hessian or np.array_equal(got.g, want.g)
+        assert (got.g is None) is (want.g is None) is (order == 1)
+        assert order == 1 or np.array_equal(got.g, want.g)
 
 
 def table_rows(packed):
@@ -289,7 +301,7 @@ def test_chart_tensors_are_the_stacked_entries(chart, monkeypatch):
 @pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
 def test_stacked_jacobiator_is_the_per_triple_jacobiator(realization):
     pts = algebra.default_points(realization, n=7, seed=13)
-    gens = algebra.generator_tensors(realization, pts, hessian=True)
+    gens = algebra.generator_tensors(realization, pts, order=2)
     triples = list(itertools.combinations(range(6), 3)) + [(5, 0, 2), (1, 1, 4)]
     got = algebra.jacobiator(*(gens[list(t)] for t in zip(*triples)))
     assert got.shape == (len(triples), *gens.v.shape[1:])

@@ -260,13 +260,40 @@ def test_jacobi_checks_every_generator_triple(realization):
     # distinct generators, at the points of its labelled stream
     cfg = SuiteConfig(seed=7, suites=("algebra",))
     pts = algebra.default_points(realization, n=5, seed=suites._seed(cfg, f"alg.jacobi.points.{realization}"))
-    gens = algebra.generator_tensors(realization, pts, hessian=True)
+    gens = algebra.generator_tensors(realization, pts, order=2)
     want = max(
         np.abs(algebra.jacobiator(gens[x], gens[y], gens[z])).max()
         for x, y, z in itertools.combinations(range(6), 3)
     )
     (check,) = [c for c in run_suite(cfg).checks if c.name == f"jacobi[{realization}]"]
     assert check.max_defect == float(want)
+
+
+def test_each_algebra_check_evaluates_the_tables_to_the_order_it_reads(monkeypatch):
+    # the substitution rule and the angular tensor read values only, so they
+    # ask for order 0; the bracket checks read gradients, and only jacobi[*]
+    # brackets brackets, so only it asks for Hessians.  Each entry's calls
+    # are those made before its result is recorded.
+    tensors, check_result, orders, pending = algebra.generator_tensors, suites.CheckResult, {}, []
+
+    def spy(realization, points, order=1):
+        pending.append(order)
+        return tensors(realization, points, order)
+
+    def record(**fields):
+        orders[fields["name"]] = pending[:]
+        pending.clear()
+        return check_result(**fields)
+
+    monkeypatch.setattr(algebra, "generator_tensors", spy)
+    monkeypatch.setattr(suites, "CheckResult", record)
+    report = run_suite(SuiteConfig(seed=7, suites=("algebra",)))
+    assert report.overall_pass
+    assert orders["angular_tensor"] == [0]
+    for chart in ChartId:
+        # substituted_rows' upsilon-line table, then the chart's own table
+        assert orders[f"paravector_substitution[{chart}]"] == [0, 0]
+    assert {name: o for name, o in orders.items() if 2 in o} == {f"jacobi[{r}]": [2] for r in algebra.REALIZATIONS}
 
 
 def test_unmatched_bracket_fails_its_check(monkeypatch):
