@@ -355,18 +355,19 @@ def generator_tensors(realization, points, order: int = 1) -> TaylorField:
     args = [np.atleast_1d(a) for a in point_args(realization, points)]
     m, shape = len(args), np.broadcast(*args).shape
     mixed = [(j, l) for j in range(m) for l in range(j + 1, m)] if order == 2 else []
-    # one row per direction: the coordinate axes, then e_j + e_l
-    directions = np.array([[float(j in d) for j in range(m)] for d in [(j,) for j in range(m)] + mixed])
-    # each argument in one fresh jet level, as dual.partials lifts them, but
-    # with all directions on one axis before the sample axis: one evaluation
-    jets = [dual.Jet(a, directions[:, j, None], 0.0 if order == 2 else None) for j, a in enumerate(args)] if order else args
-
     dtype = np.result_type(*args)
     v = np.empty((len(GENERATORS), m, *shape), dtype)
     g = np.empty((len(GENERATORS), m, m, *shape), dtype) if order else None
     h = np.empty((len(GENERATORS), m, m, m, *shape), dtype) if order == 2 else None
-    # a derivative part holds one row per direction (a constant's is 0.0)
-    d = np.empty((len(directions), *shape), dtype)
+    jets = args
+    if order:
+        # one row per direction: the coordinate axes, then e_j + e_l
+        directions = np.array([[float(j in d) for j in range(m)] for d in [(j,) for j in range(m)] + mixed])
+        # each argument in one fresh jet level, as dual.partials lifts them, but
+        # with all directions on one axis before the sample axis: one evaluation
+        jets = [dual.Jet(a, directions[:, j, None], 0.0 if order == 2 else None) for j, a in enumerate(args)]
+        # a derivative part holds one row per direction (a constant's is 0.0)
+        d = np.empty((len(directions), *shape), dtype)
     for i, row in enumerate(_TABLE_FUNCTIONS[key](*jets)):
         for k, jet in enumerate(row):
             v[i, k] = dual.value(jet)

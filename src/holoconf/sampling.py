@@ -10,6 +10,13 @@ them, bitwise, the ``rng.uniform`` draws of a per-sample loop, one sample
 (row) at a time and one value per range in the order given.  The arrays
 leave the stream in the state that loop leaves (and numpy's cos and sin of
 the drawn angles match ``math``'s on [0, 2*pi)).
+
+Each word pair becomes ``rng.random()``'s double by genrand_res53 (Matsumoto
+and Nishimura, ACM TOMACS 8(1), 1998) in integer passes over the pairs read
+as little-endian uint64, written straight into the sample-major buffer; each
+range's array is then one new contiguous array.  Several numbers a sample
+(``bicomplex_batch``'s count) are one ``uniform`` call over all their ranges,
+so each number's components come out contiguous, not as strided views.
 """
 
 from __future__ import annotations
@@ -37,9 +44,13 @@ def words(rng: random.Random, n: int) -> np.ndarray:
     return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
 
 
-def _doubles(w: np.ndarray) -> np.ndarray:
-    """rng.random() of each word pair, exactly, in float64: uint32 loops would add RSS."""
-    return (np.floor(w[0::2] * 2.0**-5) * 2.0**26 + np.floor(w[1::2] * 2.0**-6)) * 2.0**-53
+def _doubles(w: np.ndarray, out: np.ndarray) -> None:
+    """rng.random() of each word pair (a, b), exactly, into out: genrand_res53's
+    ((a >> 5) * 2**26 + (b >> 6)) * 2**-53, read from the pair as one
+    little-endian uint64 x = a | b << 32 in integer passes (the 53-bit integer
+    converts to float64 exactly)."""
+    x = w.view("<u8")
+    np.multiply((x & 0xFFFFFFE0) << 21 | x >> 38, 2.0**-53, out=out)
 
 
 def uniform(n: int, rng: random.Random, *ranges) -> tuple[np.ndarray, ...]:
@@ -49,7 +60,7 @@ def uniform(n: int, rng: random.Random, *ranges) -> tuple[np.ndarray, ...]:
     u = np.empty(n * len(ranges))  # sample-major: u[k::len(ranges)] is range k
     for start in range(0, u.size, 8192):  # blocks bound the transient memory
         part = u[start : start + 8192]
-        part[:] = _doubles(words(rng, 2 * part.size))
+        _doubles(words(rng, 2 * part.size), part)
     return tuple(lo + (hi - lo) * u[k :: len(ranges)] for k, (lo, hi) in enumerate(ranges))
 
 
@@ -74,7 +85,13 @@ def scale_dimensions(n: int, rng: random.Random) -> np.ndarray:
     return _complex(*uniform(n, rng, (-3, 3), (-1, 1)))
 
 
-def bicomplex_batch(n: int, rng: random.Random, scale: float = 2.0) -> Bicomplex:
+def bicomplex_batch(
+    n: int, rng: random.Random, scale: float = 2.0, count: int | None = None
+) -> Bicomplex | tuple[Bicomplex, ...]:
     """n random numbers with components in [-scale, scale], as one
-    array-valued Bicomplex."""
-    return Bicomplex(*uniform(n, rng, *[(-scale, scale)] * 4))
+    array-valued Bicomplex; with a count, n samples of count numbers each
+    (a sample's first number drawn first, then its second, ...) from one
+    uniform call, as a tuple of count array-valued Bicomplex."""
+    vals = uniform(n, rng, *[(-scale, scale)] * (4 * (1 if count is None else count)))
+    numbers = tuple(Bicomplex(*vals[k : k + 4]) for k in range(0, len(vals), 4))
+    return numbers if count is not None else numbers[0]

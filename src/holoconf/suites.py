@@ -155,8 +155,7 @@ def bicomplex_checks(cfg: SuiteConfig):
         "exact",
     )
     def _():
-        vals = sampling.bicomplex_batch(3 * cfg.samples, _rng(cfg, "bc.ring"))
-        a, b, c = vals[0::3], vals[1::3], vals[2::3]
+        a, b, c = sampling.bicomplex_batch(cfg.samples, _rng(cfg, "bc.ring"), count=3)
         yield from (
             ((a * b) * c - a * (b * c)).max_abs(),
             (a * b - b * a).max_abs(),
@@ -191,8 +190,7 @@ def bicomplex_checks(cfg: SuiteConfig):
         "exact",
     )
     def _():
-        vals = sampling.bicomplex_batch(2 * cfg.samples, _rng(cfg, "bc.invol"))
-        a, b = vals[0::2], vals[1::2]
+        a, b = sampling.bicomplex_batch(cfg.samples, _rng(cfg, "bc.invol"), count=2)
         yield from (
             (bc.UNIT_I.conjugate() + bc.UNIT_I).max_abs(),
             (bc.UNIT_J.conjugate() - bc.UNIT_J).max_abs(),
@@ -226,8 +224,7 @@ def bicomplex_checks(cfg: SuiteConfig):
         "exact",
     )
     def _():
-        vals = sampling.bicomplex_batch(2 * cfg.samples, _rng(cfg, "bc.exp"), scale=0.8)
-        a, b = vals[0::2], vals[1::2]
+        a, b = sampling.bicomplex_batch(cfg.samples, _rng(cfg, "bc.exp"), scale=0.8, count=2)
         yield (bc.ZERO.exp() - bc.ONE).max_abs()
         lhs = a.exp() * b.exp()
         rhs = (a + b).exp()
@@ -620,14 +617,21 @@ def _mobius_draws(n: int, rng: random.Random) -> tuple:
 def _exp_per_sample(gens: np.ndarray, eps: np.ndarray) -> projective.SpinMatrix:
     """exp_one_param(GENERATORS[gens[k]], eps[k], COMPLEX) at every sample k,
     as one matrix of entry arrays; each exponential is taken only on the
-    samples that picked its generator."""
+    samples that picked its generator, gathered and scattered by their
+    indices (a boolean mask would scan every sample at each of the 24 writes)."""
     entries = [np.empty(eps.shape, complex) for _ in range(4)]
     for k, g in enumerate(GENERATORS):
-        picked = gens == k
+        picked = np.flatnonzero(gens == k)
         m = projective.exp_one_param(g, eps[picked], projective.Ring.COMPLEX)
         for out, e in zip(entries, m.entries()):
             out[picked] = e
     return projective.SpinMatrix(projective.Ring.COMPLEX, *entries)
+
+
+def _kept(keep: np.ndarray, *values) -> tuple:
+    """values themselves when keep holds at every sample, else the kept
+    samples of each (an array, or a SpinMatrix of entry arrays)."""
+    return values if keep.all() else tuple(v[keep] for v in values)
 
 
 def projective_checks(cfg: SuiteConfig):
@@ -758,12 +762,11 @@ def projective_checks(cfg: SuiteConfig):
         m, n = _exp_per_sample(first, eps_m), _exp_per_sample(second, eps_n)
         mn = m @ n
         # skip the samples that sit on a pole of any of the three maps
-        keep = ~(projective.on_pole(mn, v) | projective.on_pole(n, v))
-        m, n, mn, v = m[keep], n[keep], mn[keep], v[keep]
+        m, n, mn, v = _kept(~(projective.on_pole(mn, v) | projective.on_pole(n, v)), m, n, mn, v)
         inner = projective.mobius_apply(n, v)
-        keep = ~projective.on_pole(m, inner)
-        lhs = projective.mobius_apply(mn[keep], v[keep])
-        rhs = projective.mobius_apply(m[keep], inner[keep])
+        m, mn, v, inner = _kept(~projective.on_pole(m, inner), m, mn, v, inner)
+        lhs = projective.mobius_apply(mn, v)
+        rhs = projective.mobius_apply(m, inner)
         yield np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
 
     @run.check(
@@ -774,10 +777,8 @@ def projective_checks(cfg: SuiteConfig):
     )
     def _():
         *raw, lam = sampling.uniform(cfg.samples, _rng(cfg, "proj.hopf"), *[(-2, 2)] * 4, (0, 2 * math.pi))
-        raw = np.array(raw)
         # skip the samples whose four components all lie near 0
-        keep = ~np.all(np.abs(raw) < 1e-3, axis=0)
-        raw, lam = raw[:, keep], lam[keep]
+        *raw, lam = _kept(~np.all(np.abs(raw) < 1e-3, axis=0), *raw, lam)
         xi = projective.hopf_raw(*raw)
         nsq = sum(c * c for c in raw)
         # agreement with the bicomplex involution projections
@@ -807,8 +808,7 @@ def projective_checks(cfg: SuiteConfig):
         re1, im1, re2, im2 = sampling.uniform(cfg.samples, _rng(cfg, "proj.charts"), *[(-2, 2)] * 4)
         v1 = re1 + 1j * im1
         v2 = re2 + 1j * im2
-        keep = (np.abs(v1) >= 1e-3) & (np.abs(v2) >= 1e-3)
-        p = projective.ProjectivePoint(v1[keep], v2[keep])
+        p = projective.ProjectivePoint(*_kept((np.abs(v1) >= 1e-3) & (np.abs(v2) >= 1e-3), v1, v2))
         tr = projective.chart_transition(p)
         yield abs(np.abs(tr.transition) - 1.0)
         scaled = projective.ProjectivePoint(1.7j * p.v1, 1.7j * p.v2)

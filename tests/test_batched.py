@@ -503,15 +503,18 @@ def test_samplers_make_the_per_point_draws(name, n):
         assert g.tobytes() == np.array(want[k] if n else [], dtype=dtype).tobytes()
 
 
-@pytest.mark.parametrize("n", (0, 1, 3, 4095, 4096, 4097))
+@pytest.mark.parametrize("n", (0, 1, 3, 682, 683, 4095, 4096, 4097))
 def test_uniform_and_words_make_the_per_call_draws(n):
-    # uniform draws 8192 values a block: 4096 samples of two ranges fill one
+    # uniform draws 8192 values a block: 4096 samples of two ranges fill one,
+    # and 683 samples of twelve ranges (a draw of three bicomplex numbers) cross it
     rng, rng_ref = random.Random(n), random.Random(n)
-    got = uniform(n, rng, (-2, 2), (0.5, 7.0))
-    want = [[rng_ref.uniform(-2, 2), rng_ref.uniform(0.5, 7.0)] for _ in range(n)]
-    assert rng.getstate() == rng_ref.getstate()
-    for k, g in enumerate(got):
-        assert g.dtype == float and g.tobytes() == np.array([w[k] for w in want], float).tobytes()
+    for ranges in ([(-2, 2), (0.5, 7.0)], [(-2, 2), (0, 6), (-0.8, 0.8)] * 4):
+        got = uniform(n, rng, *ranges)
+        want = [[rng_ref.uniform(*r) for r in ranges] for _ in range(n)]
+        assert rng.getstate() == rng_ref.getstate()
+        assert len(got) == len(ranges)
+        for k, g in enumerate(got):
+            assert g.dtype == float and g.tobytes() == np.array([w[k] for w in want], float).tobytes()
     raw = words(rng, 2 * n + 1)
     assert raw.dtype == np.uint32
     assert raw.tolist() == [rng_ref.getrandbits(32) for _ in range(2 * n + 1)]
@@ -696,6 +699,25 @@ def assert_bitwise(batched: Bicomplex, scalars: list):
         assert batched[k] == x, (k, batched[k], x)
 
 
+def assert_same_components(got: Bicomplex, want: Bicomplex):
+    """Each component has the reference's type, dtype, shape and bytes."""
+    for g, w in zip(got.components(), want.components()):
+        assert type(g) is type(w) and np.asarray(g).dtype == np.asarray(w).dtype
+        assert np.shape(g) == np.shape(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def ref_product(x: Bicomplex, y: Bicomplex) -> Bicomplex:
+    """x * y as the expression of the ring's multiplication table."""
+    a1, a2, a3, a4 = x.components()
+    b1, b2, b3, b4 = y.components()
+    return Bicomplex(
+        a1 * b1 - a2 * b2 - a3 * b3 + a4 * b4,
+        a1 * b2 + a2 * b1 - a3 * b4 - a4 * b3,
+        a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2,
+        a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2,
+    )
+
+
 def ref_idempotent_parts(x: Bicomplex) -> tuple:
     w1, w2 = complex(x.re, x.im_i), complex(x.im_j, x.im_ij)
     return w1 - 1j * w2, w1 + 1j * w2
@@ -769,6 +791,15 @@ def test_bicomplex_batch_makes_the_draws_of_bicomplex_values():
         assert rng_batch.getstate() == rng_values.getstate()
         assert batch.re.shape == (n,)
         assert_bitwise(batch, values)
+        # count numbers a sample: the sample's numbers are consecutive draws
+        for count in (1, 2, 3):
+            values = ref_bicomplex_values(count * n, rng_values, scale)
+            batches = bicomplex_batch(n, rng_batch, scale, count=count)
+            assert rng_batch.getstate() == rng_values.getstate()
+            assert isinstance(batches, tuple) and len(batches) == count
+            for k, batch in enumerate(batches):
+                assert all(c.shape == (n,) and c.flags.c_contiguous for c in batch.components())
+                assert_bitwise(batch, values[k::count])
 
 
 def test_bicomplex_arithmetic_is_bitwise_the_scalar_path():
@@ -779,6 +810,34 @@ def test_bicomplex_arithmetic_is_bitwise_the_scalar_path():
     pairs = list(zip(a_list, b_list))
     assert_bitwise(a * b, [x * y for x, y in pairs])
     assert_bitwise(a + b - a * 2.5, [x + y - x * 2.5 for x, y in pairs])
+    # subtraction is componentwise, bitwise the sum with the negation
+    assert_same_components(a - b, a + (-b))
+    assert_same_components(2.5 - a, Bicomplex(2.5) + (-a))
+    assert_bitwise(2.5 - a, [Bicomplex(2.5) + (-x) for x in a_list])
+    # products sum in place only where every component is a float64 array of
+    # one shape; Python numbers, mixed number and array components and
+    # integer arrays give the written expression's components and types
+    arr, one, ints, singles = np.array(a.re), a.re[:1], np.arange(300), a.re.astype(np.float32)
+    for x, y in (
+        (a, b),
+        (bc.ONE, a),
+        (a, bc.UNIT_I),
+        (Bicomplex(arr), bc.UNIT_I),
+        (bc.UNIT_I, Bicomplex(arr)),
+        (Bicomplex(arr[:1], 0.5, arr[1:2], -0.25), b),
+        # float64 arrays of two shapes, and arrays of other dtypes
+        (Bicomplex(one, a.im_i, one, one), Bicomplex(one, one, one, one)),
+        (Bicomplex(one, one, one, one), Bicomplex(0.5, a.im_i, 0.25, -1.0)),
+        (Bicomplex(ints, ints, ints, ints), Bicomplex(ints, ints - 2, ints, ints)),
+        (Bicomplex(ints, a.im_i, ints, ints), Bicomplex(ints, ints, ints, ints)),
+        (Bicomplex(singles, a.im_i, singles, singles), Bicomplex(singles, singles, singles, singles)),
+        (Bicomplex(ints, ints), a),
+        (a_list[0], b_list[0]),
+        (Bicomplex(1, 2, 3, 4), bc.UNIT_J),
+    ):
+        assert_same_components(x * y, ref_product(x, y))
+    one = a_list[0] * b_list[0]
+    assert all(type(c) is float for c in (*one.components(), *(bc.ONE * bc.UNIT_I).components()))
     assert_bitwise(a.conjugate() * b.reverse(), [x.conjugate() * y.reverse() for x, y in pairs])
     assert_bitwise(b.exp(), [ref_exp(y) for y in b_list])
     assert_bitwise(a.inverse(), [ref_inverse(x) for x in a_list])

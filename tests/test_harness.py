@@ -28,6 +28,7 @@ from holoconf.suites import run_suite
 
 REPORT_GOLDEN = Path(__file__).parent / "data" / "verify_seed7_report.json"
 REPORT_1000_GOLDEN = Path(__file__).parent / "data" / "verify_seed7_samples1000_report.json"
+RINGS_10000_GOLDEN = Path(__file__).parent / "data" / "rings_seed7_samples10000_report.json"
 TABLE_GOLDEN = Path(__file__).parent / "data" / "table_golden.txt"
 RINGS_GOLDEN = Path(__file__).parent / "data" / "rings_seed7_golden.json"
 GRID_GOLDEN = Path(__file__).parent / "data" / "grids"
@@ -90,11 +91,16 @@ def test_sign_ledgers_in_report():
 
 @pytest.mark.parametrize(
     "cfg, golden",
-    [(SuiteConfig(seed=7), REPORT_GOLDEN), (SuiteConfig(seed=7, samples=1000), REPORT_1000_GOLDEN)],
+    [
+        (SuiteConfig(seed=7), REPORT_GOLDEN),
+        (SuiteConfig(seed=7, samples=1000), REPORT_1000_GOLDEN),
+        (SuiteConfig(seed=7, samples=10000, suites=("bicomplex", "projective")), RINGS_10000_GOLDEN),
+    ],
 )
 def test_seed7_report_is_byte_identical_to_golden(cfg, golden):
-    # the whole JSON of `holoconf verify --seed 7` (and at --samples 1000),
-    # every max_defect included: a refactor must leave it byte for byte
+    # the whole JSON of `holoconf verify --seed 7` (and at --samples 1000, and
+    # of the two ring suites at 10000), every max_defect included: a refactor
+    # must leave it byte for byte
     assert run_suite(cfg).to_json() == golden.read_text()
 
 
@@ -252,6 +258,56 @@ def test_a_raising_tangent_curve_draw_fails_only_its_two_checks(monkeypatch):
         if c["name"] in curve_checks:
             assert c["message"] == "MemoryError: no room for the curve" and c["max_defect"] is None
     assert [c for c in got if c["name"] not in curve_checks] == [c for c in want if c["name"] not in curve_checks]
+
+
+def _on_mobius_pole(draws):
+    # exp(0.5 q0) = [[1, 0], [-0.5, 1]] has its pole at v = 2
+    first, second, _, eps_n, v = draws
+    first[0], second[0], eps_n[0], v[0] = 0.0, 4.0, 0.5, 2.0
+    return draws
+
+
+def _at_origin(draws):
+    for c in draws[:4]:
+        c[0] = 0.0
+    return draws
+
+
+def _v1_at_zero(draws):
+    draws[0][0] = draws[1][0] = 0.0
+    return draws
+
+
+@pytest.mark.parametrize(
+    "check, label, draw, spoil",
+    [
+        ("mobius_group_action", "proj.mobius", (suites, "_mobius_draws"), _on_mobius_pole),
+        ("sphere_map", "proj.hopf", (sampling, "uniform"), _at_origin),
+        ("line_charts", "proj.charts", (sampling, "uniform"), _v1_at_zero),
+    ],
+)
+def test_a_skipped_sample_leaves_the_defect_of_the_kept_samples(monkeypatch, check, label, draw, spoil):
+    # sample 0 of the check's draw made one that the check skips; seeded draws
+    # never take that path.  The entry must pass with the defect of a run on
+    # the same draws without sample 0
+    cfg = SuiteConfig(seed=5, samples=40, suites=("projective",))
+    module, name = draw
+    original, state = getattr(module, name), suites._rng(cfg, label).getstate()
+
+    def entry(edit):
+        def edited(n, rng, *args):
+            if rng.getstate() != state:
+                return original(n, rng, *args)
+            return tuple(edit(list(original(n, rng, *args))))
+
+        with monkeypatch.context() as m:
+            m.setattr(module, name, edited)
+            (result,) = [c for c in run_suite(cfg).checks if c.name == check]
+        return result
+
+    spoiled, kept = entry(spoil), entry(lambda draws: [d[1:] for d in draws])
+    assert spoiled.passed and kept.passed and spoiled.message is None
+    assert spoiled.max_defect == kept.max_defect
 
 
 @pytest.mark.parametrize("realization", algebra.REALIZATIONS, ids=str)
