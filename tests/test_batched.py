@@ -694,9 +694,12 @@ def test_plane_maps_and_harmonics_on_arrays():
 
 
 def assert_bitwise(batched: Bicomplex, scalars: list):
-    """Every component of every sample equals the reference, bit for bit."""
+    """Every component of every sample is the reference's, bit for bit: a
+    float64 array whose sample k, as a Python float, has the reference
+    component's type and bytes (so 0.0 and -0.0 differ)."""
+    assert all(c.dtype == np.float64 and c.shape == (len(scalars),) for c in batched.components())
     for k, x in enumerate(scalars):
-        assert batched[k] == x, (k, batched[k], x)
+        assert_same_components(Bicomplex(*(c[k].item() for c in batched.components())), x)
 
 
 def assert_same_components(got: Bicomplex, want: Bicomplex):
@@ -719,13 +722,15 @@ def ref_product(x: Bicomplex, y: Bicomplex) -> Bicomplex:
 
 
 def ref_idempotent_parts(x: Bicomplex) -> tuple:
-    w1, w2 = complex(x.re, x.im_i), complex(x.im_j, x.im_ij)
-    return w1 - 1j * w2, w1 + 1j * w2
+    # w1 -+ i w2 with w1 = re + i im_i and w2 = im_j + i im_ij, in real arithmetic
+    return complex(x.re + x.im_ij, x.im_i - x.im_j), complex(x.re - x.im_ij, x.im_i + x.im_j)
 
 
 def ref_from_idempotent_parts(zp: complex, zm: complex) -> Bicomplex:
-    w1, w2 = (zp + zm) / 2, 1j * (zp - zm) / 2
-    return Bicomplex(w1.real, w1.imag, w2.real, w2.imag)
+    # z+ e+ + z- e- with e+- = (1 +- ij)/2, in real arithmetic
+    return Bicomplex(
+        (zp.real + zm.real) / 2, (zp.imag + zm.imag) / 2, (zm.imag - zp.imag) / 2, (zp.real - zm.real) / 2
+    )
 
 
 def ref_exp(x: Bicomplex) -> Bicomplex:
@@ -814,12 +819,20 @@ def test_bicomplex_arithmetic_is_bitwise_the_scalar_path():
     assert_same_components(a - b, a + (-b))
     assert_same_components(2.5 - a, Bicomplex(2.5) + (-a))
     assert_bitwise(2.5 - a, [Bicomplex(2.5) + (-x) for x in a_list])
-    # products sum in place only where every component is a float64 array of
-    # one shape; Python numbers, mixed number and array components and
-    # integer arrays give the written expression's components and types
+    # products are the written expression, with its components and types,
+    # for float64 arrays, Python numbers, mixed number and array components
+    # and integer arrays; exp, inverse and the bicomplex Mobius image build
+    # fresh C-contiguous float64 components
     arr, one, ints, singles = np.array(a.re), a.re[:1], np.arange(300), a.re.astype(np.float32)
+    exp, inverse = b.exp(), a.inverse()
+    image = projective.mobius_apply(projective.exp_one_param(B, np.linspace(-0.6, 0.6, 300), Ring.BICOMPLEX), b)
+    for x in (exp, inverse, image):
+        assert all(c.dtype == np.float64 and c.flags.c_contiguous for c in x.components())
     for x, y in (
         (a, b),
+        (exp, inverse),
+        (image, a),
+        (bc.UNIT_J, exp),
         (bc.ONE, a),
         (a, bc.UNIT_I),
         (Bicomplex(arr), bc.UNIT_I),
@@ -842,6 +855,14 @@ def test_bicomplex_arithmetic_is_bitwise_the_scalar_path():
     assert_bitwise(b.exp(), [ref_exp(y) for y in b_list])
     assert_bitwise(a.inverse(), [ref_inverse(x) for x in a_list])
     assert_bitwise(b / a, [y * ref_inverse(x) for x, y in pairs])
+    # components 0.0, -0.0, 1.0 and -0.5: the recombined parts keep the zero
+    # signs of the reference's real sums, on arrays and on one number
+    signed = [Bicomplex(*c) for c in itertools.product((0.0, -0.0, 1.0, -0.5), repeat=4)]
+    invertible = [x for x in signed if not np.logical_or(*bc.vanishing_parts(*x.idempotent_parts()))]
+    for values, op, ref in ((signed, Bicomplex.exp, ref_exp), (invertible, Bicomplex.inverse, ref_inverse)):
+        assert_bitwise(op(Bicomplex(*map(np.array, zip(*(x.components() for x in values))))), list(map(ref, values)))
+        for x in values:
+            assert_same_components(op(x), ref(x))
     # one number goes through the same code and leaves as Python floats
     assert [y.exp() for y in b_list[:20]] == [ref_exp(y) for y in b_list[:20]]
     assert [x.inverse() for x in a_list[:20]] == [ref_inverse(x) for x in a_list[:20]]
