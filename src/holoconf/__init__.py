@@ -39,7 +39,6 @@ from .algebra import (
     generator,
     minkowski_check,
     sn,
-    so31_pack,
     structure_table,
     substituted_rows,
     tangent_curve,

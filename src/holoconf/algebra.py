@@ -30,8 +30,8 @@ every pair of two stacks in one contraction, elementwise in the same order
 as one pair at a time: the Jacobi check evaluates all its triples in one
 call.  Stacking pays only where the operands are tiny; at hundreds of sample
 points the per-pair loop of structure_table and minkowski_check is faster.
-bracket() and lincomb() build the same fields as closures over nested jets;
-they are the independent reference the tests compare the tensors against.
+bracket() builds the same brackets as closures over nested jets; it is the
+independent reference the tests compare the tensors against.
 """
 
 from __future__ import annotations
@@ -131,20 +131,6 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
         return tuple(out)
 
     return VectorField(x.realization, coeffs)
-
-
-def lincomb(terms, realization) -> VectorField:
-    """Pointwise linear combination sum_i c_i * field_i; each evaluation
-    calls each field once."""
-    arity = len(COORDINATE_NAMES[realization_key(realization)])
-
-    def coeffs(*ys):
-        acc = [0.0] * arity
-        for c, f in terms:
-            acc = [a + c * v for a, v in zip(acc, f.coeffs(*ys))]
-        return tuple(acc)
-
-    return VectorField(realization, coeffs)
 
 
 def point_args(realization, p):
@@ -620,19 +606,6 @@ _QP_PACKED_PAIRS = frozenset({((0, 2), (0, 3)), ((0, 2), (1, 2)), ((0, 3), (1, 3
 MINKOWSKI_FIELD_SIGNS = {
     packed_label(a, b): (-1 if (a, b) in _QP_PACKED_PAIRS else 1) for a, b in SO31_BRACKET_PAIRS
 }
-
-
-def so31_pack(realization) -> dict:
-    """The six rotation operators s_ab of SO31_PACKING as vector fields; a
-    single generator is returned as it is."""
-    out = {}
-    for (a, b), row in SO31_PACKING.items():
-        terms = [(c, generator(g, realization)) for g, c in row.items()]
-        if len(terms) == 1 and terms[0][0] == 1.0:
-            out[(a, b)] = terms[0][1]
-        else:
-            out[(a, b)] = lincomb(terms, realization)
-    return out
 
 
 def _shared_index(a: tuple, b: tuple):

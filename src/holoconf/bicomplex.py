@@ -198,7 +198,7 @@ class Bicomplex(Record, frozen=True):
         reject(~np.isfinite(self.max_abs()), ValueError, "cannot invert {}: not finite", self)
         zp, zm = self.idempotent_parts()
         reject(
-            np.logical_or(*vanishing_parts(zp, zm)),
+            vanishes(zp) | vanishes(zm),
             ZeroDivisorError,
             "not invertible: idempotent parts ({}, {})",
             zp,
@@ -212,10 +212,10 @@ class Bicomplex(Record, frozen=True):
         return Bicomplex.from_idempotent_parts(np.exp(zp), np.exp(zm))
 
 
-def vanishing_parts(zp, zm) -> tuple:
-    """Per sample, whether each idempotent part is within POLE_TOL of zero:
-    a number with either one there is a zero divisor."""
-    return np.abs(zp) <= POLE_TOL, np.abs(zm) <= POLE_TOL
+def vanishes(z):
+    """|z| <= POLE_TOL per sample: a Mobius denominator on its pole, or an
+    idempotent part of a zero divisor."""
+    return np.abs(z) <= POLE_TOL
 
 
 def _coerce(x) -> Bicomplex:

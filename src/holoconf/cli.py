@@ -20,11 +20,14 @@ from .suites import run_suite
 
 REALIZATION_NAMES = tuple(realization_key(r) for r in REALIZATIONS)
 
+# verify's defaults are SuiteConfig's: the seed without --seed or HOLOCONF_SEED, --samples and --tol
+_DEFAULTS = SuiteConfig()
+
 
 def _default_seed() -> int:
     env = os.environ.get("HOLOCONF_SEED")
     try:
-        return int(env) if env is not None else 1
+        return int(env) if env is not None else _DEFAULTS.seed
     except ValueError:
         raise ValueError(f"HOLOCONF_SEED must be an integer, got {env!r}") from None
 
@@ -44,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite to run (repeatable; default all)",
     )
     verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--samples", type=int, default=50)
-    verify.add_argument("--tol", type=float, default=1e-10)
+    verify.add_argument("--samples", type=int, default=_DEFAULTS.samples)
+    verify.add_argument("--tol", type=float, default=_DEFAULTS.tol)
     verify.add_argument("--format", choices=("json", "text"), default="json")
 
     table = sub.add_parser("table", help="print a generator coefficient table")

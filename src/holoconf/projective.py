@@ -45,7 +45,6 @@ from .algebra import (
     pair_label,
 )
 from .bicomplex import (
-    POLE_TOL,
     Bicomplex,
     HopfTriple,
     UNIT_I,
@@ -55,7 +54,7 @@ from .bicomplex import (
     null_plane_units,
     plain,
     reject,
-    vanishing_parts,
+    vanishes,
 )
 
 
@@ -261,12 +260,7 @@ EXPECTED_MATRIX_SIGNS = {
 def on_pole(m: SpinMatrix, v):
     """Per sample, whether v sits on a pole of m's action over the real or
     complex ring, |c v + d| <= POLE_TOL: where mobius_apply raises PoleError."""
-    return _vanishes(m.c * v + m.d)
-
-
-def _vanishes(den):
-    """|den| <= POLE_TOL per sample: a real or complex Mobius denominator's pole."""
-    return np.abs(den) <= POLE_TOL
+    return vanishes(m.c * v + m.d)
 
 
 def mobius_apply(m: SpinMatrix, v):
@@ -293,13 +287,13 @@ def mobius_apply(m: SpinMatrix, v):
         den = m.c * v + m.d
         if m.ring is Ring.BICOMPLEX:
             zp, zm = den.idempotent_parts()
-            dead_p, dead_m = vanishing_parts(zp, zm)
+            dead_p, dead_m = vanishes(zp), vanishes(zm)
             reject(dead_p & dead_m, PoleError, "denominator vanished")
             reject(dead_p | dead_m, NullLinePoleError, "denominator is a zero divisor: idempotent parts ({}, {})", zp, zm)
             # den's inverse as Bicomplex.inverse takes it, without testing the pole again
             out = (m.a * v + m.b) * Bicomplex.from_idempotent_parts(np.divide(1, zp), np.divide(1, zm))
         else:
-            reject(_vanishes(den), PoleError, "denominator vanished")
+            reject(vanishes(den), PoleError, "denominator vanished")
             out = (m.a * v + m.b) / den
     reject(~(_finite(den) & _finite(out)), OverflowError, "Mobius image of {} overflows", v)
     return out if m.ring is Ring.BICOMPLEX else plain(out.real if m.ring is Ring.REAL else out)

@@ -11,7 +11,6 @@ import subprocess
 import sys
 
 from holoconf import bicomplex as bc
-from holoconf import dual
 from holoconf.algebra import (
     B,
     EXPECTED_FIELD_SIGNS,
@@ -32,9 +31,7 @@ from holoconf.algebra import (
     field_values,
     generator,
     generator_tensors,
-    lincomb,
     minkowski_check,
-    so31_pack,
     structure_table,
     substituted_rows,
 )
@@ -118,7 +115,7 @@ def test_criterion_3_laplace_suite():
     _verdict("3 laplace residuals/Y-ratio/rescaling @1e-10", ok)
 
 
-def test_criterion_4_algebra_suite():
+def test_criterion_4_algebra_suite(packed_coefficients):
     # 15 brackets x 5 realizations with the documented ledger; eigenactions
     # at 1e-10; Jacobi; packed relation with forced metric; multiplier
     # tensor vs packed coefficients for 50 random points
@@ -146,26 +143,17 @@ def test_criterion_4_algebra_suite():
         pts = default_points(r, n=4, seed=1042)
         gens = [generator(g, r) for g in (B, Q0, P0)]
         x, y, z = gens
-        total = lincomb(
-            [
-                (1.0, bracket(bracket(x, y), z)),
-                (1.0, bracket(bracket(y, z), x)),
-                (1.0, bracket(bracket(z, x), y)),
-            ],
-            r,
-        )
-        ok = ok and float(np.max(np.abs(field_values(total, pts)))) <= 1e-10
+        total = sum(field_values(bracket(bracket(a, b), c), pts) for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
+        ok = ok and float(np.max(np.abs(total))) <= 1e-10
 
         res = minkowski_check(r, points=default_points(r, n=15, seed=1043))
         ok = ok and res.metric_forced and res.passing_metrics == [MINKOWSKI_METRIC]
         ok = ok and res.ledger.signs == MINKOWSKI_FIELD_SIGNS
         ok = ok and res.ledger.max_defect <= 1e-10
 
-    pack = so31_pack(UPSILON_LINE)
     for u in upsilon_points(50, random.Random(1044)):
         m = angular_tensor(u)
-        for (a, b), fld in pack.items():
-            coeff = complex(dual.value(fld.coeffs(u)[0]))
+        for (a, b), coeff in packed_coefficients(u).items():
             ok = ok and abs(m[a, b] * u - coeff) <= 1e-10
     _verdict("4 algebra brackets/eigenactions/jacobi/minkowski/tensor", ok)
 

@@ -36,7 +36,6 @@ from holoconf.algebra import (
     match_sign,
     minkowski_check,
     sn,
-    so31_pack,
     structure_table,
     substituted_rows,
     tangent_curve,
@@ -44,10 +43,6 @@ from holoconf.algebra import (
 from holoconf.charts import ChartId, ChartPoint, DomainError
 from holoconf.laplace import SolutionFamily, conjugate_derivative, solve
 from holoconf.sampling import chart_points, scale_dimensions, upsilon_points
-
-
-def vf_defect(x, y, pts):
-    return float(np.max(np.abs(field_values(x, pts) - field_values(y, pts))))
 
 
 def test_generator_examples():
@@ -82,8 +77,7 @@ def test_bracket_examples():
     b = generator(B, ChartId.CARTESIAN)
     p0 = generator(P0, ChartId.CARTESIAN)
     lhs = bracket(b, p0)
-    minus_p0 = algebra.lincomb([(-1.0, p0)], ChartId.CARTESIAN)
-    assert vf_defect(lhs, minus_p0, pts) <= 1e-12
+    assert np.max(np.abs(field_values(lhs, pts) + field_values(p0, pts))) <= 1e-12
 
     s01 = generator(S01, ChartId.CARTESIAN)
     q0 = generator(Q0, ChartId.CARTESIAN)
@@ -99,8 +93,7 @@ def test_bracket_examples():
 
     upts = default_points(UPSILON_LINE)
     qp = bracket(generator(Q0, UPSILON_LINE), generator(P0, UPSILON_LINE))
-    minus_2b = algebra.lincomb([(-2.0, generator(B, UPSILON_LINE))], UPSILON_LINE)
-    assert vf_defect(qp, minus_2b, upts) <= 1e-12
+    assert np.max(np.abs(field_values(qp, upts) + 2.0 * field_values(generator(B, UPSILON_LINE), upts))) <= 1e-12
 
 
 def constructed_fields(realization) -> dict:
@@ -110,8 +103,6 @@ def constructed_fields(realization) -> dict:
         "generator": g[Q0],
         "bracket": bracket(g[Q0], g[P1]),
         "nested bracket": bracket(bracket(g[Q0], g[P0]), g[Q1]),
-        "lincomb": algebra.lincomb([(2.0, g[B]), (-0.5, g[Q1])], realization),
-        **{f"so31_pack {ab}": f for ab, f in so31_pack(realization).items()},
     }
     return fields
 
@@ -146,22 +137,18 @@ def counted(x: algebra.VectorField, calls: list) -> algebra.VectorField:
 
 
 @pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
-def test_bracket_and_lincomb_call_each_operand_once_per_evaluation(realization):
+def test_bracket_calls_each_operand_once_per_evaluation_and_coordinate(realization):
     # an evaluation calls a bracket's operand once for its values and once
-    # per coordinate for its partials, and a combination's terms once each,
-    # however many coefficients they have
+    # per coordinate for its partials, however many coefficients it has
     pts = default_points(realization, n=4, seed=3)
     array = algebra.point_args(realization, pts)
     n = len(array)
     for ys in ([a.item() for a in algebra.point_args(realization, pts[2])], array, [dual.Jet(a, 1.0, None) for a in array]):
-        cx, cy, cz = [], [], []
-        x, y, z = (counted(generator(g, realization), c) for g, c in ((Q0, cx), (P1, cy), (B, cz)))
+        cx, cy = [], []
+        x, y = (counted(generator(g, realization), c) for g, c in ((Q0, cx), (P1, cy)))
         bracket(x, y).coeffs(*ys)
         assert (len(cx), len(cy)) == (1 + n, 1 + n)
         assert cx[0] == cy[0] == tuple(ys)
-        cx.clear()
-        algebra.lincomb([(2.0, x), (-0.5, z), (1.0, x)], realization).coeffs(*ys)
-        assert len(cx) == 2 and len(cz) == 1
 
 
 def test_bracket_realization_mismatch():
@@ -308,26 +295,16 @@ def test_jacobi_identity():
         for _ in range(8):
             gx, gy, gz = rng.sample(GENERATORS, 3)
             x, y, z = (generator(g, r) for g in (gx, gy, gz))
-            total = algebra.lincomb(
-                [
-                    (1.0, bracket(bracket(x, y), z)),
-                    (1.0, bracket(bracket(y, z), x)),
-                    (1.0, bracket(bracket(z, x), y)),
-                ],
-                r,
-            )
-            assert float(np.max(np.abs(field_values(total, pts)))) <= 1e-10
+            total = sum(field_values(bracket(bracket(a, b), c), pts) for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
+            assert float(np.max(np.abs(total))) <= 1e-10
 
 
-def test_so31_pack_coefficients():
-    pack = so31_pack(UPSILON_LINE)
+def test_packed_rotation_coefficients(packed_coefficients):
     for u in (0.7 + 0.2j, -0.4 + 1.1j):
-        s02 = complex(dual.value(pack[(0, 2)].coeffs(u)[0]))
-        assert s02 == pytest.approx((u * u - 1) / 2, abs=1e-13)
-        s13 = complex(dual.value(pack[(1, 3)].coeffs(u)[0]))
-        assert s13 == pytest.approx(1j * (u * u - 1) / 2, abs=1e-13)
-        s23 = complex(dual.value(pack[(2, 3)].coeffs(u)[0]))
-        assert s23 == pytest.approx(u, abs=1e-13)
+        pack = packed_coefficients(u)
+        assert pack[(0, 2)] == pytest.approx((u * u - 1) / 2, abs=1e-13)
+        assert pack[(1, 3)] == pytest.approx(1j * (u * u - 1) / 2, abs=1e-13)
+        assert pack[(2, 3)] == pytest.approx(u, abs=1e-13)
 
 
 def test_minkowski_check_flat_examples():
@@ -575,7 +552,7 @@ def test_cn_sn():
         assert math.isfinite(abs(fn(2.3e-308)))
 
 
-def test_angular_tensor():
+def test_angular_tensor(packed_coefficients):
     m = angular_tensor(1.0)
     assert m[2, 3] == pytest.approx(1.0)
     assert m[0, 3] == pytest.approx(-cn(1.0))
@@ -583,9 +560,7 @@ def test_angular_tensor():
     m = angular_tensor(u)
     assert np.max(np.abs(m + m.T)) <= 1e-14
     # entries reproduce the packed coefficients over the common factor u d/du
-    pack = so31_pack(UPSILON_LINE)
-    for (a, b), fld in pack.items():
-        coeff = complex(dual.value(fld.coeffs(u)[0]))
+    for (a, b), coeff in packed_coefficients(u).items():
         assert m[a, b] * u == pytest.approx(coeff, abs=1e-13)
     with pytest.raises(ZeroDivisionError):
         angular_tensor(0)

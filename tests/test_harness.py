@@ -595,16 +595,44 @@ def test_nan_commutator_fails_matrix_brackets(monkeypatch):
     assert failed["matrix_brackets[real]"].message.startswith("UnmatchedBracketError: ")
 
 
-def test_bracket_checks_stay_off_the_closure_path(monkeypatch):
-    # the brackets are tensor contractions; bracket and lincomb remain only
-    # as the independent reference the tests compare against
-    def closure(*args, **kwargs):
-        raise AssertionError("closure path used")
+def test_verify_enters_none_of_the_functions_the_readme_lists(monkeypatch):
+    # README's list of what verify never enters: the brackets are tensor
+    # contractions, and bracket and field_values remain only as the
+    # independent reference the tests compare against
+    def never(name):
+        def raising(*args, **kwargs):
+            raise AssertionError(f"verify entered {name}")
 
-    monkeypatch.setattr(algebra, "bracket", closure)
-    monkeypatch.setattr(algebra, "lincomb", closure)
-    report = run_suite(SuiteConfig(seed=7, suites=("algebra", "projective")))
-    assert [c.name for c in report.checks if not c.passed] == []
+        return raising
+
+    for cls, names in (
+        (bc.Bicomplex, ("__truediv__", "__rtruediv__", "__rsub__", "__neg__", "__getitem__", "inverse")),
+        (dual.Jet, ("__rsub__", "__rtruediv__")),
+        (projective.SpinMatrix, ("__getitem__",)),
+        (charts.ChartPoint, ("__getitem__",)),
+        (charts.ConformalVector, ("as_array",)),
+    ):
+        for name in names:
+            monkeypatch.setattr(cls, name, never(f"{cls.__name__}.{name}"))
+    monkeypatch.setattr(algebra.VectorField, "arity", property(never("VectorField.arity")))
+    mobius_apply = projective.mobius_apply
+
+    def complex_ring_only(m, v):
+        if m.ring is not projective.Ring.COMPLEX:
+            raise AssertionError(f"verify entered the {m.ring.value} ring of mobius_apply")
+        return mobius_apply(m, v)
+
+    replacements = {id(mobius_apply): complex_ring_only}
+    for module, name in ((algebra, "bracket"), (algebra, "field_values"), (algebra, "act"), (charts, "metric"), (charts, "jacobian_mixed")):
+        replacements[id(getattr(module, name))] = never(name)
+    # in every module that binds one of them, so that no import reaches the original
+    for module in [m for n, m in sys.modules.items() if n == "holoconf" or n.startswith("holoconf.")]:
+        for name, value in list(vars(module).items()):
+            if id(value) in replacements:
+                monkeypatch.setattr(module, name, replacements[id(value)])
+    for samples, names in ((50, SUITE_NAMES), (10000, ("bicomplex", "projective"))):
+        report = run_suite(SuiteConfig(seed=7, samples=samples, suites=names))
+        assert [(c.name, c.message) for c in report.checks if not c.passed] == []
 
 
 def test_real_ledger_negation_draws_points_from_the_seed(monkeypatch):
@@ -882,6 +910,19 @@ def test_cli_verify_nonzero_exit_on_failure():
     assert proc.returncode == 1
     data = json.loads(proc.stdout)
     assert data["overall"] == "fail"
+
+
+def test_verify_without_options_runs_the_default_suite_config(monkeypatch, capsys):
+    # the seed, --samples and --tol default to SuiteConfig's own defaults
+    monkeypatch.delenv("HOLOCONF_SEED", raising=False)
+    assert cli.main(["verify"]) == 0
+    default = SuiteConfig()
+    assert json.loads(capsys.readouterr().out)["config"] == {
+        "seed": default.seed,
+        "samples": default.samples,
+        "tol": default.tol,
+        "suites": list(default.suites),
+    }
 
 
 def test_cli_env_seed_fallback():
