@@ -22,16 +22,17 @@ whose consistent metric is diag(1, 1, 1, -1); minkowski_check verifies
 both the relation and the uniqueness of that metric among diagonal sign
 patterns.
 
-The checks evaluate each generator table once per point set, only to the
-derivative order they read (generator_tensors): values for substituted_rows
-and the angular tensor, gradients for brackets (contractions of the tensors,
-taylor_bracket), Hessians for brackets of brackets.  Stacked tensors bracket
-every pair of two stacks in one contraction, elementwise in the same order
-as one pair at a time: the Jacobi check evaluates all its triples in one
-call.  Stacking pays only where the operands are tiny; at hundreds of sample
-points the per-pair loop of structure_table and minkowski_check is faster.
-bracket() builds the same brackets as closures over nested jets; it is the
-independent reference the tests compare the tensors against.
+generator_tensors is the one reader of the generator tables in the checks.
+It evaluates a table once per point set, only to the derivative order its
+caller reads: values for generator_actions (each generator applied to a
+function), substituted_rows and the angular tensor, gradients for brackets
+(contractions of the tensors, taylor_bracket), Hessians for brackets of
+brackets.  Stacked tensors bracket every pair of two stacks in one
+contraction, elementwise as one pair at a time: the Jacobi check evaluates
+all its triples in one call; at hundreds of points the per-pair loop of
+structure_table and minkowski_check is faster.  The closures over nested
+jets (generator, bracket, field_values, apply_to_function, act) are the
+tests' independent reference.
 """
 
 from __future__ import annotations
@@ -172,16 +173,10 @@ def apply_to_function(x: VectorField, f: Callable, p) -> complex:
 
     p may be an array point; the result then has its sample shape."""
     args = point_args(x.realization, p)
-    grad = [dual.d1(g) for g in dual.partials(f, args)]
-    return plain(_apply_with_gradient(x.coeffs(*args), grad))
-
-
-def _apply_with_gradient(coeffs, grad) -> complex:
-    """sum_k coeffs[k] grad[k], for the coefficient values coeffs."""
     acc = 0j
-    for c, d in zip(coeffs, grad):
-        acc = acc + dual.value(c) * d
-    return acc
+    for c, d in zip(x.coeffs(*args), dual.partials(f, args)):
+        acc = acc + dual.value(c) * dual.d1(d)
+    return plain(acc)
 
 
 # --- generator tables --------------------------------------------------------
@@ -197,7 +192,7 @@ COORDINATE_NAMES = {
 }
 
 # the coefficient table, one row per generator: printed by `holoconf table`
-# and compiled into the fields that generator() returns
+# and compiled into the table functions (generator_tensors, generator())
 GENERATOR_TABLE_STRINGS = {
     ChartId.CARTESIAN.value: {
         B: ("x0", "x1"),
@@ -551,21 +546,28 @@ def act(g: GeneratorId, alpha: complex, p: ChartPoint) -> complex:
     return apply_to_function(x, SolutionFamily(alpha, p.chart), p)
 
 
+def generator_actions(realization, f: Callable, points) -> np.ndarray:
+    """(g f) = sum_k c_gk d_k f for each g at the sample points (as for
+    generator_tensors), stacked in GENERATORS order: one order-0
+    generator_tensors call and one dual.partials gradient of f."""
+    args = [np.atleast_1d(a) for a in point_args(realization, points)]
+    coeffs = generator_tensors(realization, points, order=0).v
+    return sum((coeffs[:, k] * dual.d1(d) for k, d in enumerate(dual.partials(f, args))), 0j)
+
+
 def eigenactions(alpha: complex, p: ChartPoint) -> list:
     """(act(g, alpha, p), alpha * c_g(u) * u^(alpha - 1)) for each g in
     GENERATORS, c_g its upsilon-line coefficient and u the solution
-    coordinate SolutionFamily(1) at p: the acted and the table value of g on
-    the alpha-solution u^alpha, which g acts on as c_g(u) d/du.  They come
-    from one evaluation of each table function, one gradient of the
-    alpha-solution and one SolutionFamily(alpha - 1) call."""
-    args = point_args(p.chart, p)
-    grad = [dual.d1(g) for g in dual.partials(SolutionFamily(alpha, p.chart), args)]
-    lowered = alpha * SolutionFamily(alpha - 1, p.chart)(*args)
-    line = _TABLE_FUNCTIONS[UPSILON_LINE](SolutionFamily(1, p.chart)(*args))
-    return [
-        (_apply_with_gradient(coeffs, grad), c * lowered)
-        for coeffs, (c,) in zip(_TABLE_FUNCTIONS[p.chart.value](*args), line)
-    ]
+    coordinate SolutionFamily(1) at p: the acted (generator_actions) and the
+    table value of g on the alpha-solution u^alpha, which g acts on as c_g(u)
+    d/du.  A single point is taken as its one-sample array (u is exact either
+    way), and with a single alpha gives numpy scalars."""
+    u = solve(1.0, p)
+    lowered = alpha * SolutionFamily(alpha - 1, p.chart)(*np.atleast_1d(p.y0, p.y1))
+    line = generator_tensors(UPSILON_LINE, u, order=0).v[:, 0] * lowered
+    shape = (len(GENERATORS), *np.broadcast(alpha, u).shape)
+    acted = generator_actions(p.chart, SolutionFamily(alpha, p.chart), p)
+    return list(zip(acted.reshape(shape), line.reshape(shape)))
 
 
 # --- rotation packaging in R^{3,1} -------------------------------------------

@@ -41,7 +41,7 @@ from .algebra import (
     UPSILON_LINE,
     GeneratorId,
     SignLedger,
-    generator,
+    generator_tensors,
     pair_label,
 )
 from .bicomplex import (
@@ -319,11 +319,14 @@ def flow_consistency(g: GeneratorId, v0: complex, eps: float) -> float:
     """Defect between the exponentiated matrix action and the first-order
     field step v0 + eps * X_g(v0) on the upsilon line; O(eps^2) by
     construction (identically zero for the translation generators).  v0 may
-    be an array of start points."""
+    be an array of start points; a step that overflows raises OverflowError
+    as mobius_apply does (other rows, q0's u^2 say, may overflow unread)."""
     v0 = np.asarray(v0, dtype=complex)
     moved = mobius_apply(exp_one_param(g, eps, Ring.COMPLEX), v0)
-    (x,) = generator(g, UPSILON_LINE).coeffs(v0)
-    return plain(np.abs(moved - (v0 + eps * x)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = v0 + eps * generator_tensors(UPSILON_LINE, v0, order=0).v[GENERATORS.index(g), 0].reshape(v0.shape)
+    reject(~np.isfinite(step), OverflowError, f"{g} field step from {{}} overflows", v0)
+    return plain(np.abs(moved - step))
 
 
 # --- the sphere map -----------------------------------------------------------

@@ -42,6 +42,7 @@ from holoconf.algebra import (
 )
 from holoconf.charts import ChartId, ChartPoint, DomainError
 from holoconf.laplace import SolutionFamily, conjugate_derivative, solve
+from holoconf.projective import flow_consistency
 from holoconf.sampling import chart_points, scale_dimensions, upsilon_points
 
 
@@ -213,8 +214,9 @@ def test_eigenactions_all_transported_realizations():
 
 def line_action(g, alpha, p):
     """alpha * c_g(u) * u^(alpha - 1), c_g g's upsilon-line coefficient at
-    the solution u, in the order eigenactions multiplies it."""
-    (c,) = generator(g, UPSILON_LINE).coeffs(solve(1.0, p))
+    the solution u, in the order eigenactions multiplies it; a single u as
+    its one-sample array, as eigenactions takes it."""
+    (c,) = generator(g, UPSILON_LINE).coeffs(np.atleast_1d(solve(1.0, p)))
     return c * (alpha * solve(alpha - 1, p))
 
 
@@ -251,6 +253,46 @@ def test_eigenaction_values_pair_every_shift_with_every_sample():
                 assert np.shape(expected) == np.shape(want) == (3,)
                 assert np.asarray(expected).tobytes() == np.asarray(want).tobytes()
                 assert_table_value(expected, g, alpha, p)
+
+
+def acted_function(realization):
+    """A function of realization's coordinates to apply the generators to."""
+    return (lambda u: u * u * u) if realization == UPSILON_LINE else SolutionFamily(0.7 + 0.2j, realization)
+
+
+@pytest.mark.parametrize("realization", REALIZATIONS, ids=str)
+def test_generator_actions_are_apply_to_function_of_each_generator(realization):
+    # the tensor path and the closure reference sum the same products in the
+    # same order, so they agree bitwise
+    pts, f = default_points(realization, n=20, seed=46), acted_function(realization)
+    got = algebra.generator_actions(realization, f, pts)
+    assert got.shape == (len(GENERATORS), 20)
+    for g, row in zip(GENERATORS, got):
+        assert row.tobytes() == apply_to_function(generator(g, realization), f, pts).tobytes()
+
+
+def same_bits(one, sample) -> bool:
+    return np.asarray(one).tobytes() == np.asarray(sample).tobytes()
+
+
+@pytest.mark.parametrize("realization", REALIZATIONS, ids=str)
+def test_a_single_point_rounds_as_its_one_sample_array(realization):
+    # numpy rounds a product of complex scalars differently from its array
+    # loop in the last bit (u * u of q0 and q1, say); generator_actions,
+    # eigenactions and flow_consistency take a single point as its one-sample
+    # array, and eigenactions and flow_consistency return it as numbers
+    pts, f = default_points(realization, n=20, seed=47), acted_function(realization)
+    for k in range(20):
+        one, sample = pts[k], pts[k : k + 1]
+        assert same_bits(algebra.generator_actions(realization, f, one), algebra.generator_actions(realization, f, sample))
+        if realization == UPSILON_LINE:
+            for g in GENERATORS:
+                got = flow_consistency(g, one, 1e-3)
+                assert type(got) is float and same_bits(got, flow_consistency(g, sample, 1e-3))
+            continue
+        for got, want in zip(algebra.eigenactions(0.7 + 0.2j, one), algebra.eigenactions(0.7 + 0.2j, sample)):
+            assert [type(x) for x in got] == [np.complex128] * 2 and [np.shape(x) for x in want] == [(1,)] * 2
+            assert same_bits(got, want)
 
 
 def test_degree_shift_on_monomials():
@@ -403,6 +445,7 @@ POINT_PATHS = {
     "generator_tensors": algebra.generator_tensors,
     "field_values": lambda r, pts: field_values(generator(Q0, r), pts),
     "apply_to_function": lambda r, pts: apply_to_function(generator(Q0, r), lambda *ys: ys[0], pts),
+    "generator_actions": lambda r, pts: algebra.generator_actions(r, lambda *ys: ys[0], pts),
 }
 
 

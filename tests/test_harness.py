@@ -597,8 +597,9 @@ def test_nan_commutator_fails_matrix_brackets(monkeypatch):
 
 def test_verify_enters_none_of_the_functions_the_readme_lists(monkeypatch):
     # README's list of what verify never enters: the brackets are tensor
-    # contractions, and bracket and field_values remain only as the
-    # independent reference the tests compare against
+    # contractions and the generators act through generator_tensors, so the
+    # closures (generator, VectorField, bracket, field_values,
+    # apply_to_function, act) remain only as the tests' independent reference
     def never(name):
         def raising(*args, **kwargs):
             raise AssertionError(f"verify entered {name}")
@@ -615,6 +616,7 @@ def test_verify_enters_none_of_the_functions_the_readme_lists(monkeypatch):
         for name in names:
             monkeypatch.setattr(cls, name, never(f"{cls.__name__}.{name}"))
     monkeypatch.setattr(algebra.VectorField, "arity", property(never("VectorField.arity")))
+    monkeypatch.setattr(algebra.VectorField, "__init__", never("VectorField.__init__"))
     mobius_apply = projective.mobius_apply
 
     def complex_ring_only(m, v):
@@ -623,7 +625,8 @@ def test_verify_enters_none_of_the_functions_the_readme_lists(monkeypatch):
         return mobius_apply(m, v)
 
     replacements = {id(mobius_apply): complex_ring_only}
-    for module, name in ((algebra, "bracket"), (algebra, "field_values"), (algebra, "act"), (charts, "metric"), (charts, "jacobian_mixed")):
+    closures = ("generator", "bracket", "field_values", "apply_to_function", "act")
+    for module, name in [(algebra, n) for n in closures] + [(charts, "metric"), (charts, "jacobian_mixed")]:
         replacements[id(getattr(module, name))] = never(name)
     # in every module that binds one of them, so that no import reaches the original
     for module in [m for n, m in sys.modules.items() if n == "holoconf" or n.startswith("holoconf.")]:

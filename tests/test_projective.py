@@ -325,6 +325,20 @@ def test_flow_consistency_values():
     assert flow_consistency(P1, 0.8 + 0.1j, 1e-3) <= 1e-15
 
 
+def test_flow_consistency_raises_overflow_error_where_the_field_step_overflows():
+    # the table evaluates all six rows, so q0's u^2 overflows at 1e160j for
+    # every g: no warning where g's own step is finite, and q0 and q1, whose
+    # steps overflow, raise by mobius_apply's rule, naming the first bad sample
+    for g in (B, S01, P0, P1):
+        assert math.isfinite(flow_consistency(g, 1e160j, 0.1))
+        assert np.isfinite(flow_consistency(g, np.array([0.5, 1e160j]), 0.1)).all()
+    for g in (Q0, Q1):
+        with pytest.raises(OverflowError, match=f"^{g} field step from .* overflows$"):
+            flow_consistency(g, 1e160j, 0.1)
+        with pytest.raises(OverflowError, match=f"^{g} field step from .* overflows at sample 1$"):
+            flow_consistency(g, np.array([0.5, 1e160j, 1e160j]), 0.1)
+
+
 def test_flow_consistency_richardson():
     rng = random.Random(52)
     for g in GENERATORS:
