@@ -237,14 +237,10 @@ GENERATOR_TABLE_STRINGS = {
 }
 
 
-_COEFF_NAMESPACE = {
-    "__builtins__": {},
-    "sin": dual.sin,
-    "cos": dual.cos,
-    "tan": dual.tan,
-    "exp": dual.exp,
-    "i": 1j,
-}
+_COEFF_NAMESPACE = {"__builtins__": {}, "sincos": dual.sincos, "exp": dual.exp, "i": 1j}
+
+# sin, cos and tan of one angle X read the parts of its one sincos(X)
+_SINCOS_PARTS = {"sin": "{0}[0]", "cos": "{0}[1]", "tan": "({0}[0]/{0}[1])"}
 
 
 def _expression(text: str) -> str:
@@ -264,11 +260,17 @@ def _compile(key: str) -> Callable:
     GENERATORS order.
 
     It compiles each table string's expression (_expression) and binds each
-    distinct elementary call once, for all coefficients.  Polar's reads:
-    lambda r, phi: (lambda _0, _1: ((r, 0, ), ..., (r*r*_1, -r*_0, )))(cos(phi), sin(phi))"""
+    distinct elementary call once, for all coefficients; sin, cos and tan of
+    one angle share its one sincos call.  Polar's reads:
+    lambda r, phi: (lambda _0: ((r, 0, ), ..., (r*r*_0[0], -r*_0[1], )))(sincos(phi))"""
     calls = {}
-    bind = lambda m: calls.setdefault(m[0], f"_{len(calls)}")
-    shared = lambda text: re.sub(r"\b\w+\([^()]*\)", bind, _expression(text)) + ", "
+
+    def bind(m):
+        if m[1] in _SINCOS_PARTS:
+            return _SINCOS_PARTS[m[1]].format(calls.setdefault(f"sincos({m[2]})", f"_{len(calls)}"))
+        return calls.setdefault(m[0], f"_{len(calls)}")
+
+    shared = lambda text: re.sub(r"\b(\w+)\(([^()]*)\)", bind, _expression(text)) + ", "
     rows = GENERATOR_TABLE_STRINGS[key]
     body = ", ".join("(" + "".join(map(shared, rows[g])) + ")" for g in GENERATORS)
     table = f"(lambda {', '.join(calls.values())}: ({body}))({', '.join(calls)})"

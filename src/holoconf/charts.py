@@ -142,8 +142,8 @@ def embed_coords(chart: ChartId, y0, y1):
     """The embedding R(y0) (cos y1, sin y1); floats, arrays and jets alike."""
     if chart is ChartId.CARTESIAN:
         return y0, y1
-    r = _RADII[chart].radius(y0)
-    return r * dual.cos(y1), r * dual.sin(y1)
+    r, (s, c) = _RADII[chart].radius(y0), dual.sincos(y1)
+    return r * c, r * s
 
 
 def embed(p: ChartPoint) -> tuple[float, float]:
@@ -182,7 +182,7 @@ def basis_closed_form(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
     if p.chart is ChartId.CARTESIAN:
         return tuple(_tensor([[1.0, 0.0], [0.0, 1.0]], p))
     r, dr = _RADII[p.chart].radius(p.y0), _RADII[p.chart].derivative(p.y0)
-    c, s = dual.cos(p.y1), dual.sin(p.y1)
+    s, c = dual.sincos(p.y1)
     return tuple(_tensor([[dr * c, dr * s], [-r * s, r * c]], p))
 
 
@@ -235,7 +235,7 @@ def jacobian_mixed_closed_form(p: ChartPoint) -> np.ndarray:
     if p.chart is ChartId.CARTESIAN:
         return _tensor([[1.0, 0.0], [0.0, 1.0]], p)
     r, dr = _RADII[p.chart].radius(p.y0), _RADII[p.chart].derivative(p.y0)
-    c, s = dual.cos(p.y1), dual.sin(p.y1)
+    s, c = dual.sincos(p.y1)
     return _tensor([[c / dr, -s / r], [s / dr, c / r]], p)
 
 

@@ -25,7 +25,7 @@ argument, is not lifted and shares the level of whatever it meets.
 
 Plain values go through numpy whatever their shape: a Python float or
 complex leaves as the numpy scalar of the same value type.  numpy's exp,
-log, tan and arctan2 differ from math's in the last bit for up to a few
+log and arctan2 differ from math's in the last bit for up to a few
 percent of the arguments.  Where math raised (an overflow, a log or sqrt
 outside its domain), numpy warns with a RuntimeWarning and returns inf or
 NaN, for one value as for an array.
@@ -148,25 +148,22 @@ def _chain(x, f0, f1, f2):
     return Jet(f0, f1 * x.d1, f1 * x.d2 + f2 * x.d1 * x.d1)
 
 
+def sincos(x):
+    """(sin x, cos x), the one statement of the pair's rule: a jet's two jets
+    share one sine and one cosine of its value."""
+    if not isinstance(x, Jet):
+        return np.sin(x), np.cos(x)
+    s, c = sincos(x.f)
+    first = x.d2 is None
+    return _chain(x, s, c, None if first else -s), _chain(x, c, -s, None if first else -c)
+
+
 def sin(x):
-    if isinstance(x, Jet):
-        s, c = sin(x.f), cos(x.f)
-        return _chain(x, s, c, None if x.d2 is None else -s)
-    return np.sin(x)
+    return sincos(x)[0] if isinstance(x, Jet) else np.sin(x)
 
 
 def cos(x):
-    if isinstance(x, Jet):
-        s, c = sin(x.f), cos(x.f)
-        return _chain(x, c, -s, None if x.d2 is None else -c)
-    return np.cos(x)
-
-
-def tan(x):
-    if not isinstance(x, Jet):
-        return np.sin(x) / np.cos(x)
-    s, c = sin(x.f), cos(x.f)  # once for both jets of the quotient
-    return _chain(x, s, c, None if x.d2 is None else -s) / _chain(x, c, -s, None if x.d2 is None else -c)
+    return sincos(x)[1] if isinstance(x, Jet) else np.cos(x)
 
 
 def exp(x):

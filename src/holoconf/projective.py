@@ -416,11 +416,24 @@ class ProjectivePoint(Record, frozen=True):
         )
 
 
+def _unit_scaled(p: ProjectivePoint) -> tuple:
+    """p's pair as complex arrays, scaled per sample by the power of two that
+    puts its largest real or imaginary part in [0.5, 1).  The scaling is exact:
+    a quotient or cross product of the pair leaves the normal range only where
+    its value does, and one that stayed in it unscaled keeps every bit."""
+    v = np.array(np.broadcast_arrays(np.asarray(p.v1, dtype=complex), np.asarray(p.v2, dtype=complex)))
+    _, e = np.frexp(np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=0))
+    np.ldexp(v.real, -e, out=v.real)
+    np.ldexp(v.imag, -e, out=v.imag)
+    return v[0], v[1]
+
+
 def projectively_equal(p: ProjectivePoint, q: ProjectivePoint) -> bool:
-    """Cross-multiplication test v1*w2 == v2*w1 (no normalization needed);
+    """Cross-multiplication test v1*w2 == v2*w1 of the unit-scaled pairs;
     one bool per sample for array points."""
-    scale = np.maximum(np.abs(p.v1), np.abs(p.v2)) * np.maximum(np.abs(q.v1), np.abs(q.v2))
-    return plain(np.abs(p.v1 * q.v2 - p.v2 * q.v1) <= EQUAL_TOL * np.maximum(scale, 1e-300))
+    (v1, v2), (w1, w2) = _unit_scaled(p), _unit_scaled(q)
+    scale = np.maximum(np.abs(v1), np.abs(v2)) * np.maximum(np.abs(w1), np.abs(w2))
+    return plain(np.abs(v1 * w2 - v2 * w1) <= EQUAL_TOL * scale)
 
 
 class ChartTransition(Record, frozen=True):
@@ -444,7 +457,7 @@ class ChartTransition(Record, frozen=True):
 
 
 def chart_transition(p: ProjectivePoint) -> ChartTransition:
-    v1, v2 = np.broadcast_arrays(np.asarray(p.v1, dtype=complex), np.asarray(p.v2, dtype=complex))
+    v1, v2 = _unit_scaled(p)
     scale = np.maximum(np.abs(v1), np.abs(v2))
     have0 = np.abs(v2) > CHART_TOL * scale
     have1 = np.abs(v1) > CHART_TOL * scale

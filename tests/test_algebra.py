@@ -40,7 +40,7 @@ from holoconf.algebra import (
     substituted_rows,
     tangent_curve,
 )
-from holoconf.charts import ChartId, ChartPoint, DomainError
+from holoconf.charts import ChartId, ChartPoint, DomainError, jacobian_lower
 from holoconf.laplace import SolutionFamily, conjugate_derivative, solve
 from holoconf.projective import flow_consistency
 from holoconf.sampling import chart_points, scale_dimensions, upsilon_points
@@ -437,6 +437,42 @@ def test_a_point_with_one_scalar_coordinate_is_its_broadcast_point(chart, scalar
     assert structure_table(chart, points=p) == structure_table(chart, points=q)
     assert minkowski_check(chart, points=p) == minkowski_check(chart, points=q)
 
+
+class _CountingNumpy:
+    """numpy, counting the np.sin and np.cos calls made through it."""
+
+    def __init__(self):
+        self.calls = {"sin": 0, "cos": 0}
+
+    def __getattr__(self, name):
+        if name not in self.calls:
+            return getattr(np, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return getattr(np, name)(*args)
+
+        return counted
+
+
+@pytest.mark.parametrize(
+    "chart, per_table, per_basis",
+    [(ChartId.POLAR, 1, 2), (ChartId.HOLOGRAPHIC, 2, 4), (ChartId.CONFORMAL, 1, 2)],
+    ids=str,
+)
+def test_each_angle_takes_one_sine_and_one_cosine(monkeypatch, chart, per_table, per_basis):
+    # a table evaluation takes one pair per angle of the table strings, and a
+    # basis evaluation one per angle in each of its two partials
+    counting = _CountingNumpy()
+    monkeypatch.setattr(dual, "np", counting)
+    p = chart_points(chart, 30, random.Random(4))
+    for order in (0, 1, 2):
+        counting.calls.update(sin=0, cos=0)
+        algebra.generator_tensors(chart, p, order=order)
+        assert counting.calls == {"sin": per_table, "cos": per_table}, order
+    counting.calls.update(sin=0, cos=0)
+    jacobian_lower(p)
+    assert counting.calls == {"sin": per_basis, "cos": per_basis}
 
 # every algebra path that takes sample points, as a call on (realization, points)
 POINT_PATHS = {

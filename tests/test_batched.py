@@ -189,12 +189,20 @@ def jet_parts(x):
 @pytest.mark.parametrize("realization", REALIZATIONS, ids=algebra.realization_key)
 def test_table_functions_are_the_coefficient_callables(realization):
     # the shared-call table function and generator()'s rows of it against
-    # each table string compiled on its own: every part of every coefficient
-    # agrees bitwise
+    # each table string compiled on its own, every call evaluated where it
+    # stands: every part of every coefficient agrees bitwise
     key = algebra.realization_key(realization)
     head = f"lambda {', '.join(algebra.COORDINATE_NAMES[key])}: "
+    namespace = {
+        "__builtins__": {},
+        "sin": dual.sin,
+        "cos": dual.cos,
+        "tan": lambda x: dual.sin(x) / dual.cos(x),
+        "exp": dual.exp,
+        "i": 1j,
+    }
     own = {
-        gid: [eval(head + algebra._expression(text), algebra._COEFF_NAMESPACE) for text in row]
+        gid: [eval(head + algebra._expression(text), dict(namespace)) for text in row]
         for gid, row in algebra.GENERATOR_TABLE_STRINGS[key].items()
     }
     args = algebra.point_args(realization, algebra.default_points(realization, n=20, seed=5))
@@ -363,7 +371,8 @@ def _jet_operations():
         "pow-half": lambda a: a**0.5,
         "sin": dual.sin,
         "cos": dual.cos,
-        "tan": dual.tan,
+        "sincos-sin": lambda a: dual.sincos(a)[0],
+        "sincos-cos": lambda a: dual.sincos(a)[1],
         "exp": dual.exp,
         "log": dual.log,
         "sqrt": dual.sqrt,

@@ -40,11 +40,10 @@ def test_second_derivative_of_composition():
     )
 
 
-def test_log_sqrt_tan():
+def test_log_and_sqrt():
     x0 = 0.6
     assert dual.log(dual.seed(x0)).d2 == pytest.approx(-1 / x0**2)
     assert dual.sqrt(dual.seed(x0)).d1 == pytest.approx(0.5 / math.sqrt(x0))
-    assert dual.tan(dual.seed(x0)).d1 == pytest.approx(1 / math.cos(x0) ** 2)
 
 
 def jet_bytes(x):
@@ -66,9 +65,29 @@ def jet_bytes(x):
     ),
     ids=("float", "array", "first-order", "second-order", "nested", "nested-first-order"),
 )
-def test_tan_is_bitwise_sin_over_cos(x):
-    # tan builds both jets of the quotient from one sin and one cos
-    assert jet_bytes(dual.tan(x)) == jet_bytes(dual.sin(x) / dual.cos(x))
+def test_sincos_is_bitwise_the_separate_chains(x):
+    # the pair from one sine and one cosine of the value against the sine and
+    # the cosine each built on its own by the chain rule
+    def chain(u, f0, f1, f2):
+        if u.d2 is None:
+            return dual.Jet(f0, f1 * u.d1, None)
+        return dual.Jet(f0, f1 * u.d1, f1 * u.d2 + f2 * u.d1 * u.d1)
+
+    def sin(u):
+        if not isinstance(u, dual.Jet):
+            return np.sin(u)
+        s, c = sin(u.f), cos(u.f)
+        return chain(u, s, c, None if u.d2 is None else -s)
+
+    def cos(u):
+        if not isinstance(u, dual.Jet):
+            return np.cos(u)
+        s, c = sin(u.f), cos(u.f)
+        return chain(u, c, -s, None if u.d2 is None else -c)
+
+    want = [jet_bytes(sin(x)), jet_bytes(cos(x))]
+    assert [jet_bytes(part) for part in dual.sincos(x)] == want
+    assert [jet_bytes(dual.sin(x)), jet_bytes(dual.cos(x))] == want
 
 
 def test_atan2_gradient():

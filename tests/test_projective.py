@@ -466,3 +466,47 @@ def test_projective_equality():
     q = ProjectivePoint((1 + 2j) * (0.3 - 0.9j), (3 - 1j) * (0.3 - 0.9j))
     assert projectively_equal(p, q)
     assert not projectively_equal(p, ProjectivePoint(1 + 0j, 1 + 0j))
+
+
+
+# the projective line's points at sizes from subnormal to near overflow
+SCALES = (1e-320, 1e-200, 1.0, 1e200)
+
+
+def _at_sample(v1, v2, k=2, n=5):
+    """(v1 : v2) as sample k of an n-sample point whose other samples are
+    (1 + i : 2)."""
+    a, b = np.full(n, 1 + 1j), np.full(n, 2 + 0j)
+    a[k], b[k] = v1, v2
+    return ProjectivePoint(a, b)
+
+
+@pytest.mark.parametrize("s", SCALES, ids=str)
+def test_chart_transition_at_every_finite_scale(s):
+    # each pair is scaled by a power of two before its quotients, so a
+    # subnormal divisor does not overflow its reciprocal
+    tr = chart_transition(ProjectivePoint(0j, s + 0j))
+    assert tr.affine0 == (0j, 1 + 0j) and tr.affine1 is None and not tr.in_overlap
+    tr = chart_transition(_at_sample(0j, s))
+    assert tr.affine0[0][2] == 0j and tr.affine0[1][2] == 1 + 0j
+    assert list(tr.in_overlap) == [True, True, False, True, True]
+    for ratio in (1.0, 1j, 1 - 1j):
+        # a single point's fields and sample 2 of an array point's
+        single = chart_transition(ProjectivePoint(ratio * s + 0j, s + 0j))
+        array = chart_transition(_at_sample(ratio * s, s))
+        for tr, k in ((single, ()), (array, 2)):
+            assert np.all(tr.in_overlap)
+            assert np.asarray(tr.affine0[0])[k] == pytest.approx(ratio, abs=1e-15)
+            assert np.asarray(tr.affine1[1])[k] == pytest.approx(1 / ratio, abs=1e-15)
+            assert np.asarray(tr.transition)[k] == pytest.approx(ratio / abs(ratio), abs=1e-15)
+
+
+@pytest.mark.parametrize("s", SCALES, ids=str)
+def test_projective_equality_at_every_finite_scale(s):
+    # the cross products of the scaled pairs neither underflow nor overflow
+    one = (s + 0j, s + 0j)
+    cases = [(one, True), ((1 + 0j, 1 + 0j), True), ((1j * s, 1j * s), True), ((s, -s), False), ((s, 2 * s), False)]
+    for (w1, w2), equal in cases:
+        assert projectively_equal(ProjectivePoint(*one), ProjectivePoint(complex(w1), complex(w2))) == equal
+        got = projectively_equal(_at_sample(*one), _at_sample(w1, w2))
+        assert list(got) == [True, True, equal, True, True]
