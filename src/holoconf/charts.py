@@ -3,23 +3,23 @@
 Four charts cover the constructions in this package: the cartesian one,
 embedded by the identity, and three angular ones, which put (y0, phi) at
 R(y0) (cos phi, sin phi).  One private table, _RADII, declares each angular
-chart once: R, R', R^-1 and the domain of y0.  radial_scale's k = R/R' is the k
-of the Laplace operator (k d0)^2 + d11 and of the rule algebra.substituted_rows:
+chart once: (R, R') in one call, R^-1 and the domain of y0.  radial_scale's
+k = R/R' is the k of laplace's (k d0)^2 + d11 and of algebra.substituted_rows:
 
-===========  ============  =========  =========  ========  ===========  =================
-chart        (y0, y1)      R(y0)      R'(y0)     R^-1(r)   y0 in        k = R/R', derived
-===========  ============  =========  =========  ========  ===========  =================
-polar        (r, phi)      r          1          r         (0, inf)     (r, 1)
-holographic  (theta, phi)  sin theta  cos theta  arcsin r  (0, pi/2)    (tan, sec^2)
-conformal    (rho, phi)    e^rho      e^rho      log r     (-inf, inf)  (1, 0)
-===========  ============  =========  =========  ========  ===========  =================
+===========  ============  ================  ========  ===========  =================
+chart        (y0, y1)      (R, R')(y0)       R^-1(r)   y0 in        k = R/R', derived
+===========  ============  ================  ========  ===========  =================
+polar        (r, phi)      (r, 1)            r         (0, inf)     (r, 1)
+holographic  (theta, phi)  (sin, cos) theta  arcsin r  (0, pi/2)    (tan, sec^2)
+conformal    (rho, phi)    (e^rho, e^rho)    log r     (-inf, inf)  (1, 0)
+===========  ============  ================  ========  ===========  =================
 
 Angles live in [0, 2*pi); the holographic chart covers the open unit disk
 -- its metric degenerates at theta = pi/2, so a ChartPoint within GUARD of
 its domain's boundary, outside it or not finite cannot be constructed
 (DomainError) rather than produce huge values.  Basis vectors are
 dual-number derivatives of the embedding, so of R; the closed forms read R'
-from the table, so checking them checks each R' against R.
+from the pair, so checking them checks each R' against R.
 
 A ChartPoint may carry 1-D arrays of coordinates, one entry per sample
 point; every function below then evaluates all samples at once.  The sample
@@ -77,10 +77,8 @@ class ChartPoint(Record, frozen=True):
             _require(np.isfinite(y), y, f"coordinate {name} = {{}} is not finite")
         if chart is ChartId.CARTESIAN:
             return
-        if chart not in _RADII:
-            raise ValueError(f"unknown chart {chart!r}")
+        name, lo, hi = _radius(chart).domain
         _require((0.0 <= y1) & (y1 < TWO_PI), y1, "angle {} outside [0, 2*pi)")
-        name, lo, hi = _RADII[chart].domain
         _require((lo <= y0) & (y0 <= hi), y0, f"{name} {{}} outside [{lo}, {hi}]")
 
     def __len__(self) -> int:
@@ -112,8 +110,7 @@ def _tensor(rows, p: ChartPoint) -> np.ndarray:
 
 class _Radius(NamedTuple):
     """One angular chart: (y0, y1) lies at R(y0) (cos y1, sin y1)."""
-    radius: Callable  # R(y0); jet-aware, so basis differentiates it
-    derivative: Callable  # R'(y0), jet-aware: read by the closed forms and radial_scale's k = R/R'
+    pair: Callable  # y0 -> (R, R'), jet-aware: basis differentiates R; the closed forms and k = R/R' read both
     inverse: Callable  # y0 = R^-1(|x|), for |x| >= GUARD
     domain: tuple  # (name, lo, hi): the y0 a ChartPoint accepts
 
@@ -124,25 +121,32 @@ def _disk_arcsin(r):
 
 
 _RADII = {
-    ChartId.POLAR: _Radius(lambda y0: y0, lambda y0: 1.0, lambda r: r, ("radius", GUARD, math.inf)),
-    ChartId.HOLOGRAPHIC: _Radius(dual.sin, dual.cos, _disk_arcsin, ("theta", GUARD, math.pi / 2 - GUARD)),
-    ChartId.CONFORMAL: _Radius(dual.exp, dual.exp, np.log, ("rho", -math.inf, math.inf)),
+    ChartId.POLAR: _Radius(lambda y0: (y0, 1.0), lambda r: r, ("radius", GUARD, math.inf)),
+    ChartId.HOLOGRAPHIC: _Radius(dual.sincos, _disk_arcsin, ("theta", GUARD, math.pi / 2 - GUARD)),
+    ChartId.CONFORMAL: _Radius(lambda y0: (dual.exp(y0),) * 2, np.log, ("rho", -math.inf, math.inf)),
 }
 
 ANGULAR_CHARTS = tuple(_RADII)
 
 
+def _radius(chart) -> _Radius:
+    """chart's _RADII row, the table's one read; ValueError if it has none."""
+    if chart not in _RADII:
+        raise ValueError(f"unknown chart {chart!r}")
+    return _RADII[chart]
+
+
 def radial_scale(chart: ChartId, y0):
     """k = R/R' of an angular chart at y0, from its _RADII row; jet-aware."""
-    row = _RADII[chart]
-    return row.radius(y0) / row.derivative(y0)
+    r, dr = _radius(chart).pair(y0)
+    return r / dr
 
 
 def embed_coords(chart: ChartId, y0, y1):
     """The embedding R(y0) (cos y1, sin y1); floats, arrays and jets alike."""
     if chart is ChartId.CARTESIAN:
         return y0, y1
-    r, (s, c) = _RADII[chart].radius(y0), dual.sincos(y1)
+    r, (s, c) = _radius(chart).pair(y0)[0], dual.sincos(y1)
     return r * c, r * s
 
 
@@ -167,7 +171,7 @@ def invert(chart: ChartId, x0: float, x1: float) -> ChartPoint:
     r = np.hypot(x0, x1)
     _require(r >= GUARD, r, "origin is not covered by any angular chart")
     phi = normalize_angle(dual.atan2(x1, x0))
-    return ChartPoint(chart, _RADII[chart].inverse(r), phi)
+    return ChartPoint(chart, _radius(chart).inverse(r), phi)
 
 
 def basis(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -178,19 +182,19 @@ def basis(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
 
 
 def basis_closed_form(p: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Basis vectors (R' cos, R' sin) and (-R sin, R cos), R' from the table."""
+    """Basis vectors (R' cos, R' sin) and (-R sin, R cos), R' from the pair."""
     if p.chart is ChartId.CARTESIAN:
         return tuple(_tensor([[1.0, 0.0], [0.0, 1.0]], p))
-    r, dr = _RADII[p.chart].radius(p.y0), _RADII[p.chart].derivative(p.y0)
+    r, dr = _radius(p.chart).pair(p.y0)
     s, c = dual.sincos(p.y1)
     return tuple(_tensor([[dr * c, dr * s], [-r * s, r * c]], p))
 
 
 def metric_closed_form(p: ChartPoint) -> np.ndarray:
-    """The metric diag(R'^2, R^2), from the radius table."""
+    """The metric diag(R'^2, R^2), from the radius pair."""
     if p.chart is ChartId.CARTESIAN:
         return _tensor([[1.0, 0.0], [0.0, 1.0]], p)
-    r, dr = _RADII[p.chart].radius(p.y0), _RADII[p.chart].derivative(p.y0)
+    r, dr = _radius(p.chart).pair(p.y0)
     return _tensor([[dr * dr, 0.0], [0.0, r * r]], p)
 
 
@@ -231,10 +235,10 @@ def mixed_from_lower(a: np.ndarray) -> np.ndarray:
 
 
 def jacobian_mixed_closed_form(p: ChartPoint) -> np.ndarray:
-    """jacobian_mixed as (cos/R', -sin/R; sin/R', cos/R), from the table."""
+    """jacobian_mixed as (cos/R', -sin/R; sin/R', cos/R), from the pair."""
     if p.chart is ChartId.CARTESIAN:
         return _tensor([[1.0, 0.0], [0.0, 1.0]], p)
-    r, dr = _RADII[p.chart].radius(p.y0), _RADII[p.chart].derivative(p.y0)
+    r, dr = _radius(p.chart).pair(p.y0)
     s, c = dual.sincos(p.y1)
     return _tensor([[c / dr, -s / r], [s / dr, c / r]], p)
 

@@ -3,8 +3,8 @@
 The operator applied here is the conformally rescaled one, chosen so that
 in every chart it is a polynomial in the coordinate derivative operators:
 d00 + d11 on the cartesian chart and (k d0)(k d0) + d11 = R^2 * standard
-on an angular one, with k = R/R' from the chart table's R and R'
-(charts.radial_scale) and k' from one first-order jet of it:
+on an angular one, with k = R/R' (charts.radial_scale) and k' both from
+one first-order jet of the chart table's (R, R') pair:
 
 * polar:        (r dr)(r dr) + dpp            = r^2 * standard
 * holographic:  (tan t dt)(tan t dt) + dpp    = sin^2(t) * standard
@@ -36,7 +36,7 @@ import numpy as np
 from . import dual
 from ._record import Record
 from .bicomplex import _complex, reject
-from .charts import _RADII, GUARD, TWO_PI, ChartId, ChartPoint, DomainError, metric_closed_form, radial_scale
+from .charts import GUARD, TWO_PI, ChartId, ChartPoint, DomainError, _radius, metric_closed_form, radial_scale
 
 
 def _log_radius_angle(chart: ChartId, y0, y1):
@@ -52,7 +52,7 @@ def _log_radius_angle(chart: ChartId, y0, y1):
         return dual.log(r), phi
     if chart is ChartId.CONFORMAL:
         return y0, y1  # log e^rho, exactly
-    return dual.log(_RADII[chart].radius(y0)), y1
+    return dual.log(_radius(chart).pair(y0)[0]), y1
 
 
 class SolutionFamily(Record, frozen=True):
@@ -93,7 +93,7 @@ def laplacian(f: Callable, p: ChartPoint) -> complex:
     f11 = dual.d2(j1)
     if p.chart is ChartId.CARTESIAN:
         return f00 + f11
-    # (k d0)^2 + d11, with k = R/R' and k' = dk/dy0 from the chart table's R, R'
+    # (k d0)^2 + d11, with k = R/R' and k' = dk/dy0 from one jet of the chart's (R, R')
     (k,) = dual.partials(lambda y0: radial_scale(p.chart, y0), (p.y0,))
     return k.f * k.d1 * f0 + k.f * k.f * f00 + f11
 
@@ -132,11 +132,6 @@ def legendre(l: int, m: int, x: float) -> float:
     return p
 
 
-def _phase(angle):
-    """e^{i angle} as cos + i sin, exactly those parts."""
-    return _complex(np.cos(angle), np.sin(angle))
-
-
 def ylm(l: int, m: int, theta: float, phi: float) -> complex:
     """Spherical harmonic, unit L2 norm, Condon-Shortley phase.  theta and
     phi may be arrays of one sample shape."""
@@ -147,7 +142,8 @@ def ylm(l: int, m: int, theta: float, phi: float) -> complex:
     norm = math.sqrt(
         (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
     )
-    return norm * legendre(l, m, np.cos(theta)) * _phase(m * phi)
+    s, c = dual.sincos(m * phi)
+    return norm * legendre(l, m, np.cos(theta)) * _complex(c, s)
 
 
 def ylm_ratio(l: int, grid: ChartPoint, negative_branch: bool = False) -> complex:

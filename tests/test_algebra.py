@@ -1,6 +1,7 @@
 """Generators, brackets, eigenactions, rotation packaging, substitutions."""
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -40,8 +41,16 @@ from holoconf.algebra import (
     substituted_rows,
     tangent_curve,
 )
-from holoconf.charts import ChartId, ChartPoint, DomainError, jacobian_lower
-from holoconf.laplace import SolutionFamily, conjugate_derivative, solve
+from holoconf.charts import (
+    ChartId,
+    ChartPoint,
+    DomainError,
+    basis_closed_form,
+    jacobian_lower,
+    jacobian_mixed_closed_form,
+    metric_closed_form,
+)
+from holoconf.laplace import SolutionFamily, conjugate_derivative, laplacian, solve
 from holoconf.projective import flow_consistency
 from holoconf.sampling import chart_points, scale_dimensions, upsilon_points
 
@@ -439,10 +448,10 @@ def test_a_point_with_one_scalar_coordinate_is_its_broadcast_point(chart, scalar
 
 
 class _CountingNumpy:
-    """numpy, counting the np.sin and np.cos calls made through it."""
+    """numpy, counting the np.sin, np.cos and np.exp calls made through it."""
 
     def __init__(self):
-        self.calls = {"sin": 0, "cos": 0}
+        self.calls = dict.fromkeys(("sin", "cos", "exp"), 0)
 
     def __getattr__(self, name):
         if name not in self.calls:
@@ -454,25 +463,38 @@ class _CountingNumpy:
 
         return counted
 
+    def count(self, *calls) -> tuple:
+        """(sin, cos, exp): the calls made by running each of calls."""
+        self.calls.update(sin=0, cos=0, exp=0)
+        for call in calls:
+            call()
+        return tuple(self.calls.values())
+
 
 @pytest.mark.parametrize(
-    "chart, per_table, per_basis",
-    [(ChartId.POLAR, 1, 2), (ChartId.HOLOGRAPHIC, 2, 4), (ChartId.CONFORMAL, 1, 2)],
+    "chart, per_table, per_basis, per_laplacian, per_closed_forms",
+    [
+        (ChartId.POLAR, 1, 2, (0, 0, 0), (2, 2, 0)),
+        (ChartId.HOLOGRAPHIC, 2, 4, (1, 1, 0), (5, 5, 0)),
+        (ChartId.CONFORMAL, 1, 2, (0, 0, 1), (2, 2, 3)),
+    ],
     ids=str,
 )
-def test_each_angle_takes_one_sine_and_one_cosine(monkeypatch, chart, per_table, per_basis):
+def test_each_angle_takes_one_sine_and_one_cosine(monkeypatch, chart, per_table, per_basis, per_laplacian, per_closed_forms):
     # a table evaluation takes one pair per angle of the table strings, and a
-    # basis evaluation one per angle in each of its two partials
+    # basis evaluation one per angle in each of its two partials; laplacian
+    # takes one (R, R') pair of y0 (one sincos, or one exp), and the three
+    # closed forms one pair each and one sincos of the angle in the two that
+    # read it (counted as (sin, cos, exp))
     counting = _CountingNumpy()
     monkeypatch.setattr(dual, "np", counting)
     p = chart_points(chart, 30, random.Random(4))
     for order in (0, 1, 2):
-        counting.calls.update(sin=0, cos=0)
-        algebra.generator_tensors(chart, p, order=order)
-        assert counting.calls == {"sin": per_table, "cos": per_table}, order
-    counting.calls.update(sin=0, cos=0)
-    jacobian_lower(p)
-    assert counting.calls == {"sin": per_basis, "cos": per_basis}
+        assert counting.count(lambda: algebra.generator_tensors(chart, p, order=order))[:2] == (per_table,) * 2, order
+    assert counting.count(lambda: jacobian_lower(p))[:2] == (per_basis,) * 2
+    assert counting.count(lambda: laplacian(lambda y0, y1: y0 * y1, p)) == per_laplacian
+    closed_forms = (basis_closed_form, metric_closed_form, jacobian_mixed_closed_form)
+    assert counting.count(*(functools.partial(form, p) for form in closed_forms)) == per_closed_forms
 
 # every algebra path that takes sample points, as a call on (realization, points)
 POINT_PATHS = {

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from holoconf.charts import (
     invert,
     special_conformal,
 )
-from holoconf.laplace import solve
+from holoconf.laplace import SolutionFamily, solve
 from holoconf.sampling import chart_points
 
 ALL = tuple(ChartId)
@@ -54,10 +55,22 @@ def test_domain_guards():
 @pytest.mark.parametrize("y0", (1.0, -5.0))
 def test_a_chart_that_is_not_a_chart_id_is_rejected(y0):
     # the chart's name is not the chart: its domain and every later lookup
-    # are keyed by the ChartId
-    with pytest.raises(ValueError, match=r"^unknown chart 'polar'$") as info:
-        ChartPoint("polar", y0, 0.5)
-    assert info.type is ValueError
+    # are keyed by the ChartId, and a chart with no radius row (a name, or
+    # the cartesian chart where a radius is read) is named in a ValueError
+    calls = {
+        "unknown chart 'polar'": (
+            lambda: ChartPoint("polar", y0, 0.5),
+            lambda: charts.embed_coords("polar", y0, 0.5),
+            lambda: invert("polar", y0, 0.5),
+            lambda: SolutionFamily(1.0, "polar")(y0, 0.5),
+        ),
+        f"unknown chart {ChartId.CARTESIAN!r}": (lambda: charts.radial_scale(ChartId.CARTESIAN, y0),),
+    }
+    for message, reads in calls.items():
+        for read in reads:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+                read()
+            assert info.type is ValueError
 
 
 @pytest.mark.parametrize("chart", ALL, ids=str)

@@ -445,7 +445,7 @@ CLOSED_FORM_CHECKS = ("basis_dual_vs_closed", "metric_closed_form", "jacobian_mi
     "chart, entry, wrong, fails",
     [
         # R' = sin for R = sin: basis differentiates R, the closed forms read R'
-        (ChartId.HOLOGRAPHIC, "derivative", dual.sin, CLOSED_FORM_CHECKS),
+        (ChartId.HOLOGRAPHIC, "pair", lambda y0: (dual.sin(y0),) * 2, CLOSED_FORM_CHECKS),
         # a wrong R^-1 sends a plane point back elsewhere on its ray
         (ChartId.POLAR, "inverse", lambda r: 1.5 * r, ("embed_roundtrip",)),
         (ChartId.HOLOGRAPHIC, "inverse", np.arctan, ("embed_roundtrip",)),
@@ -465,20 +465,58 @@ def test_a_wrong_radius_table_entry_fails_its_chart_checks(monkeypatch, chart, e
         assert c.max_defect > 1e-3 and c.message is None
 
 
+def _scaled_pair_failures(monkeypatch, chart, r_factor, dr_factor) -> list:
+    """The failed checks of the charts, laplace and algebra suites (seed 3,
+    10 samples) with chart's (R, R') pair scaled to (r_factor R, dr_factor R')."""
+    radius = charts._RADII[chart]
+
+    def scaled(y0):
+        r, dr = radius.pair(y0)
+        return r_factor * r, dr_factor * dr
+
+    monkeypatch.setitem(charts._RADII, chart, radius._replace(pair=scaled))
+    report = run_suite(SuiteConfig(seed=3, samples=10, suites=("charts", "laplace", "algebra")))
+    return [c for c in report.checks if not c.passed]
+
+
 @pytest.mark.parametrize("chart", charts.ANGULAR_CHARTS, ids=str)
 def test_a_wrong_derivative_entry_fails_its_chart_and_laplace_checks(monkeypatch, chart):
     # R' doubled: the closed forms read R', and laplacian and the
     # substitution rule share k = R/R' (radial_scale), so exactly the chart's
     # three closed-form checks, its two operator checks and its substitution
     # check fail
-    radius = charts._RADII[chart]
-    monkeypatch.setitem(charts._RADII, chart, radius._replace(derivative=lambda y0: 2 * radius.derivative(y0)))
-    report = run_suite(SuiteConfig(seed=3, samples=10, suites=("charts", "laplace", "algebra")))
-    failed = [c for c in report.checks if not c.passed]
+    failed = _scaled_pair_failures(monkeypatch, chart, 1.0, 2.0)
     fails = (*CLOSED_FORM_CHECKS, "solution_residual", "rescaled_operator_factor", "paravector_substitution")
     assert [c.name for c in failed] == [f"{name}[{chart}]" for name in fails]
     for c in failed:
         assert c.max_defect > 1e-3 and c.message is None
+
+
+# the checks beyond the chart's own that a wrong R fails, in report order
+R_READERS_BEYOND_THE_CHART = {
+    ChartId.POLAR: ("chart_consistency", "eigenactions[polar]", "paravector_substitution[polar]"),
+    ChartId.HOLOGRAPHIC: (
+        "harmonic_ratio", "eigenactions[holographic]", "paravector_substitution[holographic]", "tangent_curve_order"
+    ),
+    ChartId.CONFORMAL: ("paravector_substitution[conformal]",),
+}
+
+
+@pytest.mark.parametrize("chart", charts.ANGULAR_CHARTS, ids=str)
+def test_a_wrong_radius_with_its_derivative_kept_fails_every_reader_of_r(monkeypatch, chart):
+    # R scaled by 1.5, R' kept: basis differentiates R against the closed
+    # forms' R', the embedding and its inverse disagree, the operator's k and
+    # the substitution rule's k = R/R' move, and so do the checks beyond the
+    # chart that read its R
+    failed = _scaled_pair_failures(monkeypatch, chart, 1.5, 1.0)
+    common = (*CLOSED_FORM_CHECKS, "embed_roundtrip", "solution_residual", "rescaled_operator_factor")
+    assert [c.name for c in failed] == [f"{name}[{chart}]" for name in common] + list(R_READERS_BEYOND_THE_CHART[chart])
+    for c in failed:
+        if c.name == "embed_roundtrip[holographic]":
+            # a plane point sent back through the wrong R leaves the unit disk
+            assert c.max_defect is None and "outside the open unit disk" in c.message
+        else:
+            assert c.max_defect > 1e-3 and c.message is None
 
 
 def _negated_entry_failures(monkeypatch, key: str, g, k: int, cfg: SuiteConfig) -> list:
